@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import CalibrationError, ConfigError
+from .landmarks import quantize_ms
 from .metrics import MetricSample
 
 #: Threshold factors applied to the neutral baselines.
@@ -89,7 +90,7 @@ def _covered_ms(samples: list[MetricSample]) -> int:
     # 30 fps therefore covers exactly 5000 ms.
     if len(samples) < 2:
         return 0
-    ts = [round(s.t * 1000.0) for s in samples]
+    ts = [quantize_ms(s.t) for s in samples]
     return (ts[-1] - ts[0]) + (ts[-1] - ts[-2])
 
 
@@ -110,7 +111,7 @@ def calibrate(samples: Iterable[MetricSample], config: CalibrationConfig | None 
             f"need at least {config.min_samples}"
         )
     covered = _covered_ms(sorted(all_samples, key=lambda s: s.t))
-    needed = round(config.duration_s * 1000.0)
+    needed = quantize_ms(config.duration_s)
     if covered < needed:
         raise CalibrationError(
             f"insufficient calibration duration: recording covers {covered / 1000.0:.3f} s, "

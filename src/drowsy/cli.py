@@ -14,24 +14,21 @@ not. Profile creation stamps honor SOURCE_DATE_EPOCH.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
 import tempfile
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import fields, is_dataclass, replace
 
 from . import io as dio
-from .calibration import (
-    CalibrationConfig,
-    CalibrationProfile,
-    calibrate,
-    generalized_profile,
-)
+from .calibration import CalibrationConfig, calibrate, generalized_profile
 from .errors import CalibrationError, ConfigError, DrowsyError
 from .eval import (
     CHANNELS,
     aggregate,
+    channel_eval_doc,
     compare,
     evaluate_channel,
     population_doc,
@@ -44,89 +41,50 @@ from .pipeline import ClassifierSource, PipelineConfig, run_session
 from .synth import iter_session
 
 
-@dataclass(frozen=True, slots=True)
-class GlobalConfig:
-    """Every tunable with its default; each field has a matching flag."""
-
-    buffer_capacity: int = 15
-    ear_factor: float = 0.75
-    mar_factor: float = 1.40
-    head_factor: float = 1.25
-    sustain_eyes_s: float = 1.0
-    sustain_mouth_s: float = 1.5
-    sustain_head_s: float = 2.0
-    sustain_presence_s: float = 3.0
-    sustain_perclos_s: float = 0.0
-    rearm_frames: int = 15
-    perclos_window_s: float = 30.0
-    perclos_limit: float = 20.0
-    generalized_ear: float = 0.21
-    generalized_mar: float = 0.60
-    generalized_head: float = 0.80
-    calibration_duration_s: float = 5.0
-    min_samples: int = 30
-    seed: int = 0
-
-    def __post_init__(self):
-        # converting validates every duration/count/factor invariant
-        self.pipeline_config()
-        self.calibration_config()
-        self.generalized()
-
-    def pipeline_config(self) -> PipelineConfig:
-        return PipelineConfig(
-            buffer_capacity=self.buffer_capacity,
-            sustain_eyes_s=self.sustain_eyes_s,
-            sustain_mouth_s=self.sustain_mouth_s,
-            sustain_head_s=self.sustain_head_s,
-            sustain_presence_s=self.sustain_presence_s,
-            sustain_perclos_s=self.sustain_perclos_s,
-            rearm_frames=self.rearm_frames,
-            perclos_window_s=self.perclos_window_s,
-            perclos_limit=self.perclos_limit,
-        )
-
-    def calibration_config(self) -> CalibrationConfig:
-        return CalibrationConfig(
-            duration_s=self.calibration_duration_s,
-            min_samples=self.min_samples,
-            ear_factor=self.ear_factor,
-            mar_factor=self.mar_factor,
-            head_factor=self.head_factor,
-        )
-
-    def generalized(self) -> CalibrationProfile:
-        return generalized_profile(
-            ear_threshold=self.generalized_ear,
-            mar_threshold=self.generalized_mar,
-            head_drop_limit=self.generalized_head,
-        )
+def _defaults(config) -> dict:
+    """Field defaults of a config dataclass, or parameter defaults of a factory."""
+    if is_dataclass(config):
+        return {f.name: f.default for f in fields(config)}
+    return {name: p.default for name, p in inspect.signature(config).parameters.items()}
 
 
-_DEFAULTS = GlobalConfig()
-
+# (flag, field or parameter, help); each flag takes its type and default from there
 _PIPELINE_FLAGS = (
-    ("--buffer-capacity", "buffer_capacity", int, "smoothing buffer length in frames"),
-    ("--sustain-eyes", "sustain_eyes_s", float, "seconds eyes must stay closed before alerting"),
-    ("--sustain-mouth", "sustain_mouth_s", float, "seconds a yawn must last before alerting"),
-    ("--sustain-head", "sustain_head_s", float, "seconds of head-down before alerting"),
-    ("--sustain-presence", "sustain_presence_s", float, "seconds without a face before alerting"),
-    ("--sustain-perclos", "sustain_perclos_s", float, "seconds over the PERCLOS limit before alerting"),
-    ("--rearm-frames", "rearm_frames", int, "condition-free frames before a channel re-arms"),
-    ("--perclos-window", "perclos_window_s", float, "PERCLOS rolling window in seconds"),
-    ("--perclos-limit", "perclos_limit", float, "PERCLOS alarm threshold in percent"),
+    ("--buffer-capacity", "buffer_capacity", "smoothing buffer length in frames"),
+    ("--sustain-eyes", "sustain_eyes_s", "seconds eyes must stay closed before alerting"),
+    ("--sustain-mouth", "sustain_mouth_s", "seconds a yawn must last before alerting"),
+    ("--sustain-head", "sustain_head_s", "seconds of head-down before alerting"),
+    ("--sustain-presence", "sustain_presence_s", "seconds without a face before alerting"),
+    ("--sustain-perclos", "sustain_perclos_s", "seconds over the PERCLOS limit before alerting"),
+    ("--rearm-frames", "rearm_frames", "condition-free frames before a channel re-arms"),
+    ("--perclos-window", "perclos_window_s", "PERCLOS rolling window in seconds"),
+    ("--perclos-limit", "perclos_limit", "PERCLOS alarm threshold in percent"),
 )
 
 _FACTOR_FLAGS = (
-    ("--ear-factor", "ear_factor", float, "eye threshold as a fraction of baseline EAR"),
-    ("--mar-factor", "mar_factor", float, "mouth threshold as a multiple of baseline MAR"),
-    ("--head-factor", "head_factor", float, "head limit as a multiple of baseline head drop"),
+    ("--ear-factor", "ear_factor", "eye threshold as a fraction of baseline EAR"),
+    ("--mar-factor", "mar_factor", "mouth threshold as a multiple of baseline MAR"),
+    ("--head-factor", "head_factor", "head limit as a multiple of baseline head drop"),
+)
+
+_CALIBRATE_FLAGS = (
+    ("--duration", "duration_s", "required recording coverage in seconds"),
+    ("--min-samples", "min_samples", "minimum face-present frames"),
+) + _FACTOR_FLAGS
+
+_AUTO_CALIBRATE_FLAGS = (
+    (
+        "--calib-duration",
+        "duration_s",
+        "seconds of leading frames used to auto-calibrate drivers without a profile",
+    ),
+    ("--min-samples", "min_samples", "minimum face-present frames for auto-calibration"),
 )
 
 _GENERALIZED_FLAGS = (
-    ("--gen-ear", "generalized_ear", float, "generalized EAR threshold"),
-    ("--gen-mar", "generalized_mar", float, "generalized MAR threshold"),
-    ("--gen-head", "generalized_head", float, "generalized head-drop limit"),
+    ("--gen-ear", "ear_threshold", "generalized EAR threshold"),
+    ("--gen-mar", "mar_threshold", "generalized MAR threshold"),
+    ("--gen-head", "head_drop_limit", "generalized head-drop limit"),
 )
 
 
@@ -137,24 +95,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_flags(parser: argparse.ArgumentParser, specs) -> None:
-    for flag, field_name, typ, help_text in specs:
+def _add_flags(parser: argparse.ArgumentParser, config, specs) -> None:
+    defaults = _defaults(config)
+    for flag, name, help_text in specs:
+        default = defaults[name]
         parser.add_argument(
             flag,
-            dest=field_name,
-            type=typ,
-            default=getattr(_DEFAULTS, field_name),
-            help=f"{help_text} (default {getattr(_DEFAULTS, field_name)})",
+            dest=name,
+            type=type(default),
+            default=default,
+            help=f"{help_text} (default {default})",
         )
 
 
-def _config_from(args: argparse.Namespace) -> GlobalConfig:
-    values = {
-        name: getattr(args, name)
-        for name in GlobalConfig.__dataclass_fields__
-        if hasattr(args, name)
-    }
-    return replace(_DEFAULTS, **values)
+def _build(config, args: argparse.Namespace):
+    """Call a config class or factory with the values its flags parsed into args.
+
+    Construction validates, so every command builds its configs before it
+    opens any file.
+    """
+    values = {name: getattr(args, name) for name in _defaults(config) if hasattr(args, name)}
+    return config(**values)
 
 
 @contextmanager
@@ -188,7 +149,7 @@ def _open_out(path: str):
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
-    config = _config_from(args).calibration_config()
+    config = _build(CalibrationConfig, args)
     with _open_in(args.input) as src:
         samples = list(samples_from_frames(dio.read_frames(src)))
     profile = calibrate(samples, config)
@@ -206,7 +167,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    config = _config_from(args).pipeline_config()
+    config = _build(PipelineConfig, args)
     with _open_in(args.profile) as src:
         profile = dio.read_profile(src)
     classifier = None
@@ -286,22 +247,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
         f"recall negative: {rn}"
     )
     if args.json:
-        doc = {
-            "format_version": 1,
-            "channel": args.channel,
-            "accuracy": result.accuracy,
-            "matrix": {"tp": m.tp, "tn": m.tn, "fp": m.fp, "fn": m.fn},
-            "recall_positive": result.recall_positive,
-            "recall_negative": result.recall_negative,
-            "excluded": result.excluded,
-        }
-        with _open_out(args.json) as sink:
-            sink.write(json.dumps(doc, sort_keys=True, indent=2))
-            sink.write("\n")
+        _write_doc(args.json, channel_eval_doc(result))
     return 0
 
 
-def _compare_one(frames_path, labels_path, profile, external_path, gconfig):
+def _write_doc(path: str, doc: dict) -> None:
+    with _open_out(path) as sink:
+        sink.write(json.dumps(doc, sort_keys=True, indent=2))
+        sink.write("\n")
+
+
+def _compare_one(frames_path, labels_path, profile, external_path, configs):
+    pipeline_config, calibration_config, generalized = configs
     with open(frames_path, "r", encoding="utf-8") as src:
         frames = list(dio.read_frames(src))
     with open(labels_path, "r", encoding="utf-8") as src:
@@ -311,21 +268,25 @@ def _compare_one(frames_path, labels_path, profile, external_path, gconfig):
         with open(external_path, "r", encoding="utf-8") as src:
             external = dio.load_external_states(src)
     if profile is None:
-        cutoff = gconfig.calibration_duration_s
-        head = [f for f in frames if f.t <= cutoff]
-        profile = calibrate(samples_from_frames(head), gconfig.calibration_config())
+        head = [f for f in frames if f.t <= calibration_config.duration_s]
+        profile = calibrate(samples_from_frames(head), calibration_config)
     return compare(
         frames,
         labels,
         personalized=profile,
-        generalized=gconfig.generalized(),
+        generalized=generalized,
         external_states=external,
-        config=gconfig.pipeline_config(),
+        config=pipeline_config,
     )
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    gconfig = _config_from(args)
+    # built in this order, so a bad pipeline flag is reported first
+    configs = (
+        _build(PipelineConfig, args),
+        _build(CalibrationConfig, args),
+        _build(generalized_profile, args),
+    )
     if os.path.isdir(args.input):
         suffix = ".frames.jsonl"
         stems = sorted(
@@ -349,7 +310,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     base + ".labels.jsonl",
                     profile,
                     external if os.path.exists(external) else None,
-                    gconfig,
+                    configs,
                 )
             )
         agg = aggregate(reports)
@@ -360,13 +321,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
             raise ConfigError("single-stream compare requires --labels and --profile")
         with _open_in(args.profile) as src:
             profile = dio.read_profile(src)
-        report = _compare_one(args.input, args.labels, profile, args.external, gconfig)
+        report = _compare_one(args.input, args.labels, profile, args.external, configs)
         sys.stdout.write(render_report(report))
         doc = report_doc(report)
     if args.json:
-        with _open_out(args.json) as sink:
-            sink.write(json.dumps(doc, sort_keys=True, indent=2))
-            sink.write("\n")
+        _write_doc(args.json, doc)
     return 0
 
 
@@ -379,21 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="derive a personalized profile from a neutral recording")
     p.add_argument("--input", required=True, help="landmark frame stream (JSONL, or -)")
     p.add_argument("--out", default="-", help="profile destination (default stdout)")
-    p.add_argument(
-        "--duration",
-        dest="calibration_duration_s",
-        type=float,
-        default=_DEFAULTS.calibration_duration_s,
-        help=f"required recording coverage in seconds (default {_DEFAULTS.calibration_duration_s})",
-    )
-    p.add_argument(
-        "--min-samples",
-        dest="min_samples",
-        type=int,
-        default=_DEFAULTS.min_samples,
-        help=f"minimum face-present frames (default {_DEFAULTS.min_samples})",
-    )
-    _add_flags(p, _FACTOR_FLAGS)
+    _add_flags(p, CalibrationConfig, _CALIBRATE_FLAGS)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("run", help="stream frames through the monitoring pipeline")
@@ -403,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-", help="alert event log destination (default stdout)")
     p.add_argument("--records", help="per-frame record log destination")
     p.add_argument("--bell", action="store_true", help="ring the terminal bell on each alert")
-    _add_flags(p, _PIPELINE_FLAGS)
+    _add_flags(p, PipelineConfig, _PIPELINE_FLAGS)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("synth", help="generate a labeled synthetic session from a script")
@@ -434,24 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--profile", help="personalized profile (single-stream mode)")
     p.add_argument("--external", help="external classifier states (single-stream mode)")
     p.add_argument("--json", help="also write the report as JSON to this path")
-    p.add_argument(
-        "--calib-duration",
-        dest="calibration_duration_s",
-        type=float,
-        default=_DEFAULTS.calibration_duration_s,
-        help="seconds of leading frames used to auto-calibrate drivers without a profile "
-        f"(default {_DEFAULTS.calibration_duration_s})",
-    )
-    p.add_argument(
-        "--min-samples",
-        dest="min_samples",
-        type=int,
-        default=_DEFAULTS.min_samples,
-        help=f"minimum face-present frames for auto-calibration (default {_DEFAULTS.min_samples})",
-    )
-    _add_flags(p, _PIPELINE_FLAGS)
-    _add_flags(p, _FACTOR_FLAGS)
-    _add_flags(p, _GENERALIZED_FLAGS)
+    _add_flags(p, CalibrationConfig, _AUTO_CALIBRATE_FLAGS)
+    _add_flags(p, PipelineConfig, _PIPELINE_FLAGS)
+    _add_flags(p, CalibrationConfig, _FACTOR_FLAGS)
+    _add_flags(p, generalized_profile, _GENERALIZED_FLAGS)
     p.set_defaults(func=cmd_compare)
 
     return parser

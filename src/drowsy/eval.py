@@ -20,8 +20,7 @@ from typing import Mapping, Sequence
 
 from .calibration import CalibrationProfile
 from .errors import EvalError
-from .io import quantize_ms
-from .landmarks import SchemeMap
+from .landmarks import SchemeMap, quantize_ms
 from .pipeline import ClassifierSource, PipelineConfig, run_session
 
 CHANNEL_EYE = "eye"
@@ -114,8 +113,7 @@ class ChannelEval:
     excluded: int
 
 
-def evaluate_channel(predictions: Sequence, labels: Sequence, channel: str) -> ChannelEval:
-    matrix, excluded = confusion(predictions, labels, channel)
+def _channel_eval(channel: str, matrix: ConfusionMatrix, excluded: int) -> ChannelEval:
     pos = matrix.tp + matrix.fn
     neg = matrix.tn + matrix.fp
     return ChannelEval(
@@ -126,6 +124,11 @@ def evaluate_channel(predictions: Sequence, labels: Sequence, channel: str) -> C
         recall_negative=100.0 * matrix.tn / neg if neg else None,
         excluded=excluded,
     )
+
+
+def evaluate_channel(predictions: Sequence, labels: Sequence, channel: str) -> ChannelEval:
+    matrix, excluded = confusion(predictions, labels, channel)
+    return _channel_eval(channel, matrix, excluded)
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,16 +199,7 @@ def aggregate(reports: Sequence[ComparisonReport]) -> PopulationAggregate:
                 fp=sum(e.matrix.fp for e in evals),
                 fn=sum(e.matrix.fn for e in evals),
             )
-            pos = matrix.tp + matrix.fn
-            neg = matrix.tn + matrix.fp
-            pooled[method][ch] = ChannelEval(
-                channel=ch,
-                matrix=matrix,
-                accuracy=accuracy(matrix),
-                recall_positive=100.0 * matrix.tp / pos if pos else None,
-                recall_negative=100.0 * matrix.tn / neg if neg else None,
-                excluded=sum(e.excluded for e in evals),
-            )
+            pooled[method][ch] = _channel_eval(ch, matrix, sum(e.excluded for e in evals))
     return PopulationAggregate(
         drivers=len(reports),
         reports=list(reports),
@@ -279,6 +273,11 @@ def _channel_doc(ev: ChannelEval) -> dict:
         "recall_negative": ev.recall_negative,
         "excluded": ev.excluded,
     }
+
+
+def channel_eval_doc(ev: ChannelEval) -> dict:
+    """JSON-serializable single-channel evaluation document."""
+    return {"format_version": 1, "channel": ev.channel, **_channel_doc(ev)}
 
 
 def report_doc(report: ComparisonReport) -> dict:

@@ -10,6 +10,7 @@ and identical runs produce identical bytes.
 Line formats (field order as written):
   frames   {"t": 1.234, "scheme": "semantic", "face": true, "points": [[x, y], ...]}
   labels   {"t": 1.234, "face": true, "eye": "open|closed", "mouth": "yawn|normal", "head": "up|down"}
+           ("head" is optional and left out when unknown)
   records  labels plus "ear", "mar", "head_drop", "perclos" (null when absent)
   events   {"kind": "...", "onset_t": 1.2, "emitted_t": 2.2, "value": 0.1, "threshold": 0.2}
 
@@ -18,13 +19,14 @@ scripts, both carrying format_version. Unknown keys are ignored on read and
 never emitted on write. A third coordinate in frame points (mesh depth) is
 accepted on read and dropped.
 
-Alignment between streams is defined at millisecond resolution: quantize_ms
-is the single timestamp key used everywhere.
+Alignment between streams is defined at millisecond resolution:
+landmarks.quantize_ms is the single timestamp key used everywhere.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import time as _time
 from dataclasses import dataclass
@@ -32,7 +34,7 @@ from typing import IO, Iterable, Iterator
 
 from .calibration import CalibrationProfile
 from .errors import ParseError, StreamOrderError, VersionError
-from .landmarks import POINT_COUNTS, LandmarkFrame
+from .landmarks import POINT_COUNTS, LandmarkFrame, quantize_ms
 from .pipeline import ALL_EVENT_KINDS, AlertEvent
 from .synth import DriverParams, ScriptEvent, SessionScript
 
@@ -41,11 +43,6 @@ FORMAT_VERSION = 1
 EYE_STATES = {"open": False, "closed": True}
 MOUTH_STATES = {"normal": False, "yawn": True}
 HEAD_STATES = {"up": False, "down": True}
-
-
-def quantize_ms(t: float) -> int:
-    """Timestamp alignment key: milliseconds, the package-wide resolution."""
-    return round(t * 1000.0)
 
 
 def _reject_constant(token: str):
@@ -160,8 +157,8 @@ def read_states(source: Iterable[str]) -> Iterator[StateRecord]:
             if not isinstance(obj, dict):
                 raise ValueError("state line must be a JSON object")
             t = _number(obj, "t")
-            if t < 0.0:
-                raise ValueError("timestamp cannot be negative")
+            if not (math.isfinite(t) and t >= 0.0):
+                raise ValueError(f"timestamp must be finite and non-negative, got {t!r}")
             face = _boolean(obj, "face")
             if face:
                 eye = _parse_state(obj, "eye", EYE_STATES)
@@ -189,51 +186,57 @@ def load_external_states(source: Iterable[str]) -> dict[int, tuple[bool, bool]]:
     return states
 
 
-def _state_str(value: bool | None, table: dict[str, bool]) -> str:
-    for name, flag in table.items():
-        if flag == value:
-            return f'"{name}"'
-    return "null"
+def _json_names(table: dict[str, bool]) -> dict[bool | None, str]:
+    # reverse of a state table: flag -> quoted JSON name, None -> null
+    names: dict[bool | None, str] = {flag: f'"{name}"' for name, flag in table.items()}
+    names[None] = "null"
+    return names
 
 
-def write_labels(sink: IO[str], labels: Iterable) -> int:
-    """Write per-frame labels; accepts any objects with the state attributes."""
-    n = 0
-    for lab in labels:
-        if lab.face_present:
-            sink.write(
-                f'{{"t": {lab.t:.3f}, "face": true, '
-                f'"eye": {_state_str(lab.eye_closed, EYE_STATES)}, '
-                f'"mouth": {_state_str(lab.mouth_yawn, MOUTH_STATES)}, '
-                f'"head": {_state_str(lab.head_down, HEAD_STATES)}}}\n'
-            )
-        else:
-            sink.write(f'{{"t": {lab.t:.3f}, "face": false}}\n')
-        n += 1
-    return n
+_EYE_JSON = _json_names(EYE_STATES)
+_MOUTH_JSON = _json_names(MOUTH_STATES)
+_HEAD_JSON = _json_names(HEAD_STATES)
 
 
 def _opt6(value: float | None) -> str:
     return "null" if value is None else f"{value:.6f}"
 
 
+def _state_line(rec, with_metrics: bool) -> str:
+    """One label line, or with_metrics one record line (labels plus metrics)."""
+    if rec.face_present:
+        line = (
+            f'{{"t": {rec.t:.3f}, "face": true, "eye": {_EYE_JSON[rec.eye_closed]}, '
+            f'"mouth": {_MOUTH_JSON[rec.mouth_yawn]}'
+        )
+        if rec.head_down is not None:
+            line += f', "head": {_HEAD_JSON[rec.head_down]}'
+        if with_metrics:
+            line += (
+                f', "ear": {_opt6(rec.ear)}, "mar": {_opt6(rec.mar)}, '
+                f'"head_drop": {_opt6(rec.head_drop)}, "perclos": {_opt6(rec.perclos)}'
+            )
+    else:
+        line = f'{{"t": {rec.t:.3f}, "face": false'
+        if with_metrics:
+            line += f', "perclos": {_opt6(rec.perclos)}'
+    return line + "}\n"
+
+
+def write_labels(sink: IO[str], labels: Iterable) -> int:
+    """Write per-frame labels; accepts any objects with the state attributes."""
+    n = 0
+    for lab in labels:
+        sink.write(_state_line(lab, False))
+        n += 1
+    return n
+
+
 def write_records(sink: IO[str], records: Iterable) -> int:
     """Write per-frame pipeline records (a superset of the label format)."""
     n = 0
     for rec in records:
-        if rec.face_present:
-            sink.write(
-                f'{{"t": {rec.t:.3f}, "face": true, '
-                f'"eye": {_state_str(rec.eye_closed, EYE_STATES)}, '
-                f'"mouth": {_state_str(rec.mouth_yawn, MOUTH_STATES)}, '
-                f'"head": {_state_str(rec.head_down, HEAD_STATES)}, '
-                f'"ear": {_opt6(rec.ear)}, "mar": {_opt6(rec.mar)}, '
-                f'"head_drop": {_opt6(rec.head_drop)}, "perclos": {_opt6(rec.perclos)}}}\n'
-            )
-        else:
-            sink.write(
-                f'{{"t": {rec.t:.3f}, "face": false, "perclos": {_opt6(rec.perclos)}}}\n'
-            )
+        sink.write(_state_line(rec, True))
         n += 1
     return n
 

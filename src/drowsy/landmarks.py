@@ -31,6 +31,14 @@ SEMANTIC = "semantic"
 POINT_COUNTS = {DLIB68: 68, MESH468: 468, SEMANTIC: 19}
 
 
+def quantize_ms(t: float) -> int:
+    """Seconds to integer milliseconds, the package-wide timestamp resolution.
+
+    The one key every stream is aligned on and every duration is summed in.
+    """
+    return round(t * 1000.0)
+
+
 def _check_finite(points) -> bool:
     isfinite = math.isfinite
     for x, y in points:

@@ -19,7 +19,7 @@ from math import dist
 from typing import Iterable, Iterator
 
 from .errors import GeometryError, PerclosUndefinedError, StreamOrderError
-from .landmarks import LandmarkFrame, Point, SchemeMap, SemanticPoints, to_semantic
+from .landmarks import LandmarkFrame, Point, SchemeMap, SemanticPoints, quantize_ms, to_semantic
 
 
 def _aspect_ratio(pts: tuple[Point, ...], what: str) -> float:
@@ -91,10 +91,6 @@ def samples_from_frames(
         yield metric_sample(frame, scheme_map)
 
 
-def _ms(t: float) -> int:
-    return round(t * 1000.0)
-
-
 class PerclosWindow:
     """Rolling window of per-frame eye states with duration-weighted PERCLOS.
 
@@ -113,7 +109,7 @@ class PerclosWindow:
     def __init__(self, duration_s: float):
         if duration_s <= 0.0:
             raise ValueError("window duration must be positive")
-        self.duration_ms = _ms(duration_s)
+        self.duration_ms = quantize_ms(duration_s)
         self._samples: deque[tuple[int, bool, bool]] = deque()
         self._closed_ms = 0
         self._monitored_ms = 0
@@ -129,7 +125,7 @@ class PerclosWindow:
     def append(self, t: float, closed: bool, monitored: bool) -> None:
         if closed and not monitored:
             raise ValueError("a closed sample must be monitored")
-        t_ms = _ms(t)
+        t_ms = quantize_ms(t)
         samples = self._samples
         if samples:
             last_t, last_closed, last_monitored = samples[-1]
@@ -164,8 +160,3 @@ class PerclosWindow:
             raise PerclosUndefinedError("no monitored samples in window")
         closed = self._closed_ms + (trailing if last_closed else 0)
         return 100.0 * closed / total
-
-
-def perclos(window: PerclosWindow) -> float:
-    """PERCLOS of a window; raises PerclosUndefinedError on insufficient data."""
-    return window.perclos()

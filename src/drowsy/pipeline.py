@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Mapping
 
 from .calibration import CalibrationProfile
 from .errors import ConfigError, MissingLabelError, NoDataError, PerclosUndefinedError, StreamOrderError
-from .landmarks import LandmarkFrame, SchemeMap, to_semantic
+from .landmarks import LandmarkFrame, SchemeMap, quantize_ms, to_semantic
 from .metrics import PerclosWindow, compute_binocular_ear, compute_head_drop, compute_mar
 
 CHANNEL_EYES = "eyes"
@@ -239,20 +239,18 @@ class Pipeline:
         self._head_buf = SmoothingBuffer(cap)
         self._window = PerclosWindow(self.config.perclos_window_s)
 
-        def ms(seconds: float) -> int:
-            return round(seconds * 1000.0)
-
-        rearm = self.config.rearm_frames
+        config = self.config
+        rearm = config.rearm_frames
+        sustains = {
+            CHANNEL_EYES: config.sustain_eyes_s,
+            CHANNEL_MOUTH: config.sustain_mouth_s,
+            CHANNEL_HEAD: config.sustain_head_s,
+            CHANNEL_PRESENCE: config.sustain_presence_s,
+            CHANNEL_PERCLOS: config.sustain_perclos_s,
+        }
         self._channels = {
-            CHANNEL_EYES: ChannelState(CHANNEL_EYES, ms(self.config.sustain_eyes_s), rearm),
-            CHANNEL_MOUTH: ChannelState(CHANNEL_MOUTH, ms(self.config.sustain_mouth_s), rearm),
-            CHANNEL_HEAD: ChannelState(CHANNEL_HEAD, ms(self.config.sustain_head_s), rearm),
-            CHANNEL_PRESENCE: ChannelState(
-                CHANNEL_PRESENCE, ms(self.config.sustain_presence_s), rearm
-            ),
-            CHANNEL_PERCLOS: ChannelState(
-                CHANNEL_PERCLOS, ms(self.config.sustain_perclos_s), rearm
-            ),
+            channel: ChannelState(channel, quantize_ms(sustain_s), rearm)
+            for channel, sustain_s in sustains.items()
         }
         self._last_t_ms: int | None = None
         self.frames = 0
@@ -276,7 +274,7 @@ class Pipeline:
 
     def step(self, frame: LandmarkFrame) -> tuple[FrameRecord, tuple[AlertEvent, ...]]:
         t = frame.t
-        t_ms = round(t * 1000.0)
+        t_ms = quantize_ms(t)
         if self._last_t_ms is not None and t_ms <= self._last_t_ms:
             raise StreamOrderError(
                 f"frame at t={t:.3f} does not advance past t={self._last_t_ms / 1000.0:.3f}"

@@ -1,11 +1,17 @@
+import argparse
+import dataclasses
+import inspect
 import io as stdio
 import json
 import os
+import re
 
 import pytest
 
 from drowsy import cli
 from drowsy import io as dio
+from drowsy.calibration import CalibrationConfig, generalized_profile
+from drowsy.pipeline import PipelineConfig
 from drowsy.synth import DriverParams, ScriptEvent, SessionScript
 
 
@@ -184,6 +190,22 @@ class TestExitCodes:
         assert rc == 1
         assert "nope.jsonl" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["eval", "run --external"])
+    def test_non_finite_state_timestamp_is_input_error(self, workspace, tmp_path, capsys, command):
+        _, paths = workspace
+        lines = paths["labels"].read_text().splitlines(keepends=True)
+        lines[1] = re.sub(r'"t": [0-9.]+', '"t": 1e400', lines[1], count=1)
+        states = tmp_path / "overflow.states.jsonl"
+        states.write_text("".join(lines))
+        if command == "eval":
+            argv = ["eval", "--pred", str(states), "--labels", str(paths["labels"]),
+                    "--channel", "eye"]
+        else:
+            argv = ["run", "--input", str(paths["frames"]), "--profile", str(paths["profile"]),
+                    "--external", str(states), "--out", str(tmp_path / "events.jsonl")]
+        assert cli.main(argv) == 1
+        assert "line 2: timestamp must be finite" in capsys.readouterr().err
+
     def test_unknown_flag_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["run", "--frobnicate"])
@@ -273,24 +295,96 @@ class TestDeterminism:
         assert a.read_bytes() != b.read_bytes()
 
 
-def test_global_config_conversions():
-    config = cli.GlobalConfig()
-    assert config.pipeline_config().buffer_capacity == 15
-    assert config.calibration_config().ear_factor == 0.75
-    generalized = config.generalized()
-    assert generalized.ear_threshold == 0.21
-    assert not generalized.personalized
+# Every config flag: (commands, flag, config, field or parameter, bad value,
+# expected error). The bad value is invalid for that flag alone.
+CONFIG_FLAGS = [
+    (("run", "compare"), "--buffer-capacity", PipelineConfig, "buffer_capacity", "0",
+     "buffer capacity"),
+    (("run", "compare"), "--sustain-eyes", PipelineConfig, "sustain_eyes_s", "-1",
+     "sustain durations"),
+    (("run", "compare"), "--sustain-mouth", PipelineConfig, "sustain_mouth_s", "-1",
+     "sustain durations"),
+    (("run", "compare"), "--sustain-head", PipelineConfig, "sustain_head_s", "-1",
+     "sustain durations"),
+    (("run", "compare"), "--sustain-presence", PipelineConfig, "sustain_presence_s", "-1",
+     "sustain durations"),
+    (("run", "compare"), "--sustain-perclos", PipelineConfig, "sustain_perclos_s", "-1",
+     "sustain durations"),
+    (("run", "compare"), "--rearm-frames", PipelineConfig, "rearm_frames", "-1", "re-arm"),
+    (("run", "compare"), "--perclos-window", PipelineConfig, "perclos_window_s", "0",
+     "PERCLOS window"),
+    (("run", "compare"), "--perclos-limit", PipelineConfig, "perclos_limit", "101",
+     "PERCLOS limit"),
+    (("calibrate",), "--duration", CalibrationConfig, "duration_s", "0", "calibration duration"),
+    (("compare",), "--calib-duration", CalibrationConfig, "duration_s", "0",
+     "calibration duration"),
+    (("calibrate", "compare"), "--min-samples", CalibrationConfig, "min_samples", "0",
+     "calibration duration"),
+    (("calibrate", "compare"), "--ear-factor", CalibrationConfig, "ear_factor", "0",
+     "threshold factors"),
+    (("calibrate", "compare"), "--mar-factor", CalibrationConfig, "mar_factor", "0",
+     "threshold factors"),
+    (("calibrate", "compare"), "--head-factor", CalibrationConfig, "head_factor", "0",
+     "threshold factors"),
+    (("compare",), "--gen-ear", generalized_profile, "ear_threshold", "0",
+     "generalized thresholds"),
+    (("compare",), "--gen-mar", generalized_profile, "mar_threshold", "0",
+     "generalized thresholds"),
+    (("compare",), "--gen-head", generalized_profile, "head_drop_limit", "0",
+     "generalized thresholds"),
+]
+
+# Config groups in the order commands validate them; a bad value in an
+# earlier group is reported even when later groups are bad too.
+LATER_BAD_FLAGS = {
+    PipelineConfig: ["--ear-factor", "0", "--gen-ear", "0"],
+    CalibrationConfig: ["--gen-ear", "0"],
+    generalized_profile: [],
+}
+
+MISSING_INPUTS = {
+    "calibrate": ["--input", "missing.frames.jsonl"],
+    "run": ["--input", "missing.frames.jsonl", "--profile", "missing.profile.json"],
+    "compare": ["--input", "missing.frames.jsonl", "--labels", "missing.labels.jsonl",
+                "--profile", "missing.profile.json"],
+}
 
 
-def test_global_config_validates_invariants():
-    from drowsy.errors import ConfigError
+def _config_default(config, name):
+    if dataclasses.is_dataclass(config):
+        return {f.name: f.default for f in dataclasses.fields(config)}[name]
+    return inspect.signature(config).parameters[name].default
 
-    with pytest.raises(ConfigError):
-        cli.GlobalConfig(sustain_eyes_s=-1.0)
-    with pytest.raises(ConfigError):
-        cli.GlobalConfig(buffer_capacity=0)
-    with pytest.raises(ConfigError):
-        cli.GlobalConfig(generalized_ear=-0.2)
+
+@pytest.mark.parametrize(
+    "commands, flag, config, name, bad, message",
+    CONFIG_FLAGS,
+    ids=[spec[1] for spec in CONFIG_FLAGS],
+)
+def test_config_flag_default_and_validation(
+    commands, flag, config, name, bad, message, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    subcommands = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    expected = _config_default(config, name)
+    for command in commands:
+        option = next(
+            action for action in subcommands.choices[command]._actions
+            if flag in action.option_strings
+        )
+        assert option.default == expected and type(option.default) is type(expected)
+        assert option.type is type(expected)
+        assert f"(default {expected})" in option.help
+
+        later = LATER_BAD_FLAGS[config] if command == "compare" else []
+        rc = cli.main([command, *MISSING_INPUTS[command], flag, bad, *later])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert message in err, err
+        assert "No such file" not in err
 
 
 def test_invalid_flag_value_is_input_error(workspace, capsys):

@@ -176,6 +176,20 @@ class TestLabelStream:
         (rec,) = dio.read_states([line])
         assert rec.head_down is None
 
+    def test_headless_line_round_trips(self):
+        lines = (
+            '{"t": 0.000, "face": true, "eye": "open", "mouth": "normal"}\n'
+            '{"t": 0.033, "face": true, "eye": "closed", "mouth": "yawn", "head": "down"}\n'
+            '{"t": 0.067, "face": false}\n'
+        )
+        sink = stdio.StringIO()
+        dio.write_labels(sink, dio.read_states(stdio.StringIO(lines)))
+        first = sink.getvalue()
+        assert first == lines
+        sink2 = stdio.StringIO()
+        dio.write_labels(sink2, dio.read_states(stdio.StringIO(first)))
+        assert sink2.getvalue() == first
+
     def test_faceless_line_has_no_states(self):
         (rec,) = dio.read_states(['{"t": 0.4, "face": false}'])
         assert rec.face_present is False

@@ -14,7 +14,6 @@ from drowsy.metrics import (
     compute_head_drop,
     compute_mar,
     metric_sample,
-    perclos,
 )
 
 from conftest import hexagon, semantic_frame
@@ -207,16 +206,16 @@ class TestPerclos:
 
     def test_all_closed_is_100(self):
         w = self.build([(i * 0.1, True, True) for i in range(10)])
-        assert perclos(w) == 100.0
+        assert w.perclos() == 100.0
 
     def test_none_closed_is_0(self):
         w = self.build([(i * 0.1, False, True) for i in range(10)])
-        assert perclos(w) == 0.0
+        assert w.perclos() == 0.0
 
     def test_three_of_ten_is_30(self):
         triples = [(i * 0.1, i in (2, 5, 9), True) for i in range(10)]
         w = self.build(triples)
-        assert perclos(w) == 30.0
+        assert w.perclos() == 30.0
 
     def test_matches_brute_force_on_random_windows(self):
         rng = random.Random(23)
@@ -232,10 +231,10 @@ class TestPerclos:
             w = self.build(triples)
             if expected is None:
                 with pytest.raises(PerclosUndefinedError):
-                    perclos(w)
+                    w.perclos()
             else:
-                assert perclos(w) == expected
-                assert 0.0 <= perclos(w) <= 100.0
+                assert w.perclos() == expected
+                assert 0.0 <= w.perclos() <= 100.0
 
     def test_eviction_keeps_window_bounded_and_consistent(self):
         w = PerclosWindow(1.0)
