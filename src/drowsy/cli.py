@@ -19,7 +19,7 @@ import json
 import os
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import fields, is_dataclass, replace
 
 from . import io as dio
@@ -37,7 +37,7 @@ from .eval import (
     report_doc,
 )
 from .metrics import samples_from_frames
-from .pipeline import ClassifierSource, PipelineConfig, run_session
+from .pipeline import PipelineConfig, run_session
 from .synth import iter_session
 
 
@@ -170,10 +170,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _build(PipelineConfig, args)
     with _open_in(args.profile) as src:
         profile = dio.read_profile(src)
-    classifier = None
+    external = None
     if args.external:
         with _open_in(args.external) as src:
-            classifier = ClassifierSource.external(dio.load_external_states(src))
+            external = dio.load_external_states(src)
 
     with _open_in(args.input) as frames_in, _open_out(args.out) as events_out:
         def on_event(event):
@@ -182,24 +182,17 @@ def cmd_run(args: argparse.Namespace) -> int:
                 sys.stderr.write("\a")
                 sys.stderr.flush()
 
-        if args.records:
-            with _open_out(args.records) as records_out:
-                result = run_session(
-                    dio.read_frames(frames_in),
-                    profile,
-                    config,
-                    classifier,
-                    on_event=on_event,
-                    on_record=lambda rec: dio.write_records(records_out, [rec]),
-                    collect=False,
-                )
-        else:
+        with _open_out(args.records) if args.records else nullcontext() as records_out:
+            on_record = None
+            if records_out is not None:
+                on_record = lambda rec: dio.write_records(records_out, [rec])
             result = run_session(
                 dio.read_frames(frames_in),
                 profile,
                 config,
-                classifier,
+                external,
                 on_event=on_event,
+                on_record=on_record,
                 collect=False,
             )
 

@@ -7,10 +7,10 @@ classifiable and are excluded from the matrix, reported as a separate
 count. Per-class recalls accompany each matrix so threshold behavior on
 the rare class stays visible.
 
-The comparison harness runs the identical pipeline (same smoothing, same
-warning logic) once per method over the same frames: fixed population
-thresholds, personalized thresholds, and optionally an externally supplied
-classifier stream.
+The comparison harness runs the pipeline once and decides its smoothed
+metrics once per method: fixed population thresholds, personalized
+thresholds, and optionally an externally supplied classifier stream. No
+profile changes the smoothed metrics, so this equals one run per method.
 """
 
 from __future__ import annotations
@@ -21,7 +21,8 @@ from typing import Mapping, Sequence
 from .calibration import CalibrationProfile
 from .errors import EvalError
 from .landmarks import SchemeMap, quantize_ms
-from .pipeline import ClassifierSource, PipelineConfig, run_session
+from .pipeline import PipelineConfig, external_state, run_session, threshold_states
+from .synth import FrameLabel
 
 CHANNEL_EYE = "eye"
 CHANNEL_MOUTH = "mouth"
@@ -153,19 +154,25 @@ def compare(
     config: PipelineConfig | None = None,
     scheme_map: SchemeMap | None = None,
 ) -> ComparisonReport:
-    """Run every method over the same frames and score each per channel."""
-    runs: list[tuple[str, CalibrationProfile, ClassifierSource]] = [
-        (METHOD_GENERALIZED, generalized, ClassifierSource.threshold()),
-        (METHOD_PERSONALIZED, personalized, ClassifierSource.threshold()),
-    ]
+    """Score every method per channel over one pipeline run of the frames.
+
+    Errors are those of one run per method, in method order: metric errors,
+    then MissingLabelError for the first frame without an external state.
+    """
+    records = run_session(frames, personalized, config, scheme_map=scheme_map).records
+    deciders = {
+        METHOD_GENERALIZED: lambda r: threshold_states(generalized, r.ear, r.mar),
+        METHOD_PERSONALIZED: None,  # the run's own decisions
+    }
     if external_states is not None:
-        runs.append((METHOD_EXTERNAL, personalized, ClassifierSource.external(external_states)))
+        deciders[METHOD_EXTERNAL] = lambda r: external_state(external_states, r.t)
     methods: dict[str, MethodEval] = {}
-    for method, profile, classifier in runs:
-        result = run_session(frames, profile, config, classifier, scheme_map)
-        channels = {
-            ch: evaluate_channel(result.records, labels, ch) for ch in CHANNELS
-        }
+    for method, decide in deciders.items():
+        # a re-decided prediction carries only the eye/mouth states
+        predictions = records if decide is None else [
+            FrameLabel(r.t, True, *decide(r), None) if r.face_present else r for r in records
+        ]
+        channels = {ch: evaluate_channel(predictions, labels, ch) for ch in CHANNELS}
         methods[method] = MethodEval(method=method, approach=_APPROACH[method], channels=channels)
     return ComparisonReport(methods=methods, frames=len(frames))
 

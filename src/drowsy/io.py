@@ -54,10 +54,22 @@ def _loads(line: str):
 
 
 def _number(obj: dict, key: str) -> float:
+    """A number field as a float; beyond float range it reads as +-inf, as 1e400 does."""
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"field {key!r} must be a number")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _finite(obj: dict, key: str) -> float:
+    """A number field that must be finite (timestamps have their own check)."""
+    value = _number(obj, key)
+    if not math.isfinite(value):
+        raise ValueError(f"field {key!r} must be finite, got {value!r}")
+    return value
 
 
 def _boolean(obj: dict, key: str) -> bool:
@@ -104,9 +116,9 @@ def read_frames(source: Iterable[str]) -> Iterator[LandmarkFrame]:
                     raise ValueError("point coordinates must be numbers")
                 if type(y) is not float and type(y) is not int:
                     raise ValueError("point coordinates must be numbers")
-                append((float(x), float(y)))
+                append((float(x), float(y)))  # OverflowError for a huge integer
             frame = LandmarkFrame(t=t, scheme=scheme, points=tuple(points), face_present=face)
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ParseError(str(exc), line_no) from None
         t_ms = quantize_ms(frame.t)
         if last_ms is not None and t_ms <= last_ms:
@@ -265,16 +277,16 @@ def read_events(source: Iterable[str]) -> Iterator[AlertEvent]:
             kind = obj["kind"]
             if kind not in ALL_EVENT_KINDS:
                 raise ValueError(f"unknown event kind {kind!r}")
-            onset = _number(obj, "onset_t")
-            emitted = _number(obj, "emitted_t")
+            onset = _finite(obj, "onset_t")
+            emitted = _finite(obj, "emitted_t")
             if emitted < onset:
                 raise ValueError("emitted_t cannot precede onset_t")
             event = AlertEvent(
                 kind=kind,
                 onset_t=onset,
                 emitted_t=emitted,
-                value=_number(obj, "value"),
-                threshold=_number(obj, "threshold"),
+                value=_finite(obj, "value"),
+                threshold=_finite(obj, "threshold"),
             )
         except (ValueError, KeyError, TypeError) as exc:
             raise ParseError(str(exc), line_no) from None
@@ -330,7 +342,7 @@ def read_profile(source: IO[str]) -> CalibrationProfile:
     if version != FORMAT_VERSION:
         raise VersionError(f"unsupported profile format_version {version!r}")
     try:
-        fields = {key: _number(doc, key) for key in _PROFILE_FLOATS}
+        fields = {key: _finite(doc, key) for key in _PROFILE_FLOATS}
         frames_used = doc["frames_used"]
         if isinstance(frames_used, bool) or not isinstance(frames_used, int) or frames_used < 0:
             raise ValueError("frames_used must be a non-negative integer")
@@ -384,10 +396,10 @@ def read_script(source: IO[str]) -> SessionScript:
         if not isinstance(driver_doc, dict):
             raise ValueError("driver must be an object")
         driver = DriverParams(
-            baseline_ear=_number(driver_doc, "baseline_ear"),
-            baseline_mar=_number(driver_doc, "baseline_mar"),
-            baseline_head_drop=_number(driver_doc, "baseline_head_drop"),
-            inter_ocular_px=_number(driver_doc, "inter_ocular_px"),
+            baseline_ear=_finite(driver_doc, "baseline_ear"),
+            baseline_mar=_finite(driver_doc, "baseline_mar"),
+            baseline_head_drop=_finite(driver_doc, "baseline_head_drop"),
+            inter_ocular_px=_finite(driver_doc, "inter_ocular_px"),
         )
         events_doc = doc["events"]
         if not isinstance(events_doc, list):
@@ -401,20 +413,20 @@ def read_script(source: IO[str]) -> SessionScript:
             events.append(
                 ScriptEvent(
                     kind=ev["kind"],
-                    start_t=_number(ev, "start_t"),
-                    length_s=_number(ev, "length_s"),
-                    intensity=_number(ev, "intensity"),
+                    start_t=_finite(ev, "start_t"),
+                    length_s=_finite(ev, "length_s"),
+                    intensity=_finite(ev, "intensity"),
                 )
             )
         seed = doc["seed"]
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ValueError("seed must be an integer")
         return SessionScript(
-            fps=_number(doc, "fps"),
-            duration_s=_number(doc, "duration_s"),
+            fps=_finite(doc, "fps"),
+            duration_s=_finite(doc, "duration_s"),
             driver=driver,
             events=tuple(events),
-            noise_sigma=_number(doc, "noise_sigma"),
+            noise_sigma=_finite(doc, "noise_sigma"),
             seed=seed,
         )
     except (ValueError, KeyError, TypeError) as exc:

@@ -171,37 +171,24 @@ class AlertEvent:
     threshold: float
 
 
-class ClassifierSource:
-    """Where per-frame eye/mouth decisions come from.
+def threshold_states(profile: CalibrationProfile, ear: float, mar: float) -> tuple[bool, bool]:
+    """Threshold decision on smoothed metrics: (eye closed?, yawning?).
 
-    Threshold mode compares smoothed metrics against the profile. External
-    mode consumes already-classified per-frame states keyed by millisecond
-    timestamp (eye closed?, mouth yawning?); every face-present frame must
-    have one. All smoothing of metrics, evidence reporting, and warning
-    logic is identical in both modes, so an external stream equal to the
-    threshold decisions reproduces the threshold run exactly.
+    Comparisons are strict, so a value exactly at its threshold is neither.
     """
+    return ear < profile.ear_threshold, mar > profile.mar_threshold
 
-    MODE_THRESHOLD = "threshold"
-    MODE_EXTERNAL = "external"
 
-    __slots__ = ("mode", "states")
+def external_state(states: Mapping[int, tuple[bool, bool]], t: float) -> tuple[bool, bool]:
+    """An external classifier's (eye closed?, yawning?) for the frame at t.
 
-    def __init__(self, mode: str, states: Mapping[int, tuple[bool, bool]] | None = None):
-        if mode not in (self.MODE_THRESHOLD, self.MODE_EXTERNAL):
-            raise ConfigError(f"unknown classifier mode {mode!r}")
-        if mode == self.MODE_EXTERNAL and states is None:
-            raise ConfigError("external mode requires per-frame states")
-        self.mode = mode
-        self.states = states
-
-    @classmethod
-    def threshold(cls) -> "ClassifierSource":
-        return cls(cls.MODE_THRESHOLD)
-
-    @classmethod
-    def external(cls, states: Mapping[int, tuple[bool, bool]]) -> "ClassifierSource":
-        return cls(cls.MODE_EXTERNAL, states)
+    States are keyed by millisecond timestamp; every face-present frame
+    must have one.
+    """
+    try:
+        return states[quantize_ms(t)]
+    except KeyError:
+        raise MissingLabelError(t) from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -220,18 +207,22 @@ class FrameRecord:
 
 
 class Pipeline:
-    """Single-session streaming state machine; feed frames through step()."""
+    """Single-session streaming state machine; feed frames through step().
+
+    With `external` states, eye/mouth decisions come from external_state()
+    instead of threshold_states(); all other logic is the same either way.
+    """
 
     def __init__(
         self,
         profile: CalibrationProfile,
         config: PipelineConfig | None = None,
-        classifier: ClassifierSource | None = None,
+        external: Mapping[int, tuple[bool, bool]] | None = None,
         scheme_map: SchemeMap | None = None,
     ):
         self.profile = profile
         self.config = config or PipelineConfig()
-        self.classifier = classifier or ClassifierSource.threshold()
+        self.external = external
         self.scheme_map = scheme_map
         cap = self.config.buffer_capacity
         self._ear_buf = SmoothingBuffer(cap)
@@ -293,14 +284,10 @@ class Pipeline:
             s_ear = self._ear_buf.smoothed()
             s_mar = self._mar_buf.smoothed()
             s_head = self._head_buf.smoothed()
-            if self.classifier.mode == ClassifierSource.MODE_EXTERNAL:
-                try:
-                    eye_closed, mouth_yawn = self.classifier.states[t_ms]
-                except KeyError:
-                    raise MissingLabelError(t) from None
+            if self.external is None:
+                eye_closed, mouth_yawn = threshold_states(profile, s_ear, s_mar)
             else:
-                eye_closed = s_ear < profile.ear_threshold
-                mouth_yawn = s_mar > profile.mar_threshold
+                eye_closed, mouth_yawn = external_state(self.external, t)
             head_down = s_head > profile.head_drop_limit
         else:
             self.faceless_frames += 1
@@ -375,7 +362,7 @@ def run_session(
     frames: Iterable[LandmarkFrame],
     profile: CalibrationProfile,
     config: PipelineConfig | None = None,
-    classifier: ClassifierSource | None = None,
+    external: Mapping[int, tuple[bool, bool]] | None = None,
     scheme_map: SchemeMap | None = None,
     on_event: Callable[[AlertEvent], None] | None = None,
     on_record: Callable[[FrameRecord], None] | None = None,
@@ -387,7 +374,7 @@ def run_session(
     nothing is accumulated (pass sinks instead), so memory stays bounded by
     the smoothing buffers and the PERCLOS window regardless of stream length.
     """
-    pipe = Pipeline(profile, config, classifier, scheme_map)
+    pipe = Pipeline(profile, config, external, scheme_map)
     events: list[AlertEvent] = []
     records: list[FrameRecord] = []
     start = time.perf_counter()

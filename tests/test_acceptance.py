@@ -29,7 +29,7 @@ from drowsy.metrics import (
     compute_mar,
     samples_from_frames,
 )
-from drowsy.pipeline import ClassifierSource, run_session
+from drowsy.pipeline import run_session
 from drowsy.synth import (
     DriverParams,
     FrameLabel,
@@ -363,7 +363,7 @@ def test_criterion_7_identical_logic_property():
                 if r.face_present
             }
             external_run = run_session(
-                frames, profile, classifier=ClassifierSource.external(states)
+                frames, profile, external=states
             )
             external_log = stdio.StringIO()
             dio.write_events(external_log, external_run.events)

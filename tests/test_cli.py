@@ -206,6 +206,36 @@ class TestExitCodes:
         assert cli.main(argv) == 1
         assert "line 2: timestamp must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, field, value",
+        [
+            ("run", "ear_threshold", "1e400"),
+            ("run", "mar_threshold", "-1" + "0" * 400),
+            ("synth", "fps", "1e400"),
+            ("synth", "noise_sigma", "1e400"),
+        ],
+        ids=["profile", "profile-integer", "script-fps", "script-noise"],
+    )
+    def test_non_finite_document_number_is_input_error(
+        self, workspace, tmp_path, capsys, command, field, value
+    ):
+        _, paths = workspace
+        source = paths["profile"] if command == "run" else tmp_path / "session.script.json"
+        bad = tmp_path / ("overflow" + source.suffix)
+        bad.write_text(re.sub(rf'"{field}": [^,\n]+', f'"{field}": {value}', source.read_text()))
+        out = tmp_path / "out.jsonl"
+        labels = tmp_path / "out.labels.jsonl"
+        if command == "run":
+            argv = ["run", "--input", str(paths["frames"]), "--profile", str(bad),
+                    "--out", str(out)]
+        else:
+            argv = ["synth", "--script", str(bad), "--out", str(out), "--labels", str(labels)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("drowsy: ")
+        assert f"field '{field}' must be finite" in err
+        assert not out.exists() and not labels.exists()
+
     def test_unknown_flag_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["run", "--frobnicate"])

@@ -3,11 +3,14 @@ import random
 import pytest
 
 from drowsy.calibration import calibrate, generalized_profile
-from drowsy.errors import EvalError
+from drowsy.errors import EvalError, MissingLabelError
 from drowsy.eval import (
     CHANNEL_EYE,
     CHANNEL_MOUTH,
+    CHANNELS,
+    ComparisonReport,
     ConfusionMatrix,
+    MethodEval,
     accuracy,
     aggregate,
     compare,
@@ -20,6 +23,7 @@ from drowsy.eval import (
 )
 from drowsy.io import quantize_ms
 from drowsy.metrics import samples_from_frames
+from drowsy.pipeline import PipelineConfig, run_session
 from drowsy.synth import DriverParams, FrameLabel, ScriptEvent, SessionScript, generate
 
 
@@ -171,8 +175,6 @@ class TestCompare:
         assert ext.approach == "learning-based"
 
     def test_external_equal_to_personalized_decisions_matches_column(self):
-        from drowsy.pipeline import run_session
-
         frames, truth = driver_session(baseline_ear=0.30)
         personalized = personalized_for(frames)
         decisions = run_session(frames, personalized).records
@@ -212,6 +214,65 @@ class TestCompare:
         m = internal["matrix"]
         recomputed = 100.0 * (m["tp"] + m["tn"]) / (m["tp"] + m["tn"] + m["fp"] + m["fn"])
         assert internal["accuracy"] == recomputed
+
+
+def reference_compare(frames, labels, personalized, generalized, external_states, config):
+    """Each method's own pipeline run, scored per channel."""
+    runs = [
+        ("generalized", "threshold-based", generalized, None),
+        ("personalized", "threshold-based", personalized, None),
+    ]
+    if external_states is not None:
+        runs.append(("external", "learning-based", personalized, external_states))
+    methods = {}
+    for method, approach, profile, external in runs:
+        records = run_session(frames, profile, config, external=external).records
+        channels = {ch: evaluate_channel(records, labels, ch) for ch in CHANNELS}
+        methods[method] = MethodEval(method=method, approach=approach, channels=channels)
+    return ComparisonReport(methods=methods, frames=len(frames))
+
+
+def flipped_states(labels, seed, rate=0.1):
+    """External states equal to the labels except for seeded flips."""
+    rng = random.Random(seed)
+    states = {}
+    for l in labels:
+        if l.face_present:
+            flip_eye, flip_mouth = rng.random() < rate, rng.random() < rate
+            states[quantize_ms(l.t)] = (l.eye_closed != flip_eye, l.mouth_yawn != flip_mouth)
+    return states
+
+
+class TestCompareReference:
+    @pytest.mark.parametrize(
+        "seed, baseline_ear, config",
+        [
+            (3, 0.20, None),
+            (4, 0.27, PipelineConfig(buffer_capacity=4)),
+            (5, 0.34, PipelineConfig(buffer_capacity=1, rearm_frames=0)),
+        ],
+    )
+    def test_equals_one_pipeline_run_per_method(self, seed, baseline_ear, config):
+        frames, truth = driver_session(baseline_ear=baseline_ear, seed=seed, noise=0.8)
+        # a label that sees a face where the detector dropped out stays excluded
+        labels = list(truth.labels)
+        i = next(i for i, f in enumerate(frames) if not f.face_present)
+        labels[i] = lab(labels[i].t)
+        personalized = personalized_for(frames)
+        for states in (flipped_states(labels, seed), None):
+            args = (frames, labels, personalized, generalized_profile(), states, config)
+            assert compare(*args) == reference_compare(*args)
+
+    def test_missing_external_state_raises_for_the_same_frame(self):
+        frames, truth = driver_session(baseline_ear=0.27, seed=6, noise=0.8)
+        personalized = personalized_for(frames)
+        states = flipped_states(truth.labels, 6)
+        del states[quantize_ms(frames[400].t)]
+        with pytest.raises(MissingLabelError) as full:
+            run_session(frames, personalized, external=states)
+        with pytest.raises(MissingLabelError) as err:
+            compare(frames, truth.labels, personalized, generalized_profile(), states)
+        assert err.value.t == full.value.t == frames[400].t
 
 
 class TestAggregate:

@@ -8,7 +8,7 @@ from drowsy import io as dio
 from drowsy.calibration import calibrate, generalized_profile
 from drowsy.errors import MissingLabelError, ParseError, StreamOrderError, VersionError
 from drowsy.metrics import MetricSample
-from drowsy.pipeline import AlertEvent, ClassifierSource, run_session
+from drowsy.pipeline import AlertEvent, run_session
 from drowsy.synth import DriverParams, ScriptEvent, SessionScript, generate
 
 
@@ -85,6 +85,20 @@ class TestFrameStream:
         line = '{"t": 0.0, "scheme": "semantic", "face": false, "points": [], "x": NaN}'
         with pytest.raises(ParseError):
             list(dio.read_frames([line]))
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"t": 1%s, "scheme": "semantic", "face": false, "points": []}' % ("0" * 400),
+            '{"t": 0.0, "scheme": "semantic", "face": true, "points": %s}'
+            % json.dumps([[10**400 if i == 3 else 1.0, 1.0] for i in range(19)]),
+        ],
+        ids=["timestamp", "coordinate"],
+    )
+    def test_integer_beyond_float_range_rejected(self, line):
+        with pytest.raises(ParseError) as err:
+            list(dio.read_frames([line]))
+        assert err.value.line_no == 1
 
     def test_unknown_keys_ignored(self):
         line = '{"t": 0.0, "scheme": "semantic", "face": false, "points": [], "note": "hi"}'
@@ -230,7 +244,7 @@ class TestExternalStates:
             run_session(
                 frames,
                 generalized_profile(0.24, 0.56, 0.75),
-                classifier=ClassifierSource.external(all_states),
+                external=all_states,
             )
         assert err.value.t == gap_t
         assert f"{gap_t:.3f}" in str(err.value)
@@ -262,6 +276,15 @@ class TestEventLog:
         line = '{"kind": "yawning", "onset_t": 3.0, "emitted_t": 2.0, "value": 1.0, "threshold": 2.0}'
         with pytest.raises(ParseError):
             list(dio.read_events([line]))
+
+    @pytest.mark.parametrize("field", ["onset_t", "emitted_t", "value", "threshold"])
+    def test_non_finite_number_rejected(self, field):
+        event = dict(kind="yawning", onset_t=1.0, emitted_t=2.0, value=1.0, threshold=2.0)
+        event[field] = float("inf")
+        line = json.dumps(event).replace("Infinity", "1e400")
+        with pytest.raises(ParseError) as err:
+            list(dio.read_events([line]))
+        assert f"field '{field}' must be finite" in str(err.value)
 
     def test_order_violation_rejected(self):
         sink = stdio.StringIO()

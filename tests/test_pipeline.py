@@ -10,7 +10,6 @@ from drowsy.landmarks import LandmarkFrame, SEMANTIC, to_semantic
 from drowsy.metrics import compute_binocular_ear, compute_head_drop, compute_mar
 from drowsy.pipeline import (
     ChannelState,
-    ClassifierSource,
     Pipeline,
     PipelineConfig,
     SmoothingBuffer,
@@ -216,9 +215,7 @@ class TestPipelineBehavior:
             for r in threshold_run.records
             if r.face_present
         }
-        external_run = run_session(
-            frames, profile(), classifier=ClassifierSource.external(states)
-        )
+        external_run = run_session(frames, profile(), external=states)
         assert external_run.events == threshold_run.events
         assert external_run.records == threshold_run.records
 
@@ -228,8 +225,14 @@ class TestPipelineBehavior:
             round(f.t * 1000): (False, False) for f in frames if f.t != frames[20].t
         }
         with pytest.raises(MissingLabelError) as err:
-            run_session(frames, profile(), classifier=ClassifierSource.external(states))
+            run_session(frames, profile(), external=states)
         assert err.value.t == frames[20].t
+
+    def test_empty_external_states_are_external_mode(self):
+        frames = metric_frames([0.32] * 5)
+        with pytest.raises(MissingLabelError) as err:
+            run_session(frames, profile(), external={})
+        assert err.value.t == frames[0].t
 
     def test_degenerate_config_reduces_to_raw_thresholds(self):
         rng = random.Random(17)
@@ -345,10 +348,3 @@ def test_pipeline_config_validation():
         PipelineConfig(perclos_limit=150.0)
     with pytest.raises(ConfigError):
         PipelineConfig(rearm_frames=-1)
-
-
-def test_classifier_source_validation():
-    with pytest.raises(ConfigError):
-        ClassifierSource("external")
-    with pytest.raises(ConfigError):
-        ClassifierSource("majority")
