@@ -6,11 +6,7 @@ class DrowsyError(Exception):
 
 
 class ConfigError(DrowsyError):
-    """Invalid configuration (bad scheme/map pairing, non-positive durations, ...)."""
-
-
-class SchemeMapError(ConfigError):
-    """A landmark scheme map is malformed (index out of range, role collision)."""
+    """Invalid configuration (unknown landmark scheme, non-positive durations, ...)."""
 
 
 class GeometryError(DrowsyError):

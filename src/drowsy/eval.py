@@ -20,7 +20,7 @@ from typing import Mapping, Sequence
 
 from .calibration import CalibrationProfile
 from .errors import EvalError
-from .landmarks import SchemeMap, quantize_ms
+from .landmarks import quantize_ms
 from .pipeline import PipelineConfig, external_state, run_session, threshold_states
 from .synth import FrameLabel
 
@@ -152,14 +152,13 @@ def compare(
     generalized: CalibrationProfile,
     external_states: Mapping[int, tuple[bool, bool]] | None = None,
     config: PipelineConfig | None = None,
-    scheme_map: SchemeMap | None = None,
 ) -> ComparisonReport:
     """Score every method per channel over one pipeline run of the frames.
 
     Errors are those of one run per method, in method order: metric errors,
     then MissingLabelError for the first frame without an external state.
     """
-    records = run_session(frames, personalized, config, scheme_map=scheme_map).records
+    records = run_session(frames, personalized, config).records
     deciders = {
         METHOD_GENERALIZED: lambda r: threshold_states(generalized, r.ear, r.mar),
         METHOD_PERSONALIZED: None,  # the run's own decisions

@@ -29,14 +29,13 @@ import json
 import math
 import os
 import time as _time
-from dataclasses import dataclass
 from typing import IO, Iterable, Iterator
 
 from .calibration import CalibrationProfile
 from .errors import ParseError, StreamOrderError, VersionError
 from .landmarks import POINT_COUNTS, LandmarkFrame, quantize_ms
 from .pipeline import ALL_EVENT_KINDS, AlertEvent
-from .synth import DriverParams, ScriptEvent, SessionScript
+from .synth import DriverParams, FrameLabel, ScriptEvent, SessionScript
 
 FORMAT_VERSION = 1
 
@@ -143,17 +142,6 @@ def write_frames(sink: IO[str], frames: Iterable[LandmarkFrame]) -> int:
 
 # --- label / external-state / record streams --------------------------------
 
-@dataclass(frozen=True, slots=True)
-class StateRecord:
-    """One parsed label or external-state line (channel states as booleans)."""
-
-    t: float
-    face_present: bool
-    eye_closed: bool | None
-    mouth_yawn: bool | None
-    head_down: bool | None
-
-
 def _parse_state(obj: dict, key: str, table: dict[str, bool]) -> bool:
     value = obj[key]
     if value not in table:
@@ -161,7 +149,7 @@ def _parse_state(obj: dict, key: str, table: dict[str, bool]) -> bool:
     return table[value]
 
 
-def read_states(source: Iterable[str]) -> Iterator[StateRecord]:
+def read_states(source: Iterable[str]) -> Iterator[FrameLabel]:
     """Parse label/state lines; face-present lines need eye and mouth states."""
     for line_no, line in _lines(source):
         try:
@@ -178,7 +166,7 @@ def read_states(source: Iterable[str]) -> Iterator[StateRecord]:
                 head = _parse_state(obj, "head", HEAD_STATES) if "head" in obj else None
             else:
                 eye = mouth = head = None
-            yield StateRecord(
+            yield FrameLabel(
                 t=t, face_present=face, eye_closed=eye, mouth_yawn=mouth, head_down=head
             )
         except (ValueError, KeyError, TypeError) as exc:

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import itemgetter
 
-from .errors import ConfigError, GeometryError, SchemeMapError
+from .errors import ConfigError, GeometryError
 
 Point = tuple[float, float]
 
@@ -91,12 +90,12 @@ class SemanticPoints:
 
 @dataclass(frozen=True, slots=True)
 class SchemeMap:
-    """Maps scheme-specific point indices onto the semantic roles.
+    """The builtin indices of one scheme's points for each semantic role.
 
-    Eye/mouth index groups and the nose tip must be pairwise disjoint. The
-    two corner indices may alias eye-hexagon members (in every shipped map
-    they are the outer corner members of the hexagons) but must be distinct
-    from each other and from mouth/nose roles.
+    Every frame is read through the map of its own scheme; there is no
+    override. Eye/mouth index groups and the nose tip are pairwise disjoint,
+    and the two corner indices are the outer corner members of the eye
+    hexagons.
     """
 
     scheme: str
@@ -106,32 +105,8 @@ class SchemeMap:
     nose_tip_index: int
     eye_corner_indices: tuple[int, int]
 
-    def __post_init__(self):
-        if self.scheme not in POINT_COUNTS:
-            raise SchemeMapError(f"unknown scheme {self.scheme!r}")
-        n = POINT_COUNTS[self.scheme]
-        groups = (self.eye_left_indices, self.eye_right_indices, self.mouth_indices)
-        for name, group in zip(("eye_left", "eye_right", "mouth"), groups):
-            if len(group) != 6:
-                raise SchemeMapError(f"{name}_indices must hold 6 indices")
-        flat = [i for g in groups for i in g]
-        flat.append(self.nose_tip_index)
-        flat.extend(self.eye_corner_indices)
-        for i in flat:
-            if not isinstance(i, int) or not 0 <= i < n:
-                raise SchemeMapError(f"index {i!r} out of range for scheme {self.scheme}")
-        core = [i for g in groups for i in g] + [self.nose_tip_index]
-        if len(set(core)) != len(core):
-            raise SchemeMapError("eye, mouth, and nose roles must use distinct indices")
-        c0, c1 = self.eye_corner_indices
-        if c0 == c1:
-            raise SchemeMapError("eye corner indices must be distinct")
-        mouth_and_nose = set(self.mouth_indices) | {self.nose_tip_index}
-        if c0 in mouth_and_nose or c1 in mouth_and_nose:
-            raise SchemeMapError("eye corners cannot reuse mouth or nose indices")
 
-
-#: Default map for the 68-point layout (0-based indices). Eyes are named by
+#: Builtin map for the 68-point layout (0-based indices). Eyes are named by
 #: image side: the image-left eye occupies 36..41 with its outer corner at 36,
 #: the image-right eye 42..47 with its outer corner at 45. Mouth roles are the
 #: inner-lip points: corners 60/64, upper pair 62/63, lower pair 66/65.
@@ -144,7 +119,7 @@ DLIB68_MAP = SchemeMap(
     eye_corner_indices=(36, 45),
 )
 
-#: Default map for the 468-point face mesh, image-side naming as above.
+#: Builtin map for the 468-point face mesh, image-side naming as above.
 #: The six-point eye sets and inner-lip set are the widely used aspect-ratio
 #: landmark choices for this mesh; the mesh itself does not prescribe them.
 MESH468_MAP = SchemeMap(
@@ -171,10 +146,10 @@ _BUILTIN = {DLIB68: DLIB68_MAP, MESH468: MESH468_MAP, SEMANTIC: SEMANTIC_MAP}
 
 
 def builtin_scheme_map(scheme: str) -> SchemeMap:
-    """Return the shipped default map for dlib68 or mesh468.
+    """Return the builtin map for dlib68 or mesh468.
 
-    Semantic frames need no map (use SEMANTIC_MAP where an explicit map is
-    required); asking for one is treated as a configuration mistake.
+    Semantic frames need no map (SEMANTIC_MAP is the identity); asking for
+    one is treated as a configuration mistake.
     """
     if scheme == SEMANTIC:
         raise ConfigError("semantic frames need no scheme map")
@@ -184,53 +159,41 @@ def builtin_scheme_map(scheme: str) -> SchemeMap:
         raise ConfigError(f"no builtin map for scheme {scheme!r}") from None
 
 
-@lru_cache(maxsize=None)
-def _selectors(scheme_map: SchemeMap):
-    # itemgetter runs the index selection in C; maps are few, cache them all
-    return (
-        itemgetter(*scheme_map.eye_left_indices),
-        itemgetter(*scheme_map.eye_right_indices),
-        itemgetter(*scheme_map.mouth_indices),
-        scheme_map.nose_tip_index,
-        scheme_map.eye_corner_indices[0],
-        scheme_map.eye_corner_indices[1],
+# itemgetter runs the index selection in C; one set of selectors per scheme
+_SELECTORS = {
+    scheme: (
+        itemgetter(*m.eye_left_indices),
+        itemgetter(*m.eye_right_indices),
+        itemgetter(*m.mouth_indices),
+        m.nose_tip_index,
+        *m.eye_corner_indices,
     )
+    for scheme, m in _BUILTIN.items()
+}
 
 
-def to_semantic(frame: LandmarkFrame, scheme_map: SchemeMap | None = None) -> SemanticPoints | None:
+def to_semantic(frame: LandmarkFrame) -> SemanticPoints | None:
     """Select the named semantic points out of a frame; None when no face.
 
-    A pure selection: output coordinates are exactly input coordinates.
+    The frame is read through the builtin map of its own scheme. A pure
+    selection: output coordinates are exactly input coordinates.
     """
-    if scheme_map is None:
-        scheme_map = _BUILTIN[frame.scheme]
-    elif frame.scheme != scheme_map.scheme:
-        raise ConfigError(
-            f"frame scheme {frame.scheme!r} does not match map scheme {scheme_map.scheme!r}"
-        )
     if not frame.face_present:
         return None
     pts = frame.points
-    left_of, right_of, mouth_of, nose_i, c0, c1 = _selectors(scheme_map)
-    try:
-        corner_left = pts[c0]
-        corner_right = pts[c1]
-        if corner_left == corner_right:
-            raise GeometryError(
-                f"degenerate frame at t={frame.t:.3f}: eye corners coincide"
-            )
-        return SemanticPoints(
-            left_eye=left_of(pts),
-            right_eye=right_of(pts),
-            mouth=mouth_of(pts),
-            nose_tip=pts[nose_i],
-            left_eye_outer_corner=corner_left,
-            right_eye_outer_corner=corner_right,
-        )
-    except IndexError:
-        raise SchemeMapError(
-            f"map for scheme {scheme_map.scheme} indexes beyond {len(pts)} points"
-        ) from None
+    left_of, right_of, mouth_of, nose_i, c0, c1 = _SELECTORS[frame.scheme]
+    corner_left = pts[c0]
+    corner_right = pts[c1]
+    if corner_left == corner_right:
+        raise GeometryError(f"degenerate frame at t={frame.t:.3f}: eye corners coincide")
+    return SemanticPoints(
+        left_eye=left_of(pts),
+        right_eye=right_of(pts),
+        mouth=mouth_of(pts),
+        nose_tip=pts[nose_i],
+        left_eye_outer_corner=corner_left,
+        right_eye_outer_corner=corner_right,
+    )
 
 
 def frame_from_semantic(sp: SemanticPoints, t: float) -> LandmarkFrame:

@@ -19,7 +19,7 @@ from math import dist
 from typing import Iterable, Iterator
 
 from .errors import GeometryError, PerclosUndefinedError, StreamOrderError
-from .landmarks import LandmarkFrame, Point, SchemeMap, SemanticPoints, quantize_ms, to_semantic
+from .landmarks import LandmarkFrame, Point, SemanticPoints, quantize_ms, to_semantic
 
 
 def _aspect_ratio(pts: tuple[Point, ...], what: str) -> float:
@@ -71,8 +71,8 @@ class MetricSample:
     face_present: bool
 
 
-def metric_sample(frame: LandmarkFrame, scheme_map: SchemeMap | None = None) -> MetricSample:
-    sp = to_semantic(frame, scheme_map)
+def metric_sample(frame: LandmarkFrame) -> MetricSample:
+    sp = to_semantic(frame)
     if sp is None:
         return MetricSample(t=frame.t, ear=None, mar=None, head_drop=None, face_present=False)
     return MetricSample(
@@ -84,11 +84,9 @@ def metric_sample(frame: LandmarkFrame, scheme_map: SchemeMap | None = None) -> 
     )
 
 
-def samples_from_frames(
-    frames: Iterable[LandmarkFrame], scheme_map: SchemeMap | None = None
-) -> Iterator[MetricSample]:
+def samples_from_frames(frames: Iterable[LandmarkFrame]) -> Iterator[MetricSample]:
     for frame in frames:
-        yield metric_sample(frame, scheme_map)
+        yield metric_sample(frame)
 
 
 class PerclosWindow:

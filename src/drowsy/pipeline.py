@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Mapping
 
 from .calibration import CalibrationProfile
 from .errors import ConfigError, MissingLabelError, NoDataError, PerclosUndefinedError, StreamOrderError
-from .landmarks import LandmarkFrame, SchemeMap, quantize_ms, to_semantic
+from .landmarks import LandmarkFrame, quantize_ms, to_semantic
 from .metrics import PerclosWindow, compute_binocular_ear, compute_head_drop, compute_mar
 
 CHANNEL_EYES = "eyes"
@@ -218,12 +218,10 @@ class Pipeline:
         profile: CalibrationProfile,
         config: PipelineConfig | None = None,
         external: Mapping[int, tuple[bool, bool]] | None = None,
-        scheme_map: SchemeMap | None = None,
     ):
         self.profile = profile
         self.config = config or PipelineConfig()
         self.external = external
-        self.scheme_map = scheme_map
         cap = self.config.buffer_capacity
         self._ear_buf = SmoothingBuffer(cap)
         self._mar_buf = SmoothingBuffer(cap)
@@ -247,9 +245,6 @@ class Pipeline:
         self.frames = 0
         self.faceless_frames = 0
         self.alert_counts = {kind: 0 for kind in ALL_EVENT_KINDS}
-
-    def channel_state(self, channel: str) -> ChannelState:
-        return self._channels[channel]
 
     def _emit(self, channel: str, t_ms: int, value: float, threshold: float) -> AlertEvent:
         state = self._channels[channel]
@@ -277,7 +272,7 @@ class Pipeline:
 
         face = frame.face_present
         if face:
-            sp = to_semantic(frame, self.scheme_map)
+            sp = to_semantic(frame)
             self._ear_buf.push(compute_binocular_ear(sp))
             self._mar_buf.push(compute_mar(sp.mouth))
             self._head_buf.push(compute_head_drop(sp))
@@ -363,7 +358,6 @@ def run_session(
     profile: CalibrationProfile,
     config: PipelineConfig | None = None,
     external: Mapping[int, tuple[bool, bool]] | None = None,
-    scheme_map: SchemeMap | None = None,
     on_event: Callable[[AlertEvent], None] | None = None,
     on_record: Callable[[FrameRecord], None] | None = None,
     collect: bool = True,
@@ -374,7 +368,7 @@ def run_session(
     nothing is accumulated (pass sinks instead), so memory stays bounded by
     the smoothing buffers and the PERCLOS window regardless of stream length.
     """
-    pipe = Pipeline(profile, config, external, scheme_map)
+    pipe = Pipeline(profile, config, external)
     events: list[AlertEvent] = []
     records: list[FrameRecord] = []
     start = time.perf_counter()

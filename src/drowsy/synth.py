@@ -76,6 +76,8 @@ class SessionScript:
     def __post_init__(self):
         if self.fps <= 0.0 or self.duration_s <= 0.0:
             raise ScriptError("fps and duration must be positive")
+        if not math.isfinite(self.fps * self.duration_s):
+            raise ScriptError("frame count fps * duration_s must be finite")
         if self.noise_sigma < 0.0:
             raise ScriptError("noise_sigma cannot be negative")
         d = self.driver

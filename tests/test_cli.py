@@ -236,6 +236,22 @@ class TestExitCodes:
         assert f"field '{field}' must be finite" in err
         assert not out.exists() and not labels.exists()
 
+    def test_script_frame_count_overflow_is_input_error(self, workspace, tmp_path, capsys):
+        _, paths = workspace
+        source = (tmp_path / "session.script.json").read_text()
+        for field in ("fps", "duration_s"):
+            source = re.sub(rf'"{field}": [^,\n]+', f'"{field}": 1e200', source)
+        bad = tmp_path / "overflow.script.json"
+        bad.write_text(source)
+        out = tmp_path / "out.jsonl"
+        labels = tmp_path / "out.labels.jsonl"
+        argv = ["synth", "--script", str(bad), "--out", str(out), "--labels", str(labels)]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("drowsy: ")
+        assert "frame count" in err
+        assert not out.exists() and not labels.exists()
+
     def test_unknown_flag_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["run", "--frobnicate"])

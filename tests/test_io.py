@@ -169,12 +169,7 @@ class TestLabelStream:
         dio.write_labels(sink, truth.labels)
         first = sink.getvalue()
         reread = list(dio.read_states(stdio.StringIO(first)))
-        assert len(reread) == len(truth.labels)
-        for lab, rec in zip(truth.labels, reread):
-            assert rec.face_present == lab.face_present
-            assert rec.eye_closed == lab.eye_closed
-            assert rec.mouth_yawn == lab.mouth_yawn
-            assert rec.head_down == lab.head_down
+        assert reread == truth.labels
         sink2 = stdio.StringIO()
         dio.write_labels(sink2, reread)
         assert sink2.getvalue() == first

@@ -1,8 +1,10 @@
+import random
+
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from drowsy.errors import ConfigError, SchemeMapError
+from drowsy.errors import ConfigError
 from drowsy.landmarks import (
     DLIB68,
     DLIB68_MAP,
@@ -12,7 +14,6 @@ from drowsy.landmarks import (
     SEMANTIC,
     SEMANTIC_MAP,
     LandmarkFrame,
-    SchemeMap,
     builtin_scheme_map,
     frame_from_semantic,
     to_semantic,
@@ -75,48 +76,26 @@ class TestSchemeMaps:
         with pytest.raises(ConfigError):
             builtin_scheme_map(SEMANTIC)
 
-    def test_index_out_of_range_rejected(self):
-        with pytest.raises(SchemeMapError):
-            SchemeMap(
-                scheme=DLIB68,
-                eye_left_indices=(36, 37, 38, 39, 40, 68),
-                eye_right_indices=(42, 43, 44, 45, 46, 47),
-                mouth_indices=(60, 62, 63, 64, 65, 66),
-                nose_tip_index=30,
-                eye_corner_indices=(36, 45),
-            )
-
-    def test_role_collision_rejected(self):
-        with pytest.raises(SchemeMapError):
-            SchemeMap(
-                scheme=DLIB68,
-                eye_left_indices=(36, 37, 38, 39, 40, 41),
-                eye_right_indices=(42, 43, 44, 45, 46, 47),
-                mouth_indices=(60, 62, 63, 64, 65, 41),
-                nose_tip_index=30,
-                eye_corner_indices=(36, 45),
-            )
-
-    def test_identical_corners_rejected(self):
-        with pytest.raises(SchemeMapError):
-            SchemeMap(
-                scheme=DLIB68,
-                eye_left_indices=(36, 37, 38, 39, 40, 41),
-                eye_right_indices=(42, 43, 44, 45, 46, 47),
-                mouth_indices=(60, 62, 63, 64, 65, 66),
-                nose_tip_index=30,
-                eye_corner_indices=(36, 36),
-            )
+    @pytest.mark.parametrize("m", [DLIB68_MAP, MESH468_MAP, SEMANTIC_MAP], ids=lambda m: m.scheme)
+    def test_builtin_map_invariants(self, m):
+        groups = (m.eye_left_indices, m.eye_right_indices, m.mouth_indices)
+        assert all(len(group) == 6 for group in groups)
+        core = m.eye_left_indices + m.eye_right_indices + m.mouth_indices + (m.nose_tip_index,)
+        assert len(set(core)) == 19
+        n = POINT_COUNTS[m.scheme]
+        assert all(isinstance(i, int) and 0 <= i < n for i in core + m.eye_corner_indices)
+        # corners alias the outer hexagon members, so they add no points
+        assert m.eye_corner_indices == (m.eye_left_indices[0], m.eye_right_indices[3])
 
 
 class TestToSemantic:
     def test_faceless_gives_absent(self):
         assert to_semantic(faceless()) is None
-        assert to_semantic(faceless(scheme=DLIB68), DLIB68_MAP) is None
+        assert to_semantic(faceless(scheme=DLIB68)) is None
 
     def test_semantic_identity_pass_through(self):
         frame = semantic_frame()
-        sp = to_semantic(frame, SEMANTIC_MAP)
+        sp = to_semantic(frame)
         assert sp.left_eye == frame.points[0:6]
         assert sp.right_eye == frame.points[6:12]
         assert sp.mouth == frame.points[12:18]
@@ -130,19 +109,9 @@ class TestToSemantic:
         sentinels = tuple((1000.0 + i, -17.0 - i) for i in range(6))
         pts[36:42] = sentinels
         frame = LandmarkFrame(t=0.0, scheme=DLIB68, points=tuple(pts), face_present=True)
-        sp = to_semantic(frame, DLIB68_MAP)
+        sp = to_semantic(frame)
         assert sp.left_eye == sentinels
         assert sp.left_eye_outer_corner == sentinels[0]
-
-    def test_default_map_resolved_from_scheme(self):
-        pts = tuple((float(i), 0.0) for i in range(68))
-        frame = LandmarkFrame(t=0.0, scheme=DLIB68, points=pts, face_present=True)
-        assert to_semantic(frame) == to_semantic(frame, DLIB68_MAP)
-
-    def test_scheme_mismatch(self):
-        frame = semantic_frame()
-        with pytest.raises(ConfigError):
-            to_semantic(frame, DLIB68_MAP)
 
     def test_coincident_eye_corners_rejected(self):
         from drowsy.errors import GeometryError
@@ -173,3 +142,19 @@ def test_to_semantic_is_pure_selection(points):
     selected = sp.left_eye + sp.right_eye + sp.mouth + (sp.nose_tip,)
     assert selected == points
     assert frame_from_semantic(sp, t=0.0).points == points
+
+
+@pytest.mark.parametrize("scheme", [DLIB68, MESH468])
+@given(points=st.tuples(*([point] * 19)), seed=st.integers(min_value=0))
+def test_scheme_routes_to_builtin_map(scheme, points, seed):
+    # semantic point i goes to the index its role has in the scheme's builtin map
+    assume(points[0] != points[9])  # outer eye corners must be distinct
+    semantic = LandmarkFrame(t=0.0, scheme=SEMANTIC, points=points, face_present=True)
+    m = builtin_scheme_map(scheme)
+    roles = m.eye_left_indices + m.eye_right_indices + m.mouth_indices + (m.nose_tip_index,)
+    filler = random.Random(seed).uniform
+    embedded = [(filler(-1e6, 1e6), filler(-1e6, 1e6)) for _ in range(POINT_COUNTS[scheme])]
+    for i, p in zip(roles, points):
+        embedded[i] = p
+    frame = LandmarkFrame(t=0.0, scheme=scheme, points=tuple(embedded), face_present=True)
+    assert to_semantic(frame) == to_semantic(semantic)

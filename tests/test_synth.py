@@ -146,6 +146,10 @@ class TestScriptValidation:
         with pytest.raises(ScriptError):
             script(fps=0.0)
 
+    def test_frame_count_overflow(self):
+        with pytest.raises(ScriptError, match="frame count"):
+            script(fps=1e200, duration=1e200)
+
     def test_non_positive_baseline(self):
         with pytest.raises(ScriptError):
             script(driver=DriverParams(0.0, 0.4, 0.5))
