@@ -12,7 +12,6 @@ OUTDIR` consumes), plus report.txt and report.json with the aggregate.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -89,8 +88,7 @@ def main() -> int:
     with open(os.path.join(args.outdir, "report.txt"), "w") as sink:
         sink.write(text)
     with open(os.path.join(args.outdir, "report.json"), "w") as sink:
-        json.dump(population_doc(agg), sink, sort_keys=True, indent=2)
-        sink.write("\n")
+        dio.write_document(sink, population_doc(agg))
     print(text)
     return 0
 

@@ -10,8 +10,8 @@ samples at either extreme cannot move the baseline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import asdict, dataclass
+from typing import Iterable, Mapping
 
 from .errors import CalibrationError, ConfigError
 from .landmarks import quantize_ms
@@ -35,6 +35,13 @@ GENERALIZED_HEAD_DROP_LIMIT = 0.80
 TRIM_FRACTION = 0.10
 
 
+def require_finite(values: Mapping[str, object]) -> None:
+    """Raise ConfigError naming the first float value that is nan or infinite."""
+    for name, value in values.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class CalibrationConfig:
     duration_s: float = DEFAULT_DURATION_S
@@ -44,6 +51,7 @@ class CalibrationConfig:
     head_factor: float = DEFAULT_HEAD_FACTOR
 
     def __post_init__(self):
+        require_finite(asdict(self))
         if self.duration_s <= 0.0 or self.min_samples < 1:
             raise ConfigError("calibration duration and minimum sample count must be positive")
         if min(self.ear_factor, self.mar_factor, self.head_factor) <= 0.0:
@@ -73,11 +81,11 @@ class CalibrationProfile:
     personalized: bool = True
 
 
-def trimmed_mean(values: list[float], trim_fraction: float = TRIM_FRACTION) -> float:
-    """Mean after discarding the lowest and highest trim_fraction of values."""
+def trimmed_mean(values: list[float]) -> float:
+    """Mean after discarding the lowest and highest TRIM_FRACTION of values."""
     if not values:
         raise ValueError("trimmed_mean of empty sequence")
-    k = int(trim_fraction * len(values))
+    k = int(TRIM_FRACTION * len(values))
     core = sorted(values)[k: len(values) - k]
     # fsum keeps the baseline exactly rounded, so constant input gives the
     # constant back and shuffled input gives bit-identical results
@@ -142,6 +150,7 @@ def generalized_profile(
     head_drop_limit: float = GENERALIZED_HEAD_DROP_LIMIT,
 ) -> CalibrationProfile:
     """Fixed population-threshold profile (unit factors, personalized=False)."""
+    require_finite(locals())  # exactly the three parameters at this point
     if min(ear_threshold, mar_threshold, head_drop_limit) <= 0.0:
         raise ConfigError("generalized thresholds must be positive")
     return CalibrationProfile(

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import json
 import os
 import sys
 import tempfile
@@ -246,8 +245,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _write_doc(path: str, doc: dict) -> None:
     with _open_out(path) as sink:
-        sink.write(json.dumps(doc, sort_keys=True, indent=2))
-        sink.write("\n")
+        dio.write_document(sink, doc)
 
 
 def _compare_one(frames_path, labels_path, profile, external_path, configs):

@@ -20,6 +20,7 @@ from typing import Mapping, Sequence
 
 from .calibration import CalibrationProfile
 from .errors import EvalError
+from .io import FORMAT_VERSION
 from .landmarks import quantize_ms
 from .pipeline import PipelineConfig, external_state, run_session, threshold_states
 from .synth import FrameLabel
@@ -283,13 +284,13 @@ def _channel_doc(ev: ChannelEval) -> dict:
 
 def channel_eval_doc(ev: ChannelEval) -> dict:
     """JSON-serializable single-channel evaluation document."""
-    return {"format_version": 1, "channel": ev.channel, **_channel_doc(ev)}
+    return {"format_version": FORMAT_VERSION, "channel": ev.channel, **_channel_doc(ev)}
 
 
 def report_doc(report: ComparisonReport) -> dict:
     """JSON-serializable comparison report document."""
     return {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "mode": "single",
         "frames": report.frames,
         "methods": {
@@ -304,7 +305,7 @@ def report_doc(report: ComparisonReport) -> dict:
 
 def population_doc(agg: PopulationAggregate) -> dict:
     return {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "mode": "population",
         "drivers": agg.drivers,
         "mean_accuracy": agg.mean_accuracy,

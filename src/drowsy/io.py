@@ -14,10 +14,15 @@ Line formats (field order as written):
   records  labels plus "ear", "mar", "head_drop", "perclos" (null when absent)
   events   {"kind": "...", "onset_t": 1.2, "emitted_t": 2.2, "value": 0.1, "threshold": 0.2}
 
-Documents (single canonical JSON object): calibration profiles and session
-scripts, both carrying format_version. Unknown keys are ignored on read and
-never emitted on write. A third coordinate in frame points (mesh depth) is
-accepted on read and dropped.
+Documents are single JSON objects carrying FORMAT_VERSION, and
+write_document is their one writer (sorted keys, two-space indent, final
+newline). A profile's or a script's keys are the fields of its dataclass
+(CalibrationProfile plus "created_at"; SessionScript with nested
+DriverParams and ScriptEvent objects), so the dataclass is the schema: every
+float field is read as a finite number. The eval and compare reports use
+the same writer. Unknown keys are ignored on read and never emitted on
+write. A third coordinate in frame points (mesh depth) is accepted on read
+and dropped.
 
 Alignment between streams is defined at millisecond resolution:
 landmarks.quantize_ms is the single timestamp key used everywhere.
@@ -29,10 +34,11 @@ import json
 import math
 import os
 import time as _time
+from dataclasses import asdict, fields
 from typing import IO, Iterable, Iterator
 
 from .calibration import CalibrationProfile
-from .errors import ParseError, StreamOrderError, VersionError
+from .errors import ConfigError, ParseError, StreamOrderError, VersionError
 from .landmarks import POINT_COUNTS, LandmarkFrame, quantize_ms
 from .pipeline import ALL_EVENT_KINDS, AlertEvent
 from .synth import DriverParams, FrameLabel, ScriptEvent, SessionScript
@@ -48,8 +54,8 @@ def _reject_constant(token: str):
     raise ValueError(f"non-finite number {token}")
 
 
-def _loads(line: str):
-    return json.loads(line, parse_constant=_reject_constant)
+# one decoder for every line (json.loads with parse_constant= builds one per call)
+_loads = json.JSONDecoder(parse_constant=_reject_constant).decode
 
 
 def _number(obj: dict, key: str) -> float:
@@ -284,111 +290,74 @@ def read_events(source: Iterable[str]) -> Iterator[AlertEvent]:
         yield event
 
 
-# --- calibration profiles -----------------------------------------------------
+# --- documents: calibration profiles and session scripts -----------------------
 
-_PROFILE_FLOATS = (
-    "baseline_ear",
-    "baseline_mar",
-    "baseline_head_drop",
-    "ear_threshold",
-    "mar_threshold",
-    "head_drop_limit",
-    "ear_factor",
-    "mar_factor",
-    "head_factor",
-    "duration_s",
-)
-
-
-def default_created_at() -> str:
-    """Reproducible creation stamp: honors SOURCE_DATE_EPOCH, else the epoch."""
-    epoch = int(os.environ.get("SOURCE_DATE_EPOCH", "0"))
-    return _time.strftime("%Y-%m-%dT%H:%M:%SZ", _time.gmtime(epoch))
-
-
-def write_profile(sink: IO[str], profile: CalibrationProfile, created_at: str | None = None) -> None:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "created_at": created_at if created_at is not None else default_created_at(),
-        "frames_used": profile.frames_used,
-        "personalized": profile.personalized,
-    }
-    for key in _PROFILE_FLOATS:
-        doc[key] = getattr(profile, key)
+def write_document(sink: IO[str], doc: dict) -> None:
+    """Write doc as canonical document bytes: sorted keys, two-space indent, newline."""
     sink.write(json.dumps(doc, sort_keys=True, indent=2))
     sink.write("\n")
 
 
-def read_profile(source: IO[str]) -> CalibrationProfile:
+def _read_document(source: IO[str], what: str) -> dict:
+    """Parse one document: a JSON object carrying the supported format_version."""
     try:
         doc = _loads(source.read())
         if not isinstance(doc, dict):
-            raise ValueError("profile must be a JSON object")
+            raise ValueError(f"{what} must be a JSON object")
     except ValueError as exc:
-        raise ParseError(f"profile: {exc}") from None
+        raise ParseError(f"{what}: {exc}") from None
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
-        raise VersionError(f"unsupported profile format_version {version!r}")
+        raise VersionError(f"unsupported {what} format_version {version!r}")
+    return doc
+
+
+def _floats(cls, obj: dict) -> dict[str, float]:
+    """The float fields of document dataclass cls, read from obj in field order."""
+    # annotations are strings here (from __future__ import annotations)
+    return {f.name: _finite(obj, f.name) for f in fields(cls) if f.type == "float"}
+
+
+def default_created_at() -> str:
+    """Reproducible creation stamp: SOURCE_DATE_EPOCH (integer seconds), else the epoch."""
+    raw = os.environ.get("SOURCE_DATE_EPOCH", "0")
     try:
-        fields = {key: _finite(doc, key) for key in _PROFILE_FLOATS}
+        return _time.strftime("%Y-%m-%dT%H:%M:%SZ", _time.gmtime(int(raw)))
+    except (ValueError, OverflowError, OSError):
+        raise ConfigError(
+            f"SOURCE_DATE_EPOCH must be an integer number of seconds in range, got {raw!r}"
+        ) from None
+
+
+def write_profile(sink: IO[str], profile: CalibrationProfile) -> None:
+    doc = {"format_version": FORMAT_VERSION, "created_at": default_created_at(), **asdict(profile)}
+    write_document(sink, doc)
+
+
+def read_profile(source: IO[str]) -> CalibrationProfile:
+    doc = _read_document(source, "profile")
+    try:
+        floats = _floats(CalibrationProfile, doc)
         frames_used = doc["frames_used"]
         if isinstance(frames_used, bool) or not isinstance(frames_used, int) or frames_used < 0:
             raise ValueError("frames_used must be a non-negative integer")
         personalized = _boolean(doc, "personalized")
     except (ValueError, KeyError, TypeError) as exc:
         raise ParseError(f"profile: {exc}") from None
-    return CalibrationProfile(frames_used=frames_used, personalized=personalized, **fields)
+    return CalibrationProfile(frames_used=frames_used, personalized=personalized, **floats)
 
-
-# --- session scripts ------------------------------------------------------------
 
 def write_script(sink: IO[str], script: SessionScript) -> None:
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "fps": script.fps,
-        "duration_s": script.duration_s,
-        "driver": {
-            "baseline_ear": script.driver.baseline_ear,
-            "baseline_mar": script.driver.baseline_mar,
-            "baseline_head_drop": script.driver.baseline_head_drop,
-            "inter_ocular_px": script.driver.inter_ocular_px,
-        },
-        "events": [
-            {
-                "kind": ev.kind,
-                "start_t": ev.start_t,
-                "length_s": ev.length_s,
-                "intensity": ev.intensity,
-            }
-            for ev in script.events
-        ],
-        "noise_sigma": script.noise_sigma,
-        "seed": script.seed,
-    }
-    sink.write(json.dumps(doc, sort_keys=True, indent=2))
-    sink.write("\n")
+    write_document(sink, {"format_version": FORMAT_VERSION, **asdict(script)})
 
 
 def read_script(source: IO[str]) -> SessionScript:
-    try:
-        doc = _loads(source.read())
-        if not isinstance(doc, dict):
-            raise ValueError("script must be a JSON object")
-    except ValueError as exc:
-        raise ParseError(f"script: {exc}") from None
-    version = doc.get("format_version")
-    if version != FORMAT_VERSION:
-        raise VersionError(f"unsupported script format_version {version!r}")
+    doc = _read_document(source, "script")
     try:
         driver_doc = doc["driver"]
         if not isinstance(driver_doc, dict):
             raise ValueError("driver must be an object")
-        driver = DriverParams(
-            baseline_ear=_finite(driver_doc, "baseline_ear"),
-            baseline_mar=_finite(driver_doc, "baseline_mar"),
-            baseline_head_drop=_finite(driver_doc, "baseline_head_drop"),
-            inter_ocular_px=_finite(driver_doc, "inter_ocular_px"),
-        )
+        driver = DriverParams(**_floats(DriverParams, driver_doc))
         events_doc = doc["events"]
         if not isinstance(events_doc, list):
             raise ValueError("events must be an array")
@@ -398,24 +367,12 @@ def read_script(source: IO[str]) -> SessionScript:
                 raise ValueError("each event must be an object")
             if not isinstance(ev.get("kind"), str):
                 raise ValueError("event kind must be a string")
-            events.append(
-                ScriptEvent(
-                    kind=ev["kind"],
-                    start_t=_finite(ev, "start_t"),
-                    length_s=_finite(ev, "length_s"),
-                    intensity=_finite(ev, "intensity"),
-                )
-            )
+            events.append(ScriptEvent(kind=ev["kind"], **_floats(ScriptEvent, ev)))
         seed = doc["seed"]
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ValueError("seed must be an integer")
         return SessionScript(
-            fps=_finite(doc, "fps"),
-            duration_s=_finite(doc, "duration_s"),
-            driver=driver,
-            events=tuple(events),
-            noise_sigma=_finite(doc, "noise_sigma"),
-            seed=seed,
+            driver=driver, events=tuple(events), seed=seed, **_floats(SessionScript, doc)
         )
     except (ValueError, KeyError, TypeError) as exc:
         raise ParseError(f"script: {exc}") from None

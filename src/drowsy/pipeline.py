@@ -23,11 +23,11 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import fsum
 from typing import Callable, Iterable, Mapping
 
-from .calibration import CalibrationProfile
+from .calibration import CalibrationProfile, require_finite
 from .errors import ConfigError, MissingLabelError, NoDataError, PerclosUndefinedError, StreamOrderError
 from .landmarks import LandmarkFrame, quantize_ms, to_semantic
 from .metrics import PerclosWindow, compute_binocular_ear, compute_head_drop, compute_mar
@@ -62,6 +62,7 @@ class PipelineConfig:
     perclos_limit: float = 20.0
 
     def __post_init__(self):
+        require_finite(asdict(self))
         if self.buffer_capacity < 1:
             raise ConfigError("buffer capacity must be at least 1")
         sustains = (

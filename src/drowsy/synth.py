@@ -47,6 +47,10 @@ _TALK_HZ = 2.5
 _TALK_MID = 0.25
 _TALK_AMP = 0.05
 
+# Frame rate and head-drop baseline of every generate_population driver.
+_POPULATION_FPS = 30.0
+_POPULATION_HEAD_DROP = 0.55
+
 
 @dataclass(frozen=True, slots=True)
 class DriverParams:
@@ -242,17 +246,15 @@ def generate_population(
     baseline_mar_range: tuple[float, float],
     events: Iterable[ScriptEvent],
     seed: int,
-    fps: float = 30.0,
     duration_s: float = 60.0,
     noise_sigma: float = 0.0,
-    baseline_head_drop: float = 0.55,
-    inter_ocular_px: float = 200.0,
 ) -> Iterator[tuple[SessionScript, list[LandmarkFrame], GroundTruth]]:
     """Seeded population of drivers sharing one event template.
 
     Baselines are drawn uniformly from the given ranges; each driver gets an
-    independent noise stream derived from the population seed. Yields lazily
-    so large populations never sit in memory at once.
+    independent noise stream derived from the population seed. All drivers
+    share one frame rate, head-drop baseline and inter-ocular distance.
+    Yields lazily so large populations never sit in memory at once.
     """
     if n < 1:
         raise ScriptError("population size must be at least 1")
@@ -268,13 +270,12 @@ def generate_population(
         mar_b = rng.uniform(*baseline_mar_range)
         driver_seed = rng.randrange(2**32)
         script = SessionScript(
-            fps=fps,
+            fps=_POPULATION_FPS,
             duration_s=duration_s,
             driver=DriverParams(
                 baseline_ear=ear_b,
                 baseline_mar=mar_b,
-                baseline_head_drop=baseline_head_drop,
-                inter_ocular_px=inter_ocular_px,
+                baseline_head_drop=_POPULATION_HEAD_DROP,
             ),
             events=event_template,
             noise_sigma=noise_sigma,

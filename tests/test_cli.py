@@ -3,6 +3,7 @@ import dataclasses
 import inspect
 import io as stdio
 import json
+import math
 import os
 import re
 
@@ -252,6 +253,19 @@ class TestExitCodes:
         assert "frame count" in err
         assert not out.exists() and not labels.exists()
 
+    @pytest.mark.parametrize("epoch", ["abc", "", "1e9", "99999999999999999999"])
+    def test_malformed_source_date_epoch_is_input_error(self, workspace, capsys, epoch,
+                                                         monkeypatch):
+        tmp_path, paths = workspace
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", epoch)
+        out = tmp_path / "epoch.profile.json"
+        rc = cli.main(["calibrate", "--input", str(paths["calib_frames"]), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("drowsy: ") and "SOURCE_DATE_EPOCH" in err, err
+        assert not out.exists()
+        assert not [p for p in tmp_path.iterdir() if p.name.startswith(".drowsy-")]
+
     def test_unknown_flag_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["run", "--frobnicate"])
@@ -378,6 +392,37 @@ CONFIG_FLAGS = [
      "generalized thresholds"),
     (("compare",), "--gen-head", generalized_profile, "head_drop_limit", "0",
      "generalized thresholds"),
+    # non-finite values pass every comparison with nan; each float flag rejects them
+    (("run", "compare"), "--sustain-eyes", PipelineConfig, "sustain_eyes_s", "inf",
+     "sustain_eyes_s must be finite"),
+    (("run", "compare"), "--sustain-mouth", PipelineConfig, "sustain_mouth_s", "nan",
+     "sustain_mouth_s must be finite"),
+    (("run", "compare"), "--sustain-head", PipelineConfig, "sustain_head_s", "inf",
+     "sustain_head_s must be finite"),
+    (("run", "compare"), "--sustain-presence", PipelineConfig, "sustain_presence_s", "nan",
+     "sustain_presence_s must be finite"),
+    (("run", "compare"), "--sustain-perclos", PipelineConfig, "sustain_perclos_s", "inf",
+     "sustain_perclos_s must be finite"),
+    (("run", "compare"), "--perclos-window", PipelineConfig, "perclos_window_s", "nan",
+     "perclos_window_s must be finite"),
+    (("run", "compare"), "--perclos-limit", PipelineConfig, "perclos_limit", "nan",
+     "perclos_limit must be finite"),
+    (("calibrate",), "--duration", CalibrationConfig, "duration_s", "inf",
+     "duration_s must be finite"),
+    (("compare",), "--calib-duration", CalibrationConfig, "duration_s", "inf",
+     "duration_s must be finite"),
+    (("calibrate", "compare"), "--ear-factor", CalibrationConfig, "ear_factor", "nan",
+     "ear_factor must be finite"),
+    (("calibrate", "compare"), "--mar-factor", CalibrationConfig, "mar_factor", "inf",
+     "mar_factor must be finite"),
+    (("calibrate", "compare"), "--head-factor", CalibrationConfig, "head_factor", "nan",
+     "head_factor must be finite"),
+    (("compare",), "--gen-ear", generalized_profile, "ear_threshold", "nan",
+     "ear_threshold must be finite"),
+    (("compare",), "--gen-mar", generalized_profile, "mar_threshold", "inf",
+     "mar_threshold must be finite"),
+    (("compare",), "--gen-head", generalized_profile, "head_drop_limit", "inf",
+     "head_drop_limit must be finite"),
 ]
 
 # Config groups in the order commands validate them; a bad value in an
@@ -405,7 +450,8 @@ def _config_default(config, name):
 @pytest.mark.parametrize(
     "commands, flag, config, name, bad, message",
     CONFIG_FLAGS,
-    ids=[spec[1] for spec in CONFIG_FLAGS],
+    ids=[flag if math.isfinite(float(bad)) else f"{flag}={bad}"
+         for _, flag, _, _, bad, _ in CONFIG_FLAGS],
 )
 def test_config_flag_default_and_validation(
     commands, flag, config, name, bad, message, tmp_path, monkeypatch, capsys

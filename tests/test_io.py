@@ -1,11 +1,13 @@
+import dataclasses
 import io as stdio
 import json
+import math
 import random
 
 import pytest
 
 from drowsy import io as dio
-from drowsy.calibration import calibrate, generalized_profile
+from drowsy.calibration import CalibrationProfile, calibrate, generalized_profile
 from drowsy.errors import MissingLabelError, ParseError, StreamOrderError, VersionError
 from drowsy.metrics import MetricSample
 from drowsy.pipeline import AlertEvent, run_session
@@ -160,6 +162,38 @@ class TestProfileFile:
         assert dio.default_created_at() == "2023-11-14T22:13:20Z"
         monkeypatch.delenv("SOURCE_DATE_EPOCH")
         assert dio.default_created_at() == "1970-01-01T00:00:00Z"
+
+
+DOCUMENT_FIELDS = [
+    (cls, f.name)
+    for cls in (CalibrationProfile, DriverParams, ScriptEvent, SessionScript)
+    for f in dataclasses.fields(cls)
+]
+
+
+@pytest.mark.parametrize(
+    "cls, name", DOCUMENT_FIELDS, ids=[f"{cls.__name__}.{name}" for cls, name in DOCUMENT_FIELDS]
+)
+def test_out_of_range_number_in_any_document_field_is_parse_error(cls, name):
+    sink = stdio.StringIO()
+    if cls is CalibrationProfile:
+        dio.write_profile(sink, generalized_profile())
+        read = dio.read_profile
+    else:
+        dio.write_script(sink, sample_script())
+        read = dio.read_script
+    doc = json.loads(sink.getvalue())
+    if cls is DriverParams:
+        target = doc["driver"]
+    elif cls is ScriptEvent:
+        target = doc["events"][0]
+    else:
+        target = doc
+    assert name in target  # the writer emits every dataclass field
+    target[name] = math.inf
+    text = json.dumps(doc).replace("Infinity", "1e400")
+    with pytest.raises(ParseError, match=name):
+        read(stdio.StringIO(text))
 
 
 class TestLabelStream:
