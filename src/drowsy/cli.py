@@ -149,6 +149,7 @@ def _open_out(path: str):
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     config = _build(CalibrationConfig, args)
+    dio.default_created_at()  # a malformed SOURCE_DATE_EPOCH fails before any file is opened
     with _open_in(args.input) as src:
         samples = list(samples_from_frames(dio.read_frames(src)))
     profile = calibrate(samples, config)

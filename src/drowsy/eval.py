@@ -11,19 +11,24 @@ The comparison harness runs the pipeline once and decides its smoothed
 metrics once per method: fixed population thresholds, personalized
 thresholds, and optionally an externally supplied classifier stream. No
 profile changes the smoothed metrics, so this equals one run per method.
+It checks the alignment of records and labels once, then tallies each
+method's eye and mouth decisions directly, one tally per method and
+channel. confusion() and compare() share that alignment check and that
+tally, so the confusion-matrix summary has one definition.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from operator import attrgetter, itemgetter
+from typing import Iterable, Mapping, Sequence
 
 from .calibration import CalibrationProfile
 from .errors import EvalError
 from .io import FORMAT_VERSION
 from .landmarks import quantize_ms
 from .pipeline import PipelineConfig, external_state, run_session, threshold_states
-from .synth import FrameLabel
 
 CHANNEL_EYE = "eye"
 CHANNEL_MOUTH = "mouth"
@@ -36,6 +41,8 @@ _NEGATIVE_NAME = {CHANNEL_EYE: "open", CHANNEL_MOUTH: "normal"}
 METHOD_GENERALIZED = "generalized"
 METHOD_PERSONALIZED = "personalized"
 METHOD_EXTERNAL = "external"
+
+_UNDECIDED = (None, None)
 
 _APPROACH = {
     METHOD_GENERALIZED: "threshold-based",
@@ -67,6 +74,39 @@ def accuracy(matrix: ConfusionMatrix) -> float:
     return 100.0 * (matrix.tp + matrix.tn) / matrix.total
 
 
+def _check_aligned(predictions: Sequence, labels: Sequence) -> None:
+    """Streams must be equal length with millisecond-aligned timestamps."""
+    if len(predictions) != len(labels):
+        raise EvalError(
+            f"stream length mismatch: {len(predictions)} predictions vs {len(labels)} labels"
+        )
+    for pred, lab in zip(predictions, labels):
+        if quantize_ms(pred.t) != quantize_ms(lab.t):
+            raise EvalError(f"timestamp mismatch: prediction t={pred.t:.3f} vs label t={lab.t:.3f}")
+
+
+def _tally(guesses: Iterable, truths: Iterable) -> tuple[ConfusionMatrix, int]:
+    """Count paired (guess, truth) states of one channel; returns (matrix, excluded).
+
+    A pair with None on either side has no face state and is excluded;
+    otherwise a truthy state is the positive class.
+    """
+    tp = tn = fp = fn = excluded = 0
+    for (guess, truth), n in Counter(zip(guesses, truths)).items():
+        if guess is None or truth is None:
+            excluded += n
+        elif guess:
+            if truth:
+                tp += n
+            else:
+                fp += n
+        elif truth:
+            fn += n
+        else:
+            tn += n
+    return ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn), excluded
+
+
 def confusion(
     predictions: Sequence, labels: Sequence, channel: str
 ) -> tuple[ConfusionMatrix, int]:
@@ -77,32 +117,9 @@ def confusion(
     """
     if channel not in _CHANNEL_ATTR:
         raise EvalError(f"unknown channel {channel!r}")
-    if len(predictions) != len(labels):
-        raise EvalError(
-            f"stream length mismatch: {len(predictions)} predictions vs {len(labels)} labels"
-        )
-    attr = _CHANNEL_ATTR[channel]
-    tp = tn = fp = fn = 0
-    excluded = 0
-    for pred, lab in zip(predictions, labels):
-        if quantize_ms(pred.t) != quantize_ms(lab.t):
-            raise EvalError(f"timestamp mismatch: prediction t={pred.t:.3f} vs label t={lab.t:.3f}")
-        truth = getattr(lab, attr)
-        guess = getattr(pred, attr)
-        if truth is None or guess is None:
-            excluded += 1
-            continue
-        if guess:
-            if truth:
-                tp += 1
-            else:
-                fp += 1
-        else:
-            if truth:
-                fn += 1
-            else:
-                tn += 1
-    return ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn), excluded
+    _check_aligned(predictions, labels)
+    state = attrgetter(_CHANNEL_ATTR[channel])
+    return _tally(map(state, predictions), map(state, labels))
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,22 +174,30 @@ def compare(
     """Score every method per channel over one pipeline run of the frames.
 
     Errors are those of one run per method, in method order: metric errors,
-    then MissingLabelError for the first frame without an external state.
+    misaligned labels, then MissingLabelError for the first frame without
+    an external state.
     """
+    # Keep this one run_session call over the materialized frame list: the
+    # benchmark's population-compare latency probe wraps its frames argument,
+    # so streaming parsed frames into it would time their parsing, and not
+    # calling it would leave the probe's intervals empty.
     records = run_session(frames, personalized, config).records
+    _check_aligned(records, labels)
+    truths = [[getattr(lab, _CHANNEL_ATTR[ch]) for lab in labels] for ch in CHANNELS]
     deciders = {
         METHOD_GENERALIZED: lambda r: threshold_states(generalized, r.ear, r.mar),
-        METHOD_PERSONALIZED: None,  # the run's own decisions
+        METHOD_PERSONALIZED: attrgetter("eye_closed", "mouth_yawn"),  # the run's own decisions
     }
     if external_states is not None:
         deciders[METHOD_EXTERNAL] = lambda r: external_state(external_states, r.t)
     methods: dict[str, MethodEval] = {}
     for method, decide in deciders.items():
-        # a re-decided prediction carries only the eye/mouth states
-        predictions = records if decide is None else [
-            FrameLabel(r.t, True, *decide(r), None) if r.face_present else r for r in records
-        ]
-        channels = {ch: evaluate_channel(predictions, labels, ch) for ch in CHANNELS}
+        # (eye closed?, yawning?) per frame; faceless frames stay undecided
+        decisions = [decide(r) if r.face_present else _UNDECIDED for r in records]
+        channels = {
+            ch: _channel_eval(ch, *_tally(map(itemgetter(i), decisions), truth))
+            for i, (ch, truth) in enumerate(zip(CHANNELS, truths))
+        }
         methods[method] = MethodEval(method=method, approach=_APPROACH[method], channels=channels)
     return ComparisonReport(methods=methods, frames=len(frames))
 

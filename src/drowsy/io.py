@@ -35,6 +35,7 @@ import math
 import os
 import time as _time
 from dataclasses import asdict, fields
+from itertools import starmap
 from typing import IO, Iterable, Iterator
 
 from .calibration import CalibrationProfile
@@ -55,7 +56,25 @@ def _reject_constant(token: str):
 
 
 # one decoder for every line (json.loads with parse_constant= builds one per call)
-_loads = json.JSONDecoder(parse_constant=_reject_constant).decode
+_decoder = json.JSONDecoder(parse_constant=_reject_constant)
+_loads = _decoder.decode
+_scan = _decoder.scan_once
+
+
+def _decode(line: str):
+    """Decode one stripped line with a single scanner call.
+
+    decode() adds two whitespace scans that a stripped line does not need.
+    A line the scanner does not take whole goes back through _loads, so
+    every error message is decode()'s.
+    """
+    try:
+        obj, end = _scan(line, 0)
+    except (StopIteration, ValueError):
+        return _loads(line)
+    if end != len(line):
+        return _loads(line)
+    return obj
 
 
 def _number(obj: dict, key: str) -> float:
@@ -95,11 +114,15 @@ def _lines(source: Iterable[str]) -> Iterator[tuple[int, str]]:
 # --- landmark frame streams -------------------------------------------------
 
 def read_frames(source: Iterable[str]) -> Iterator[LandmarkFrame]:
-    """Parse a frame stream; timestamps must strictly increase."""
+    """Parse a frame stream; timestamps must strictly increase.
+
+    Each coordinate is type-checked, converted and checked for finiteness
+    once; LandmarkFrame takes that verdict instead of walking the points.
+    """
     last_ms: int | None = None
     for line_no, line in _lines(source):
         try:
-            obj = _loads(line)
+            obj = _decode(line)
             if not isinstance(obj, dict):
                 raise ValueError("frame line must be a JSON object")
             t = _number(obj, "t")
@@ -112,17 +135,21 @@ def read_frames(source: Iterable[str]) -> Iterator[LandmarkFrame]:
                 raise ValueError("points must be an array")
             points = []
             append = points.append
+            zeros = 0.0  # stays 0.0 while every coordinate is finite: inf * 0.0 is nan
             for p in raw_points:
                 if type(p) is not list or not 2 <= len(p) <= 3:
                     raise ValueError("each point must be [x, y] or [x, y, z]")
                 x, y = p[0], p[1]
-                # exact type checks: json numbers only (bool is not a coordinate)
-                if type(x) is not float and type(x) is not int:
-                    raise ValueError("point coordinates must be numbers")
-                if type(y) is not float and type(y) is not int:
-                    raise ValueError("point coordinates must be numbers")
-                append((float(x), float(y)))  # OverflowError for a huge integer
-            frame = LandmarkFrame(t=t, scheme=scheme, points=tuple(points), face_present=face)
+                if type(x) is not float or type(y) is not float:
+                    # exact type checks: json numbers only (bool is not a coordinate)
+                    if type(x) is not float and type(x) is not int:
+                        raise ValueError("point coordinates must be numbers")
+                    if type(y) is not float and type(y) is not int:
+                        raise ValueError("point coordinates must be numbers")
+                    x, y = float(x), float(y)  # OverflowError for a huge integer
+                zeros += x * 0.0 + y * 0.0
+                append((x, y))
+            frame = LandmarkFrame(t, scheme, tuple(points), face, zeros == 0.0)
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ParseError(str(exc), line_no) from None
         t_ms = quantize_ms(frame.t)
@@ -155,11 +182,11 @@ def _parse_state(obj: dict, key: str, table: dict[str, bool]) -> bool:
     return table[value]
 
 
-def read_states(source: Iterable[str]) -> Iterator[FrameLabel]:
-    """Parse label/state lines; face-present lines need eye and mouth states."""
+def _states(source: Iterable[str]) -> Iterator[tuple]:
+    """The fields of each label/state line, in FrameLabel order."""
     for line_no, line in _lines(source):
         try:
-            obj = _loads(line)
+            obj = _decode(line)
             if not isinstance(obj, dict):
                 raise ValueError("state line must be a JSON object")
             t = _number(obj, "t")
@@ -172,23 +199,26 @@ def read_states(source: Iterable[str]) -> Iterator[FrameLabel]:
                 head = _parse_state(obj, "head", HEAD_STATES) if "head" in obj else None
             else:
                 eye = mouth = head = None
-            yield FrameLabel(
-                t=t, face_present=face, eye_closed=eye, mouth_yawn=mouth, head_down=head
-            )
         except (ValueError, KeyError, TypeError) as exc:
             raise ParseError(str(exc), line_no) from None
+        yield t, face, eye, mouth, head
+
+
+def read_states(source: Iterable[str]) -> Iterator[FrameLabel]:
+    """Parse label/state lines; face-present lines need eye and mouth states."""
+    return starmap(FrameLabel, _states(source))
 
 
 def load_external_states(source: Iterable[str]) -> dict[int, tuple[bool, bool]]:
     """Build the per-frame external classifier map keyed by millisecond timestamp."""
     states: dict[int, tuple[bool, bool]] = {}
-    for rec in read_states(source):
-        if not rec.face_present:
+    for t, face, eye, mouth, _ in _states(source):
+        if not face:
             continue
-        key = quantize_ms(rec.t)
+        key = quantize_ms(t)
         if key in states:
-            raise ParseError(f"duplicate external state at t={rec.t:.3f}")
-        states[key] = (rec.eye_closed, rec.mouth_yawn)
+            raise ParseError(f"duplicate external state at t={t:.3f}")
+        states[key] = (eye, mouth)
     return states
 
 
@@ -265,7 +295,7 @@ def read_events(source: Iterable[str]) -> Iterator[AlertEvent]:
     last_emitted: float | None = None
     for line_no, line in _lines(source):
         try:
-            obj = _loads(line)
+            obj = _decode(line)
             if not isinstance(obj, dict):
                 raise ValueError("event line must be a JSON object")
             kind = obj["kind"]

@@ -13,7 +13,7 @@ convention over the inner-lip landmarks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from operator import itemgetter
 
 from .errors import ConfigError, GeometryError
@@ -48,14 +48,22 @@ def _check_finite(points) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class LandmarkFrame:
-    """One timestamped set of 2-D facial landmarks under a declared scheme."""
+    """One timestamped set of 2-D facial landmarks under a declared scheme.
+
+    `finite` is not stored: a parser that already checked every coordinate
+    passes its verdict, so validation does not walk the points again; None
+    (the default) walks them. The checks run in a fixed order (scheme, t,
+    point count, finiteness), so a frame with several faults always reports
+    the same one.
+    """
 
     t: float
     scheme: str
     points: tuple[Point, ...]
     face_present: bool
+    finite: InitVar[bool | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, finite):
         if self.scheme not in POINT_COUNTS:
             raise ValueError(f"unknown landmark scheme {self.scheme!r}")
         if not (math.isfinite(self.t) and self.t >= 0.0):
@@ -66,7 +74,7 @@ class LandmarkFrame:
                 raise ValueError(
                     f"scheme {self.scheme} requires {expected} points, got {len(self.points)}"
                 )
-            if not _check_finite(self.points):
+            if not (_check_finite(self.points) if finite is None else finite):
                 raise ValueError("landmark coordinates must be finite")
         elif self.points:
             raise ValueError("faceless frame must carry no points")

@@ -266,6 +266,18 @@ class TestExitCodes:
         assert not out.exists()
         assert not [p for p in tmp_path.iterdir() if p.name.startswith(".drowsy-")]
 
+    def test_malformed_source_date_epoch_is_checked_before_input(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setenv("SOURCE_DATE_EPOCH", "abc")
+        out = tmp_path / "p.json"
+        rc = cli.main(["calibrate", "--input", str(tmp_path / "missing.jsonl"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("drowsy: ") and "SOURCE_DATE_EPOCH" in err, err
+        assert "missing.jsonl" not in err
+        assert not out.exists()
+
     def test_unknown_flag_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             cli.main(["run", "--frobnicate"])

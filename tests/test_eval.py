@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import drowsy.eval
 from drowsy.calibration import calibrate, generalized_profile
 from drowsy.errors import EvalError, MissingLabelError
 from drowsy.eval import (
@@ -273,6 +274,58 @@ class TestCompareReference:
         with pytest.raises(MissingLabelError) as err:
             compare(frames, truth.labels, personalized, generalized_profile(), states)
         assert err.value.t == full.value.t == frames[400].t
+
+
+class TestCompareErrorPrecedence:
+    """With several faults, compare reports the one a run per method reports first."""
+
+    def inputs(self):
+        frames, truth = driver_session(baseline_ear=0.27, seed=6, noise=0.8)
+        states = flipped_states(truth.labels, 6)
+        del states[quantize_ms(frames[400].t)]
+        return frames, list(truth.labels), personalized_for(frames), states
+
+    def test_misaligned_labels_before_missing_state(self):
+        frames, labels, personalized, states = self.inputs()
+        labels[700] = lab(labels[700].t + 0.5)
+        with pytest.raises(EvalError) as err:
+            compare(frames, labels, personalized, generalized_profile(), states)
+        assert str(err.value) == (
+            f"timestamp mismatch: prediction t={frames[700].t:.3f} vs label t={labels[700].t:.3f}"
+        )
+
+    def test_length_mismatch_before_missing_state(self):
+        frames, labels, personalized, states = self.inputs()
+        with pytest.raises(EvalError) as err:
+            compare(frames, labels[:-1], personalized, generalized_profile(), states)
+        assert str(err.value) == (
+            f"stream length mismatch: {len(frames)} predictions vs {len(frames) - 1} labels"
+        )
+
+    def test_missing_state_alone(self):
+        frames, labels, personalized, states = self.inputs()
+        with pytest.raises(MissingLabelError) as err:
+            compare(frames, labels, personalized, generalized_profile(), states)
+        assert err.value.t == frames[400].t
+
+
+def test_compare_calls_run_session_once_with_every_frame(monkeypatch):
+    # The benchmark's population-compare latency probe wraps the first
+    # argument of drowsy.eval.run_session; splitting or streaming this call
+    # would blank or distort its figures.
+    frames, truth = driver_session()
+    personalized = personalized_for(frames)
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return run_session(*args, **kwargs)
+
+    monkeypatch.setattr(drowsy.eval, "run_session", spy)
+    states = flipped_states(truth.labels, 2)
+    compare(frames, truth.labels, personalized, generalized_profile(), states)
+    assert len(calls) == 1
+    assert calls[0][0] is frames
 
 
 class TestAggregate:

@@ -5,13 +5,16 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drowsy import io as dio
 from drowsy.calibration import CalibrationProfile, calibrate, generalized_profile
 from drowsy.errors import MissingLabelError, ParseError, StreamOrderError, VersionError
+from drowsy.landmarks import POINT_COUNTS, LandmarkFrame
 from drowsy.metrics import MetricSample
 from drowsy.pipeline import AlertEvent, run_session
-from drowsy.synth import DriverParams, ScriptEvent, SessionScript, generate
+from drowsy.synth import DriverParams, FrameLabel, ScriptEvent, SessionScript, generate
 
 
 def sample_script(noise=0.0, seed=3):
@@ -398,3 +401,367 @@ def test_quick_fuzz_never_crashes():
             except (ParseError, StreamOrderError):
                 pass
     assert mutations == 360
+
+
+# --- reader equivalence --------------------------------------------------------
+# read_frames, read_states and load_external_states decode each line with one
+# scanner call, fold the finiteness check into the per-point loop and build
+# frames without a second walk over the points. The properties below hold
+# them to straightforward readers: a full decode() of every line, the
+# per-point checks, then LandmarkFrame(...) or FrameLabel(...).
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite number {token}")
+
+
+_reference_decode = json.JSONDecoder(parse_constant=_reject_constant).decode
+
+
+def _reference_lines(source):
+    for line_no, raw in enumerate(source, start=1):
+        line = raw.strip()
+        if not line:
+            raise ParseError("blank line", line_no)
+        yield line_no, line
+
+
+def _reference_number(obj, key):
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"field {key!r} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _reference_boolean(obj, key):
+    value = obj[key]
+    if not isinstance(value, bool):
+        raise ValueError(f"field {key!r} must be a boolean")
+    return value
+
+
+def reference_read_frames(source):
+    last_ms = None
+    for line_no, line in _reference_lines(source):
+        try:
+            obj = _reference_decode(line)
+            if not isinstance(obj, dict):
+                raise ValueError("frame line must be a JSON object")
+            t = _reference_number(obj, "t")
+            scheme = obj["scheme"]
+            if scheme not in POINT_COUNTS:
+                raise ValueError(f"unknown scheme {scheme!r}")
+            face = _reference_boolean(obj, "face")
+            raw_points = obj["points"]
+            if not isinstance(raw_points, list):
+                raise ValueError("points must be an array")
+            points = []
+            for p in raw_points:
+                if type(p) is not list or not 2 <= len(p) <= 3:
+                    raise ValueError("each point must be [x, y] or [x, y, z]")
+                x, y = p[0], p[1]
+                if type(x) is not float and type(x) is not int:
+                    raise ValueError("point coordinates must be numbers")
+                if type(y) is not float and type(y) is not int:
+                    raise ValueError("point coordinates must be numbers")
+                points.append((float(x), float(y)))
+            frame = LandmarkFrame(t=t, scheme=scheme, points=tuple(points), face_present=face)
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            raise ParseError(str(exc), line_no) from None
+        t_ms = dio.quantize_ms(frame.t)
+        if last_ms is not None and t_ms <= last_ms:
+            raise StreamOrderError(
+                f"timestamp {frame.t:.3f} does not advance past {last_ms / 1000.0:.3f}", line_no
+            )
+        last_ms = t_ms
+        yield frame
+
+
+def _reference_state(obj, key, table):
+    value = obj[key]
+    if value not in table:
+        raise ValueError(f"field {key!r} must be one of {sorted(table)}, got {value!r}")
+    return table[value]
+
+
+def reference_read_states(source):
+    for line_no, line in _reference_lines(source):
+        try:
+            obj = _reference_decode(line)
+            if not isinstance(obj, dict):
+                raise ValueError("state line must be a JSON object")
+            t = _reference_number(obj, "t")
+            if not (math.isfinite(t) and t >= 0.0):
+                raise ValueError(f"timestamp must be finite and non-negative, got {t!r}")
+            face = _reference_boolean(obj, "face")
+            if face:
+                eye = _reference_state(obj, "eye", dio.EYE_STATES)
+                mouth = _reference_state(obj, "mouth", dio.MOUTH_STATES)
+                head = _reference_state(obj, "head", dio.HEAD_STATES) if "head" in obj else None
+            else:
+                eye = mouth = head = None
+            yield FrameLabel(
+                t=t, face_present=face, eye_closed=eye, mouth_yawn=mouth, head_down=head
+            )
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ParseError(str(exc), line_no) from None
+
+
+def reference_load_external_states(source):
+    states = {}
+    for rec in reference_read_states(source):
+        if not rec.face_present:
+            continue
+        key = dio.quantize_ms(rec.t)
+        if key in states:
+            raise ParseError(f"duplicate external state at t={rec.t:.3f}")
+        states[key] = (rec.eye_closed, rec.mouth_yawn)
+    return states
+
+
+def _outcome(reader, lines):
+    """What a reader makes of lines: its results (repr tells 1 from 1.0) or its error."""
+    try:
+        result = reader(lines)
+        return "ok", repr(result if isinstance(result, dict) else list(result))
+    except (ParseError, StreamOrderError) as exc:
+        return type(exc).__name__, str(exc), exc.line_no
+
+
+class _Number(str):
+    """A JSON number kept as its source text."""
+
+
+def _tree(value):
+    """A decoded value as JSON token text, arrays as lists of token trees."""
+    if isinstance(value, _Number):
+        return str(value)
+    if isinstance(value, list):
+        return [_tree(v) for v in value]
+    return json.dumps(value)
+
+
+def _fields(line):
+    """A written line as [key, token tree] pairs, in written order."""
+    obj = json.loads(line, parse_float=_Number, parse_int=_Number)
+    return [[key, _tree(value)] for key, value in obj.items()]
+
+
+def _render(tree, comma):
+    if isinstance(tree, str):
+        return tree
+    return "[" + comma.join(_render(t, comma) for t in tree) + "]"
+
+
+CANONICAL = (", ", ": ", "", "")
+SPACING = st.tuples(
+    st.sampled_from([", ", ",", " ,  ", ",\t"]),
+    st.sampled_from([": ", ":", " :\t", ":  "]),
+    st.sampled_from(["", " ", "\t", "\x0c "]),
+    st.sampled_from(["", " ", "\t\r", "  \x0b"]),
+)
+TRAILING_DATA = [" x", "{}", " 1", ", ", "  ]"]
+
+
+def _line(fields, spacing, extra=""):
+    comma, colon, lead, trail = spacing
+    body = comma.join(f'"{key}"{colon}{_render(tree, comma)}' for key, tree in fields)
+    return lead + "{" + body + "}" + extra + trail + "\n"
+
+
+ODD_NUMBERS = ["1e400", "-1e400", "1" + "0" * 400, "-" + "9" * 400, "NaN", "Infinity", "7", "-0"]
+NOT_NUMBERS = ["true", "false", "null", '"1.5"', "[1.0]", "{}"]
+T_TOKENS = ["-0.5", "-1e400", "1e400", "1" + "0" * 400, '"0.1"', "true", "-0.0", "0.0"]
+WHOLE_LINES = ["[1, 2]", "7", '"frame"', "null", "{", "not json", "]", "", "   "]
+
+
+def _field(fields, key):
+    return next((pair for pair in fields if pair[0] == key), None)
+
+
+def _set_field(fields, key, tree):
+    pair = _field(fields, key)
+    if pair is None:
+        fields.append([key, tree])
+    else:
+        pair[1] = tree
+
+
+def _mutate_frame(data, fields):
+    """Apply one drawn fault to a frame line's fields; a str return replaces the line."""
+    kind = data.draw(st.sampled_from(
+        ["coord", "depth", "arity", "count", "t", "face", "scheme", "points", "key", "line"]
+    ))
+    points = _field(fields, "points")
+    pts = points[1] if points is not None and isinstance(points[1], list) else None
+    if kind in ("coord", "depth", "arity", "count") and pts:
+        i = data.draw(st.integers(0, len(pts) - 1))
+        if kind == "coord" and isinstance(pts[i], list) and len(pts[i]) >= 2:
+            pts[i][data.draw(st.integers(0, 1))] = data.draw(st.sampled_from(ODD_NUMBERS + NOT_NUMBERS))
+        elif kind == "depth" and isinstance(pts[i], list):
+            pts[i] = pts[i] + [data.draw(st.sampled_from(["0.250000", "-3", "true", "1e400"]))]
+        elif kind == "arity" and isinstance(pts[i], list):
+            pts[i] = data.draw(st.sampled_from([pts[i][:1], pts[i] + ["0", "0"], [], "5", "null"]))
+        elif kind == "count":
+            if data.draw(st.booleans()):
+                del pts[i]
+            else:
+                pts.insert(i, pts[i])
+    elif kind == "t":
+        _set_field(fields, "t", data.draw(st.sampled_from(T_TOKENS)))
+    elif kind == "face":
+        _set_field(fields, "face", data.draw(st.sampled_from(["false", "true", "1", "null"])))
+    elif kind == "scheme":
+        tokens = ['"semantic"', '"dlib68"', '"mesh468"', '"bogus"', '["semantic"]', "1"]
+        _set_field(fields, "scheme", data.draw(st.sampled_from(tokens)))
+    elif kind == "points":
+        _set_field(fields, "points", data.draw(st.sampled_from(["null", "{}", '"[]"', []])))
+    elif kind == "key":
+        del fields[data.draw(st.integers(0, len(fields) - 1))]
+    elif kind == "line":
+        return data.draw(st.sampled_from(WHOLE_LINES))
+    return None
+
+
+STATE_TOKENS = [
+    '"open"', '"closed"', '"yawn"', '"normal"', '"up"', '"down"', '"shut"',
+    "1", "true", "null", "[1]", "{}",
+]
+
+
+def _mutate_state(data, fields):
+    """Apply one drawn fault to a label line's fields; a str return replaces the line."""
+    kind = data.draw(st.sampled_from(["t", "face", "state", "key", "extra", "line"]))
+    if kind == "t":
+        _set_field(fields, "t", data.draw(st.sampled_from(T_TOKENS)))
+    elif kind == "face":
+        _set_field(fields, "face", data.draw(st.sampled_from(["false", "true", "1", "null"])))
+    elif kind == "state":
+        key = data.draw(st.sampled_from(["eye", "mouth", "head"]))
+        _set_field(fields, key, data.draw(st.sampled_from(STATE_TOKENS)))
+    elif kind == "key" and fields:
+        del fields[data.draw(st.integers(0, len(fields) - 1))]
+    elif kind == "extra":
+        fields.append(["extra", "[1, 2]"])
+    elif kind == "line":
+        return data.draw(st.sampled_from(WHOLE_LINES))
+    return None
+
+
+def _mutated(data, lines, mutate):
+    """Written lines, each re-spaced, some with up to three faults."""
+    out = []
+    for line in lines:
+        fields = _fields(line)
+        assert _line(fields, CANONICAL) == line  # the token trees rebuild the written line
+        replaced = None
+        extra = ""
+        for _ in range(data.draw(st.integers(0, 3))):
+            if data.draw(st.integers(0, 9)) == 0:
+                extra = data.draw(st.sampled_from(TRAILING_DATA))
+                continue
+            replaced = mutate(data, fields)
+            if replaced is not None:
+                break
+        if replaced is None:
+            replaced = _line(fields, data.draw(SPACING), extra)
+        out.append(replaced)
+    return out
+
+
+@st.composite
+def written_frames(draw):
+    scheme = draw(st.sampled_from(sorted(POINT_COUNTS)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    t_ms = draw(st.integers(0, 5000))
+    frames = []
+    for _ in range(draw(st.integers(1, 3))):
+        face = rng.random() < 0.8
+        count = POINT_COUNTS[scheme] if face else 0
+        points = tuple((rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3)) for _ in range(count))
+        frames.append(LandmarkFrame(t_ms / 1000.0, scheme, points, face))
+        t_ms += rng.randrange(1, 100)
+    sink = stdio.StringIO()
+    dio.write_frames(sink, frames)
+    return sink.getvalue().splitlines(keepends=True)
+
+
+@st.composite
+def written_labels(draw):
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    t_ms = draw(st.integers(0, 5000))
+    labels = []
+    for _ in range(draw(st.integers(1, 4))):
+        face = rng.random() < 0.8
+        labels.append(FrameLabel(
+            t_ms / 1000.0,
+            face,
+            rng.random() < 0.5 if face else None,
+            rng.random() < 0.5 if face else None,
+            rng.choice([None, False, True]) if face else None,
+        ))
+        # a repeated timestamp now and then, for the duplicate-state check
+        t_ms += rng.choice([0, 1, 33, 34])
+    sink = stdio.StringIO()
+    dio.write_labels(sink, labels)
+    return sink.getvalue().splitlines(keepends=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(written_frames(), st.data())
+def test_read_frames_equals_reference_reader(lines, data):
+    assert _outcome(dio.read_frames, lines) == _outcome(reference_read_frames, lines)
+    mutated = _mutated(data, lines, _mutate_frame)
+    assert _outcome(dio.read_frames, mutated) == _outcome(reference_read_frames, mutated)
+
+
+@settings(max_examples=300, deadline=None)
+@given(written_labels(), st.data())
+def test_state_readers_equal_reference_readers(lines, data):
+    mutated = _mutated(data, lines, _mutate_state)
+    for stream in (lines, mutated):
+        assert _outcome(dio.read_states, stream) == _outcome(reference_read_states, stream)
+        assert _outcome(dio.load_external_states, stream) == _outcome(
+            reference_load_external_states, stream
+        )
+
+
+def _semantic_line(t="0.500", face="true", points=None, tail=""):
+    points = points if points is not None else ["[1.000000, 2.000000]"] * 19
+    return f'{{"t": {t}, "scheme": "semantic", "face": {face}, "points": [{", ".join(points)}]}}{tail}'
+
+
+HUGE = "1" + "0" * 400
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        # several faults: the per-point loop first, then t, then count, then finiteness
+        (_semantic_line(t="-0.5", points=["[1e400, 2.0]"] * 19), "timestamp must be finite"),
+        (_semantic_line(points=["[1e400, 2.0]"] * 18), "requires 19 points, got 18"),
+        (_semantic_line(t="-0.5", points=[f"[{HUGE}, 2.0]"] * 19), "int too large to convert"),
+        (_semantic_line(points=[f"[{HUGE}, 2.0]", '["1", 2.0]'] + ["[1.0, 2.0]"] * 17),
+         "int too large to convert"),
+        (_semantic_line(points=[f'[{HUGE}, "2"]'] + ["[1.0, 2.0]"] * 18),
+         "point coordinates must be numbers"),
+        (_semantic_line(face="false", points=["[1e400, 2.0]"]), "faceless frame must carry no points"),
+        (_semantic_line(points=["[1.0, -1e400]"] + ["[1.0, 2.0]"] * 18),
+         "landmark coordinates must be finite"),
+        (_semantic_line(points=["[1.0, true]"] + ["[1.0, 2.0]"] * 18),
+         "point coordinates must be numbers"),
+        (_semantic_line(tail="   x"), "Extra data"),
+        (_semantic_line(points=["[1.0, 2.0, true]"] * 19), None),  # depth is dropped unchecked
+        (_semantic_line(points=["[1, 2]"] * 19).replace(", ", " ,\t"), None),
+    ],
+)
+def test_read_frames_fault_precedence(line, message):
+    outcome = _outcome(dio.read_frames, [line])
+    assert outcome == _outcome(reference_read_frames, [line])
+    if message is None:
+        assert outcome[0] == "ok"
+    else:
+        assert outcome[0] == "ParseError" and message in outcome[1], outcome
