@@ -78,8 +78,8 @@ def main() -> int:
             f"driver {i:02d}: baseline ear={script.driver.baseline_ear:.3f} "
             f"mar={script.driver.baseline_mar:.3f} "
             f"eye acc gen/pers = "
-            f"{reports[-1].methods['generalized'].channels['eye'].accuracy:5.1f}/"
-            f"{reports[-1].methods['personalized'].channels['eye'].accuracy:5.1f}",
+            f"{reports[-1].methods['generalized']['eye'].accuracy:5.1f}/"
+            f"{reports[-1].methods['personalized']['eye'].accuracy:5.1f}",
             file=sys.stderr,
         )
 

@@ -136,13 +136,13 @@ def _open_out(path: str):
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fp:
             yield fp
+        os.replace(tmp, path)
     except BaseException:
         try:
             os.unlink(tmp)
         except OSError:
             pass
         raise
-    os.replace(tmp, path)
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -251,13 +251,13 @@ def _write_doc(path: str, doc: dict) -> None:
 
 def _compare_one(frames_path, labels_path, profile, external_path, configs):
     pipeline_config, calibration_config, generalized = configs
-    with open(frames_path, "r", encoding="utf-8") as src:
+    with _open_in(frames_path) as src:
         frames = list(dio.read_frames(src))
-    with open(labels_path, "r", encoding="utf-8") as src:
+    with _open_in(labels_path) as src:
         labels = list(dio.read_states(src))
     external = None
     if external_path:
-        with open(external_path, "r", encoding="utf-8") as src:
+        with _open_in(external_path) as src:
             external = dio.load_external_states(src)
     if profile is None:
         head = [f for f in frames if f.t <= calibration_config.duration_s]

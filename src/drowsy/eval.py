@@ -151,15 +151,10 @@ def evaluate_channel(predictions: Sequence, labels: Sequence, channel: str) -> C
 
 
 @dataclass(frozen=True, slots=True)
-class MethodEval:
-    method: str
-    approach: str
-    channels: dict[str, ChannelEval]
-
-
-@dataclass(frozen=True, slots=True)
 class ComparisonReport:
-    methods: dict[str, MethodEval]
+    """One stream's scores: method -> channel -> ChannelEval, as in PopulationAggregate.pooled."""
+
+    methods: dict[str, dict[str, ChannelEval]]
     frames: int
 
 
@@ -190,15 +185,14 @@ def compare(
     }
     if external_states is not None:
         deciders[METHOD_EXTERNAL] = lambda r: external_state(external_states, r.t)
-    methods: dict[str, MethodEval] = {}
+    methods: dict[str, dict[str, ChannelEval]] = {}
     for method, decide in deciders.items():
         # (eye closed?, yawning?) per frame; faceless frames stay undecided
         decisions = [decide(r) if r.face_present else _UNDECIDED for r in records]
-        channels = {
+        methods[method] = {
             ch: _channel_eval(ch, *_tally(map(itemgetter(i), decisions), truth))
             for i, (ch, truth) in enumerate(zip(CHANNELS, truths))
         }
-        methods[method] = MethodEval(method=method, approach=_APPROACH[method], channels=channels)
     return ComparisonReport(methods=methods, frames=len(frames))
 
 
@@ -223,7 +217,7 @@ def aggregate(reports: Sequence[ComparisonReport]) -> PopulationAggregate:
         mean_accuracy[method] = {}
         pooled[method] = {}
         for ch in CHANNELS:
-            evals = [r.methods[method].channels[ch] for r in reports]
+            evals = [r.methods[method][ch] for r in reports]
             mean_accuracy[method][ch] = sum(e.accuracy for e in evals) / len(evals)
             matrix = ConfusionMatrix(
                 tp=sum(e.matrix.tp for e in evals),
@@ -260,41 +254,45 @@ def _matrix_lines(tag: str, ev: ChannelEval) -> list[str]:
     ]
 
 
-def render_report(report: ComparisonReport) -> str:
-    """Plain-text comparison tables, one per channel, plus confusion details."""
+def _accuracies(methods: Mapping[str, Mapping[str, ChannelEval]]) -> dict[str, dict[str, float]]:
+    return {m: {ch: evals[ch].accuracy for ch in CHANNELS} for m, evals in methods.items()}
+
+
+def _accuracy_tables(column: str, accuracies: Mapping[str, Mapping[str, float]]) -> list[str]:
+    """One table per channel: each method's approach and accuracy."""
     out: list[str] = []
     for ch in CHANNELS:
         out.append(_CHANNEL_TITLE[ch])
-        out.append(f"  {'Method':<14} {'Approach':<17} {'Accuracy (%)':>12}")
-        for method, ev in report.methods.items():
-            out.append(
-                f"  {method:<14} {ev.approach:<17} {ev.channels[ch].accuracy:>12.2f}"
-            )
+        out.append(f"  {'Method':<14} {'Approach':<17} {column:>12}")
+        for method, by_channel in accuracies.items():
+            out.append(f"  {method:<14} {_APPROACH[method]:<17} {by_channel[ch]:>12.2f}")
         out.append("")
-    out.append("Confusion matrices")
-    for method, ev in report.methods.items():
+    return out
+
+
+def _matrix_block(title: str, methods: Mapping[str, Mapping[str, ChannelEval]]) -> list[str]:
+    out = [title]
+    for method, evals in methods.items():
         for ch in CHANNELS:
-            out.extend(_matrix_lines(f"{method}/{ch}", ev.channels[ch]))
+            out.extend(_matrix_lines(f"{method}/{ch}", evals[ch]))
     out.append("")
-    return "\n".join(out)
+    return out
+
+
+def render_report(report: ComparisonReport) -> str:
+    """Plain-text comparison tables, one per channel, plus confusion details."""
+    return "\n".join(
+        _accuracy_tables("Accuracy (%)", _accuracies(report.methods))
+        + _matrix_block("Confusion matrices", report.methods)
+    )
 
 
 def render_population(agg: PopulationAggregate) -> str:
-    out: list[str] = [f"Population comparison over {agg.drivers} drivers (mean frame accuracy)"]
-    for ch in CHANNELS:
-        out.append(_CHANNEL_TITLE[ch])
-        out.append(f"  {'Method':<14} {'Approach':<17} {'Mean acc (%)':>12}")
-        for method in agg.mean_accuracy:
-            out.append(
-                f"  {method:<14} {_APPROACH[method]:<17} {agg.mean_accuracy[method][ch]:>12.2f}"
-            )
-        out.append("")
-    out.append("Pooled confusion matrices")
-    for method, channels in agg.pooled.items():
-        for ch in CHANNELS:
-            out.extend(_matrix_lines(f"{method}/{ch}", channels[ch]))
-    out.append("")
-    return "\n".join(out)
+    return "\n".join(
+        [f"Population comparison over {agg.drivers} drivers (mean frame accuracy)"]
+        + _accuracy_tables("Mean acc (%)", agg.mean_accuracy)
+        + _matrix_block("Pooled confusion matrices", agg.pooled)
+    )
 
 
 def _channel_doc(ev: ChannelEval) -> dict:
@@ -305,6 +303,10 @@ def _channel_doc(ev: ChannelEval) -> dict:
         "recall_negative": ev.recall_negative,
         "excluded": ev.excluded,
     }
+
+
+def _channels_doc(evals: Mapping[str, ChannelEval]) -> dict:
+    return {ch: _channel_doc(evals[ch]) for ch in CHANNELS}
 
 
 def channel_eval_doc(ev: ChannelEval) -> dict:
@@ -319,11 +321,8 @@ def report_doc(report: ComparisonReport) -> dict:
         "mode": "single",
         "frames": report.frames,
         "methods": {
-            method: {
-                "approach": ev.approach,
-                "channels": {ch: _channel_doc(ev.channels[ch]) for ch in CHANNELS},
-            }
-            for method, ev in report.methods.items()
+            method: {"approach": _APPROACH[method], "channels": _channels_doc(evals)}
+            for method, evals in report.methods.items()
         },
     }
 
@@ -334,15 +333,6 @@ def population_doc(agg: PopulationAggregate) -> dict:
         "mode": "population",
         "drivers": agg.drivers,
         "mean_accuracy": agg.mean_accuracy,
-        "pooled": {
-            method: {ch: _channel_doc(channels[ch]) for ch in CHANNELS}
-            for method, channels in agg.pooled.items()
-        },
-        "per_driver": [
-            {
-                method: {ch: r.methods[method].channels[ch].accuracy for ch in CHANNELS}
-                for method in r.methods
-            }
-            for r in agg.reports
-        ],
+        "pooled": {method: _channels_doc(evals) for method, evals in agg.pooled.items()},
+        "per_driver": [_accuracies(r.methods) for r in agg.reports],
     }

@@ -85,15 +85,15 @@ class SemanticPoints:
     """Scheme-independent named points consumed by every metric.
 
     Eye tuples follow the hexagon ordering described in the module docstring;
-    the mouth tuple holds the inner-lip hexagon in the same ordering.
+    the mouth tuple holds the inner-lip hexagon in the same ordering. The
+    outer eye corners are hexagon members, not separate fields:
+    `left_eye[0]` and `right_eye[3]`.
     """
 
     left_eye: tuple[Point, ...]
     right_eye: tuple[Point, ...]
     mouth: tuple[Point, ...]
     nose_tip: Point
-    left_eye_outer_corner: Point
-    right_eye_outer_corner: Point
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,9 +101,9 @@ class SchemeMap:
     """The builtin indices of one scheme's points for each semantic role.
 
     Every frame is read through the map of its own scheme; there is no
-    override. Eye/mouth index groups and the nose tip are pairwise disjoint,
-    and the two corner indices are the outer corner members of the eye
-    hexagons.
+    override. Eye/mouth index groups and the nose tip are pairwise disjoint.
+    The outer eye corners are not stored: `eye_corner_indices` derives them
+    from the eye hexagons.
     """
 
     scheme: str
@@ -111,7 +111,11 @@ class SchemeMap:
     eye_right_indices: tuple[int, ...]
     mouth_indices: tuple[int, ...]
     nose_tip_index: int
-    eye_corner_indices: tuple[int, int]
+
+    @property
+    def eye_corner_indices(self) -> tuple[int, int]:
+        """The outer eye corners, derived from the hexagons: p1 left, p4 right."""
+        return self.eye_left_indices[0], self.eye_right_indices[3]
 
 
 #: Builtin map for the 68-point layout (0-based indices). Eyes are named by
@@ -124,7 +128,6 @@ DLIB68_MAP = SchemeMap(
     eye_right_indices=(42, 43, 44, 45, 46, 47),
     mouth_indices=(60, 62, 63, 64, 65, 66),
     nose_tip_index=30,
-    eye_corner_indices=(36, 45),
 )
 
 #: Builtin map for the 468-point face mesh, image-side naming as above.
@@ -136,7 +139,6 @@ MESH468_MAP = SchemeMap(
     eye_right_indices=(362, 385, 387, 263, 373, 380),
     mouth_indices=(78, 81, 311, 308, 402, 178),
     nose_tip_index=1,
-    eye_corner_indices=(33, 263),
 )
 
 #: Identity map for frames already in the semantic layout:
@@ -147,7 +149,6 @@ SEMANTIC_MAP = SchemeMap(
     eye_right_indices=(6, 7, 8, 9, 10, 11),
     mouth_indices=(12, 13, 14, 15, 16, 17),
     nose_tip_index=18,
-    eye_corner_indices=(0, 9),
 )
 
 _BUILTIN = {DLIB68: DLIB68_MAP, MESH468: MESH468_MAP, SEMANTIC: SEMANTIC_MAP}
@@ -174,7 +175,6 @@ _SELECTORS = {
         itemgetter(*m.eye_right_indices),
         itemgetter(*m.mouth_indices),
         m.nose_tip_index,
-        *m.eye_corner_indices,
     )
     for scheme, m in _BUILTIN.items()
 }
@@ -189,22 +189,14 @@ def to_semantic(frame: LandmarkFrame) -> SemanticPoints | None:
     if not frame.face_present:
         return None
     pts = frame.points
-    left_of, right_of, mouth_of, nose_i, c0, c1 = _SELECTORS[frame.scheme]
-    corner_left = pts[c0]
-    corner_right = pts[c1]
-    if corner_left == corner_right:
+    left_of, right_of, mouth_of, nose_i = _SELECTORS[frame.scheme]
+    left_eye = left_of(pts)
+    right_eye = right_of(pts)
+    if left_eye[0] == right_eye[3]:
         raise GeometryError(f"degenerate frame at t={frame.t:.3f}: eye corners coincide")
     return SemanticPoints(
-        left_eye=left_of(pts),
-        right_eye=right_of(pts),
+        left_eye=left_eye,
+        right_eye=right_eye,
         mouth=mouth_of(pts),
         nose_tip=pts[nose_i],
-        left_eye_outer_corner=corner_left,
-        right_eye_outer_corner=corner_right,
     )
-
-
-def frame_from_semantic(sp: SemanticPoints, t: float) -> LandmarkFrame:
-    """Pack semantic points into a semantic-scheme frame (inverse of to_semantic)."""
-    points = sp.left_eye + sp.right_eye + sp.mouth + (sp.nose_tip,)
-    return LandmarkFrame(t=t, scheme=SEMANTIC, points=points, face_present=True)

@@ -51,8 +51,8 @@ def compute_head_drop(sp: SemanticPoints) -> float:
     Positive when the nose sits below eye level (y grows downward); dividing
     by the outer-corner distance makes the ratio camera-distance independent.
     """
-    c0 = sp.left_eye_outer_corner
-    c1 = sp.right_eye_outer_corner
+    c0 = sp.left_eye[0]
+    c1 = sp.right_eye[3]
     inter_ocular = dist(c0, c1)
     if inter_ocular == 0.0:
         raise GeometryError("degenerate face: eye corners coincide")

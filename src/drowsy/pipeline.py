@@ -86,14 +86,13 @@ class SmoothingBuffer:
     """Trailing buffer of raw values; smoothed() is the mean of what it holds.
 
     Holds at most `capacity` values, evicting oldest first; with fewer values
-    than capacity the mean uses exactly the values present.
+    than capacity the mean uses exactly the values present. `capacity` must
+    be at least 1, which PipelineConfig checks.
     """
 
     __slots__ = ("_values",)
 
     def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ConfigError("buffer capacity must be at least 1")
         self._values: deque[float] = deque(maxlen=capacity)
 
     def push(self, value: float) -> None:
@@ -124,7 +123,6 @@ class ChannelState:
     alerting. Exactly one alert is emitted per continuous episode.
     """
 
-    channel: str
     sustain_ms: int
     rearm_frames: int
     phase: str = PHASE_NORMAL
@@ -239,7 +237,7 @@ class Pipeline:
             CHANNEL_PERCLOS: config.sustain_perclos_s,
         }
         self._channels = {
-            channel: ChannelState(channel, quantize_ms(sustain_s), rearm)
+            channel: ChannelState(quantize_ms(sustain_s), rearm)
             for channel, sustain_s in sustains.items()
         }
         self._last_t_ms: int | None = None
@@ -343,7 +341,6 @@ class SessionSummary:
     faceless_frames: int
     alerts: dict[str, int]
     final_perclos: float | None
-    elapsed_s: float
     throughput_fps: float
 
 
@@ -390,7 +387,6 @@ def run_session(
         faceless_frames=pipe.faceless_frames,
         alerts=dict(pipe.alert_counts),
         final_perclos=pipe.final_perclos(),
-        elapsed_s=elapsed,
         throughput_fps=pipe.frames / elapsed if elapsed > 0 else 0.0,
     )
     return SessionResult(events=events, records=records, summary=summary)

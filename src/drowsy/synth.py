@@ -116,7 +116,6 @@ class FrameLabel:
 @dataclass(frozen=True, slots=True)
 class GroundTruth:
     labels: list[FrameLabel]
-    episodes: tuple[ScriptEvent, ...]
 
 
 def _semantic_points(
@@ -225,13 +224,16 @@ def iter_session(script: SessionScript) -> Iterator[tuple[LandmarkFrame, FrameLa
 
 
 def generate(script: SessionScript) -> tuple[list[LandmarkFrame], GroundTruth]:
-    """Realize a script into frames plus per-frame and episode ground truth."""
+    """Realize a script into frames plus per-frame ground truth.
+
+    Episode ground truth is the script's own `events`.
+    """
     frames: list[LandmarkFrame] = []
     labels: list[FrameLabel] = []
     for frame, label in iter_session(script):
         frames.append(frame)
         labels.append(label)
-    return frames, GroundTruth(labels=labels, episodes=script.events)
+    return frames, GroundTruth(labels=labels)
 
 
 def iter_frames(script: SessionScript) -> Iterator[LandmarkFrame]:

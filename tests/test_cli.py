@@ -325,6 +325,14 @@ class TestOutputHygiene:
         assert rc == 1
         assert not out.exists()
         assert not list(tmp_path.glob(".drowsy-*"))
+        # the final rename fails when the destination is a directory
+        out_dir = tmp_path / "events.dir"
+        out_dir.mkdir()
+        rc = cli.main(["run", "--input", str(paths["frames"]),
+                       "--profile", str(paths["profile"]), "--out", str(out_dir)])
+        assert rc == 1
+        assert out_dir.is_dir() and not list(out_dir.iterdir())
+        assert not list(tmp_path.glob(".drowsy-*"))
 
     def test_stdout_as_destination(self, workspace, capsys):
         _, paths = workspace
@@ -333,12 +341,35 @@ class TestOutputHygiene:
         doc = json.loads(capsys.readouterr().out)
         assert doc["format_version"] == 1
 
-    def test_stdin_as_source(self, workspace, capsys, monkeypatch):
+    def test_stdin_as_source(self, workspace, capsys, monkeypatch, tmp_path):
         _, paths = workspace
         monkeypatch.setattr("sys.stdin", stdio.StringIO(paths["calib_frames"].read_text()))
         rc = cli.main(["calibrate", "--input", "-", "--out", "-"])
         assert rc == 0
         assert json.loads(capsys.readouterr().out)["personalized"] is True
+
+        # single-stream compare reads any one of its streams from stdin
+        sources = {
+            "--input": paths["frames"],
+            "--labels": paths["labels"],
+            "--profile": paths["profile"],
+            "--external": paths["labels"],  # a label stream is a valid external state stream
+        }
+
+        def compare(stdin_flag):
+            argv = ["compare"]
+            for flag, path in sources.items():
+                argv += [flag, "-" if flag == stdin_flag else str(path)]
+            if stdin_flag is not None:
+                monkeypatch.setattr("sys.stdin", stdio.StringIO(sources[stdin_flag].read_text()))
+            json_out = tmp_path / "compare.json"
+            assert cli.main([*argv, "--json", str(json_out)]) == 0
+            return capsys.readouterr().out, json_out.read_bytes()
+
+        expected = compare(None)
+        assert "external" in json.loads(expected[1])["methods"]
+        for flag in ("--input", "--labels", "--external"):
+            assert compare(flag) == expected, flag
 
 
 class TestDeterminism:

@@ -11,7 +11,6 @@ from drowsy.eval import (
     CHANNELS,
     ComparisonReport,
     ConfusionMatrix,
-    MethodEval,
     accuracy,
     aggregate,
     compare,
@@ -151,8 +150,8 @@ class TestCompare:
         frames, truth = driver_session(baseline_ear=0.20)
         personalized = personalized_for(frames)
         report = compare(frames, truth.labels, personalized, generalized_profile())
-        gen_eye = report.methods["generalized"].channels[CHANNEL_EYE].accuracy
-        per_eye = report.methods["personalized"].channels[CHANNEL_EYE].accuracy
+        gen_eye = report.methods["generalized"][CHANNEL_EYE].accuracy
+        per_eye = report.methods["personalized"][CHANNEL_EYE].accuracy
         # 0.20 baseline sits under the fixed 0.21 threshold: every open frame
         # is miscalled by the generalized method
         assert gen_eye < 10.0
@@ -171,9 +170,9 @@ class TestCompare:
             frames, truth.labels, personalized, generalized_profile(), external_states=states
         )
         ext = report.methods["external"]
-        assert ext.channels[CHANNEL_EYE].accuracy == 100.0
-        assert ext.channels[CHANNEL_MOUTH].accuracy == 100.0
-        assert ext.approach == "learning-based"
+        assert ext[CHANNEL_EYE].accuracy == 100.0
+        assert ext[CHANNEL_MOUTH].accuracy == 100.0
+        assert report_doc(report)["methods"]["external"]["approach"] == "learning-based"
 
     def test_external_equal_to_personalized_decisions_matches_column(self):
         frames, truth = driver_session(baseline_ear=0.30)
@@ -188,16 +187,13 @@ class TestCompare:
             frames, truth.labels, personalized, generalized_profile(), external_states=states
         )
         for ch in (CHANNEL_EYE, CHANNEL_MOUTH):
-            assert (
-                report.methods["external"].channels[ch]
-                == report.methods["personalized"].channels[ch]
-            )
+            assert report.methods["external"][ch] == report.methods["personalized"][ch]
 
     def test_excluded_dropout_frames_reported(self):
         frames, truth = driver_session()
         personalized = personalized_for(frames)
         report = compare(frames, truth.labels, personalized, generalized_profile())
-        ev = report.methods["personalized"].channels[CHANNEL_EYE]
+        ev = report.methods["personalized"][CHANNEL_EYE]
         assert ev.excluded == 30
         assert ev.matrix.total == len(frames) - 30
 
@@ -219,17 +215,13 @@ class TestCompare:
 
 def reference_compare(frames, labels, personalized, generalized, external_states, config):
     """Each method's own pipeline run, scored per channel."""
-    runs = [
-        ("generalized", "threshold-based", generalized, None),
-        ("personalized", "threshold-based", personalized, None),
-    ]
+    runs = [("generalized", generalized, None), ("personalized", personalized, None)]
     if external_states is not None:
-        runs.append(("external", "learning-based", personalized, external_states))
+        runs.append(("external", personalized, external_states))
     methods = {}
-    for method, approach, profile, external in runs:
+    for method, profile, external in runs:
         records = run_session(frames, profile, config, external=external).records
-        channels = {ch: evaluate_channel(records, labels, ch) for ch in CHANNELS}
-        methods[method] = MethodEval(method=method, approach=approach, channels=channels)
+        methods[method] = {ch: evaluate_channel(records, labels, ch) for ch in CHANNELS}
     return ComparisonReport(methods=methods, frames=len(frames))
 
 
@@ -337,11 +329,11 @@ class TestAggregate:
             reports.append(compare(frames, truth.labels, personalized, generalized_profile()))
         agg = aggregate(reports)
         assert agg.drivers == 3
-        per_eye = [r.methods["personalized"].channels[CHANNEL_EYE].accuracy for r in reports]
+        per_eye = [r.methods["personalized"][CHANNEL_EYE].accuracy for r in reports]
         assert agg.mean_accuracy["personalized"][CHANNEL_EYE] == sum(per_eye) / 3.0
         pooled = agg.pooled["personalized"][CHANNEL_EYE].matrix
         assert pooled.total == sum(
-            r.methods["personalized"].channels[CHANNEL_EYE].matrix.total for r in reports
+            r.methods["personalized"][CHANNEL_EYE].matrix.total for r in reports
         )
         text = render_population(agg)
         assert "3 drivers" in text

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from drowsy.errors import ConfigError
+from drowsy.errors import ConfigError, GeometryError
 from drowsy.landmarks import (
     DLIB68,
     DLIB68_MAP,
@@ -15,7 +15,6 @@ from drowsy.landmarks import (
     SEMANTIC_MAP,
     LandmarkFrame,
     builtin_scheme_map,
-    frame_from_semantic,
     to_semantic,
 )
 
@@ -69,23 +68,25 @@ class TestSchemeMaps:
             m.eye_left_indices + m.eye_right_indices + m.mouth_indices + (m.nose_tip_index,)
         )
         assert len(set(core)) == 19
-        # corners alias the outer hexagon corners rather than adding points
-        assert m.eye_corner_indices == (m.eye_left_indices[0], m.eye_right_indices[3])
 
     def test_semantic_needs_no_map(self):
         with pytest.raises(ConfigError):
             builtin_scheme_map(SEMANTIC)
 
-    @pytest.mark.parametrize("m", [DLIB68_MAP, MESH468_MAP, SEMANTIC_MAP], ids=lambda m: m.scheme)
-    def test_builtin_map_invariants(self, m):
+    @pytest.mark.parametrize(
+        "m, corners",
+        [(DLIB68_MAP, (36, 45)), (MESH468_MAP, (33, 263)), (SEMANTIC_MAP, (0, 9))],
+        ids=[DLIB68, MESH468, SEMANTIC],
+    )
+    def test_builtin_map_invariants(self, m, corners):
         groups = (m.eye_left_indices, m.eye_right_indices, m.mouth_indices)
         assert all(len(group) == 6 for group in groups)
         core = m.eye_left_indices + m.eye_right_indices + m.mouth_indices + (m.nose_tip_index,)
         assert len(set(core)) == 19
         n = POINT_COUNTS[m.scheme]
-        assert all(isinstance(i, int) and 0 <= i < n for i in core + m.eye_corner_indices)
-        # corners alias the outer hexagon members, so they add no points
-        assert m.eye_corner_indices == (m.eye_left_indices[0], m.eye_right_indices[3])
+        assert all(isinstance(i, int) and 0 <= i < n for i in core)
+        # the outer corners are hexagon members (left p1, right p4), not extra points
+        assert m.eye_corner_indices == corners
 
 
 class TestToSemantic:
@@ -100,8 +101,6 @@ class TestToSemantic:
         assert sp.right_eye == frame.points[6:12]
         assert sp.mouth == frame.points[12:18]
         assert sp.nose_tip == frame.points[18]
-        assert sp.left_eye_outer_corner == frame.points[0]
-        assert sp.right_eye_outer_corner == frame.points[9]
 
     def test_dlib68_left_eye_selection(self):
         # sentinel coordinates at 36..41 must pass through untouched, in order
@@ -111,23 +110,20 @@ class TestToSemantic:
         frame = LandmarkFrame(t=0.0, scheme=DLIB68, points=tuple(pts), face_present=True)
         sp = to_semantic(frame)
         assert sp.left_eye == sentinels
-        assert sp.left_eye_outer_corner == sentinels[0]
 
-    def test_coincident_eye_corners_rejected(self):
-        from drowsy.errors import GeometryError
-
-        pts = list(semantic_frame().points)
-        pts[9] = pts[0]  # right outer corner collapses onto the left one
-        frame = LandmarkFrame(t=0.0, scheme=SEMANTIC, points=tuple(pts), face_present=True)
-        with pytest.raises(GeometryError):
+    @pytest.mark.parametrize("m", [SEMANTIC_MAP, DLIB68_MAP, MESH468_MAP], ids=lambda m: m.scheme)
+    def test_coincident_eye_corners_rejected(self, m):
+        # embed a semantic face, then collapse the right outer corner onto the left one
+        roles = m.eye_left_indices + m.eye_right_indices + m.mouth_indices + (m.nose_tip_index,)
+        pts = [(float(i), float(-i)) for i in range(POINT_COUNTS[m.scheme])]
+        for i, p in zip(roles, semantic_frame().points):
+            pts[i] = p
+        left, right = m.eye_corner_indices
+        pts[right] = pts[left]
+        frame = LandmarkFrame(t=2.5, scheme=m.scheme, points=tuple(pts), face_present=True)
+        with pytest.raises(GeometryError) as err:
             to_semantic(frame)
-
-    def test_round_trip_semantic(self):
-        frame = semantic_frame(t=1.25)
-        sp = to_semantic(frame)
-        back = frame_from_semantic(sp, t=1.25)
-        assert back.points == frame.points
-        assert to_semantic(back) == sp
+        assert str(err.value) == "degenerate frame at t=2.500: eye corners coincide"
 
 
 coordinate = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -141,7 +137,6 @@ def test_to_semantic_is_pure_selection(points):
     sp = to_semantic(frame)
     selected = sp.left_eye + sp.right_eye + sp.mouth + (sp.nose_tip,)
     assert selected == points
-    assert frame_from_semantic(sp, t=0.0).points == points
 
 
 @pytest.mark.parametrize("scheme", [DLIB68, MESH468])

@@ -57,8 +57,6 @@ class TestBinocularEar:
             right_eye=right,
             mouth=hexagon(6.0, 3.0, y0=20.0),
             nose_tip=(7.0, 10.0),
-            left_eye_outer_corner=left[0],
-            right_eye_outer_corner=right[3],
         )
         assert compute_binocular_ear(sp) == pytest.approx(0.25, abs=1e-12)
 
@@ -72,8 +70,6 @@ class TestBinocularEar:
                 right_eye=right,
                 mouth=hexagon(6.0, 3.0, y0=30.0),
                 nose_tip=(7.0, 12.0),
-                left_eye_outer_corner=left[0],
-                right_eye_outer_corner=right[3],
             )
             expected = (compute_ear(left) + compute_ear(right)) / 2.0
             assert compute_binocular_ear(sp) == expected
@@ -119,16 +115,17 @@ class TestHeadDrop:
 
     def test_coincident_eye_corners_degenerate(self):
         sp = to_semantic(semantic_frame())
+        # the right eye's outer corner (p4) collapses onto the left eye's (p1)
+        right_eye = sp.right_eye[:3] + (sp.left_eye[0],) + sp.right_eye[4:]
         broken = SemanticPoints(
             left_eye=sp.left_eye,
-            right_eye=sp.right_eye,
+            right_eye=right_eye,
             mouth=sp.mouth,
             nose_tip=sp.nose_tip,
-            left_eye_outer_corner=(1.0, 1.0),
-            right_eye_outer_corner=(1.0, 1.0),
         )
-        with pytest.raises(GeometryError):
+        with pytest.raises(GeometryError) as err:
             compute_head_drop(broken)
+        assert str(err.value) == "degenerate face: eye corners coincide"
 
 
 def rigid_transform(points, angle, scale, dx, dy):

@@ -70,15 +70,11 @@ class TestSmoothingBuffer:
         with pytest.raises(NoDataError):
             SmoothingBuffer(3).smoothed()
 
-    def test_capacity_validation(self):
-        with pytest.raises(ConfigError):
-            SmoothingBuffer(0)
-
 
 class TestChannelState:
     def run_machine(self, conditions, sustain_frames=30, rearm=15, fps=FPS):
         sustain_ms = round(sustain_frames * 1000.0 / fps)
-        state = ChannelState("eyes", sustain_ms, rearm)
+        state = ChannelState(sustain_ms, rearm)
         fired = []
         for i, cond in enumerate(conditions):
             if state.advance(cond, round(grid_t(i) * 1000)):

@@ -118,11 +118,6 @@ class TestGenerate:
             if lab.head_down:
                 assert compute_head_drop(sp) == pytest.approx(0.55 * 1.3, abs=1e-9)
 
-    def test_episodes_match_script_events(self):
-        events = [ScriptEvent("blink", 1.0, 0.1, 1.0), ScriptEvent("yawn", 5.0, 1.0, 1.0)]
-        _, truth = generate(script(events=events))
-        assert truth.episodes == tuple(events)
-
     def test_iter_frames_matches_generate(self):
         s = script(events=[ScriptEvent("yawn", 3.0, 2.0, 1.0)], noise=0.5, seed=7)
         frames, _ = generate(s)
