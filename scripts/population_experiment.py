@@ -3,22 +3,24 @@
 
 Generates a seeded population of drivers with individual neutral baselines,
 all performing the same scripted session (blinks, one sustained closure, one
-yawn, talking). Each driver is calibrated from their own neutral lead-in,
-then the identical pipeline is scored per frame against ground truth under
-fixed population thresholds and under the personalized thresholds.
-
-Writes per-driver streams into OUTDIR (the layout `drowsy compare --input
-OUTDIR` consumes), plus report.txt and report.json with the aggregate.
+yawn, talking), and writes each driver's <stem>.frames.jsonl and
+<stem>.labels.jsonl into OUTDIR. It then scores the directory with
+`drowsy compare --input OUTDIR --calib-duration CALIB_WINDOW`, which
+calibrates each driver from their own neutral lead-in and scores the same
+pipeline per frame against ground truth under fixed population thresholds
+and under the personalized thresholds. The comparison goes to stdout and to
+OUTDIR/report.txt, its JSON form to OUTDIR/report.json; the exit code is
+compare's. Compare scores every driver in OUTDIR, so start from an empty one.
 """
 
 import argparse
+import contextlib
+import io
 import os
 import sys
 
+from drowsy import cli
 from drowsy import io as dio
-from drowsy.calibration import calibrate, generalized_profile
-from drowsy.eval import aggregate, compare, population_doc, render_population
-from drowsy.metrics import samples_from_frames
 from drowsy.synth import ScriptEvent, generate_population
 
 FRAME = 1.0 / 30.0
@@ -51,7 +53,6 @@ def main() -> int:
     template = tuple(
         ev for ev in SESSION_TEMPLATE if ev.start_t + ev.length_s <= args.duration
     )
-    reports = []
     population = generate_population(
         args.drivers,
         tuple(args.ear_range),
@@ -67,28 +68,23 @@ def main() -> int:
             dio.write_frames(sink, frames)
         with open(stem + ".labels.jsonl", "w") as sink:
             dio.write_labels(sink, truth.labels)
-
-        head = [f for f in frames if f.t <= args.calib_window]
-        personalized = calibrate(samples_from_frames(head))
-        with open(stem + ".profile.json", "w") as sink:
-            dio.write_profile(sink, personalized)
-
-        reports.append(compare(frames, truth.labels, personalized, generalized_profile()))
         print(
             f"driver {i:02d}: baseline ear={script.driver.baseline_ear:.3f} "
-            f"mar={script.driver.baseline_mar:.3f} "
-            f"eye acc gen/pers = "
-            f"{reports[-1].methods['generalized']['eye'].accuracy:5.1f}/"
-            f"{reports[-1].methods['personalized']['eye'].accuracy:5.1f}",
+            f"mar={script.driver.baseline_mar:.3f}",
             file=sys.stderr,
         )
 
-    agg = aggregate(reports)
-    text = render_population(agg)
+    report = io.StringIO()
+    with contextlib.redirect_stdout(report):
+        code = cli.main(
+            ["compare", "--input", args.outdir, "--calib-duration", repr(args.calib_window),
+             "--json", os.path.join(args.outdir, "report.json")]
+        )
+    if code != 0:
+        return code
+    text = report.getvalue()
     with open(os.path.join(args.outdir, "report.txt"), "w") as sink:
         sink.write(text)
-    with open(os.path.join(args.outdir, "report.json"), "w") as sink:
-        dio.write_document(sink, population_doc(agg))
     print(text)
     return 0
 

@@ -17,21 +17,6 @@ from .errors import CalibrationError, ConfigError
 from .landmarks import quantize_ms
 from .metrics import MetricSample
 
-#: Threshold factors applied to the neutral baselines.
-DEFAULT_EAR_FACTOR = 0.75
-DEFAULT_MAR_FACTOR = 1.40
-DEFAULT_HEAD_FACTOR = 1.25
-
-DEFAULT_DURATION_S = 5.0
-DEFAULT_MIN_SAMPLES = 30
-
-#: Population-wide fallback thresholds for the non-personalized mode.
-#: Repo defaults drawn from common practice, not derived from any dataset;
-#: override per deployment.
-GENERALIZED_EAR_THRESHOLD = 0.21
-GENERALIZED_MAR_THRESHOLD = 0.60
-GENERALIZED_HEAD_DROP_LIMIT = 0.80
-
 TRIM_FRACTION = 0.10
 
 
@@ -44,11 +29,12 @@ def require_finite(values: Mapping[str, object]) -> None:
 
 @dataclass(frozen=True, slots=True)
 class CalibrationConfig:
-    duration_s: float = DEFAULT_DURATION_S
-    min_samples: int = DEFAULT_MIN_SAMPLES
-    ear_factor: float = DEFAULT_EAR_FACTOR
-    mar_factor: float = DEFAULT_MAR_FACTOR
-    head_factor: float = DEFAULT_HEAD_FACTOR
+    duration_s: float = 5.0
+    min_samples: int = 30
+    # threshold factors applied to the neutral baselines
+    ear_factor: float = 0.75
+    mar_factor: float = 1.40
+    head_factor: float = 1.25
 
     def __post_init__(self):
         require_finite(asdict(self))
@@ -145,11 +131,16 @@ def calibrate(samples: Iterable[MetricSample], config: CalibrationConfig | None 
 
 
 def generalized_profile(
-    ear_threshold: float = GENERALIZED_EAR_THRESHOLD,
-    mar_threshold: float = GENERALIZED_MAR_THRESHOLD,
-    head_drop_limit: float = GENERALIZED_HEAD_DROP_LIMIT,
+    ear_threshold: float = 0.21,
+    mar_threshold: float = 0.60,
+    head_drop_limit: float = 0.80,
 ) -> CalibrationProfile:
-    """Fixed population-threshold profile (unit factors, personalized=False)."""
+    """Fixed population-threshold profile (unit factors, personalized=False).
+
+    The default thresholds are population-wide fallbacks for the
+    non-personalized mode, drawn from common practice, not derived from any
+    dataset; override them per deployment.
+    """
     require_finite(locals())  # exactly the three parameters at this point
     if min(ear_threshold, mar_threshold, head_drop_limit) <= 0.0:
         raise ConfigError("generalized thresholds must be positive")

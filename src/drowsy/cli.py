@@ -249,8 +249,13 @@ def _write_doc(path: str, doc: dict) -> None:
         dio.write_document(sink, doc)
 
 
-def _compare_one(frames_path, labels_path, profile, external_path, configs):
+def _compare_one(frames_path, labels_path, profile_path, external_path, configs):
+    """Score one driver; without a profile path, calibrate from the leading frames."""
     pipeline_config, calibration_config, generalized = configs
+    profile = None
+    if profile_path:
+        with _open_in(profile_path) as src:
+            profile = dio.read_profile(src)
     with _open_in(frames_path) as src:
         frames = list(dio.read_frames(src))
     with _open_in(labels_path) as src:
@@ -291,19 +296,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
         reports = []
         for stem in stems:
             base = os.path.join(args.input, stem)
-            profile = None
-            if os.path.exists(base + ".profile.json"):
-                with open(base + ".profile.json", "r", encoding="utf-8") as src:
-                    profile = dio.read_profile(src)
-            external = base + ".external.jsonl"
+            optional = [base + ".profile.json", base + ".external.jsonl"]
+            profile, external = (path if os.path.exists(path) else None for path in optional)
             reports.append(
-                _compare_one(
-                    base + suffix,
-                    base + ".labels.jsonl",
-                    profile,
-                    external if os.path.exists(external) else None,
-                    configs,
-                )
+                _compare_one(base + suffix, base + ".labels.jsonl", profile, external, configs)
             )
         agg = aggregate(reports)
         sys.stdout.write(render_population(agg))
@@ -311,9 +307,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     else:
         if not args.labels or not args.profile:
             raise ConfigError("single-stream compare requires --labels and --profile")
-        with _open_in(args.profile) as src:
-            profile = dio.read_profile(src)
-        report = _compare_one(args.input, args.labels, profile, args.external, configs)
+        report = _compare_one(args.input, args.labels, args.profile, args.external, configs)
         sys.stdout.write(render_report(report))
         doc = report_doc(report)
     if args.json:

@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .calibration import CalibrationProfile
 from .errors import EvalError
-from .io import FORMAT_VERSION
+from .io import EYE_STATES, FORMAT_VERSION, MOUTH_STATES
 from .landmarks import quantize_ms
 from .pipeline import PipelineConfig, external_state, run_session, threshold_states
 
@@ -35,8 +35,7 @@ CHANNEL_MOUTH = "mouth"
 CHANNELS = (CHANNEL_EYE, CHANNEL_MOUTH)
 
 _CHANNEL_ATTR = {CHANNEL_EYE: "eye_closed", CHANNEL_MOUTH: "mouth_yawn"}
-_POSITIVE_NAME = {CHANNEL_EYE: "closed", CHANNEL_MOUTH: "yawn"}
-_NEGATIVE_NAME = {CHANNEL_EYE: "open", CHANNEL_MOUTH: "normal"}
+_STATES = {CHANNEL_EYE: EYE_STATES, CHANNEL_MOUTH: MOUTH_STATES}
 
 METHOD_GENERALIZED = "generalized"
 METHOD_PERSONALIZED = "personalized"
@@ -207,10 +206,19 @@ class PopulationAggregate:
 
 
 def aggregate(reports: Sequence[ComparisonReport]) -> PopulationAggregate:
-    """Mean per-driver accuracy plus pooled matrices across a population."""
+    """Mean per-driver accuracy plus pooled matrices across a population.
+
+    Every report must score the same methods; EvalError otherwise.
+    """
     if not reports:
         raise EvalError("cannot aggregate zero reports")
     method_names = list(reports[0].methods)
+    for i, report in enumerate(reports):
+        if report.methods.keys() != reports[0].methods.keys():
+            raise EvalError(
+                f"reports score different methods: report 0 has {method_names}, "
+                f"report {i} has {list(report.methods)}"
+            )
     mean_accuracy: dict[str, dict[str, float]] = {}
     pooled: dict[str, dict[str, ChannelEval]] = {}
     for method in method_names:
@@ -245,8 +253,8 @@ def _fmt_pct(value: float | None) -> str:
 
 def _matrix_lines(tag: str, ev: ChannelEval) -> list[str]:
     m = ev.matrix
-    pos = _POSITIVE_NAME[ev.channel]
-    neg = _NEGATIVE_NAME[ev.channel]
+    name = {positive: state for state, positive in _STATES[ev.channel].items()}
+    pos, neg = name[True], name[False]
     return [
         f"  {tag}: tp={m.tp} tn={m.tn} fp={m.fp} fn={m.fn} excluded={ev.excluded}",
         f"    recall[{pos}]={_fmt_pct(ev.recall_positive)}% "

@@ -150,6 +150,66 @@ class TestWorkflow:
             > doc["mean_accuracy"]["generalized"]["eye"]
         )
 
+        # a <stem>.profile.json replaces auto-calibration for that driver only
+        calib_script = tmp_path / "calib.script.json"
+        write_script_file(calib_script, duration=6.0, ear=0.40)
+        calib_frames = tmp_path / "calib.frames.jsonl"
+        profile = pop / "driver02.profile.json"
+        assert cli.main(
+            ["synth", "--script", str(calib_script), "--out", str(calib_frames),
+             "--labels", str(tmp_path / "calib.labels.jsonl")]
+        ) == 0
+        assert cli.main(["calibrate", "--input", str(calib_frames), "--out", str(profile)]) == 0
+        assert cli.main(["compare", "--input", str(pop), "--json", str(json_out)]) == 0
+        with_profile = json.loads(json_out.read_text())["per_driver"]
+        single_out = tmp_path / "single.json"
+        assert cli.main(
+            ["compare", "--input", str(pop / "driver02.frames.jsonl"),
+             "--labels", str(pop / "driver02.labels.jsonl"), "--profile", str(profile),
+             "--json", str(single_out)]
+        ) == 0
+        capsys.readouterr()
+        single = json.loads(single_out.read_text())["methods"]
+        assert with_profile[2] == {
+            method: {ch: entry["channels"][ch]["accuracy"] for ch in ("eye", "mouth")}
+            for method, entry in single.items()
+        }
+        assert with_profile[2] != doc["per_driver"][2]
+        assert with_profile[:2] == doc["per_driver"][:2]
+
+    @pytest.mark.parametrize("external_stem", ["driver00", "driver01"])
+    def test_compare_population_mixed_methods_is_input_error(
+        self, tmp_path, capsys, external_stem
+    ):
+        pop = tmp_path / "population"
+        pop.mkdir()
+        script_path = tmp_path / "session.script.json"
+        write_script_file(script_path, duration=10.0)
+        for stem in ("driver00", "driver01"):
+            assert cli.main(
+                ["synth", "--script", str(script_path),
+                 "--out", str(pop / f"{stem}.frames.jsonl"),
+                 "--labels", str(pop / f"{stem}.labels.jsonl")]
+            ) == 0
+        # labels are valid external states: a perfect external classifier
+        (pop / f"{external_stem}.external.jsonl").write_bytes(
+            (pop / f"{external_stem}.labels.jsonl").read_bytes()
+        )
+        capsys.readouterr()
+        json_out = tmp_path / "population.json"
+        rc = cli.main(["compare", "--input", str(pop), "--json", str(json_out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        two = ["generalized", "personalized"]
+        three = two + ["external"]
+        first, second = (three, two) if external_stem == "driver00" else (two, three)
+        assert captured.err == (
+            f"drowsy: reports score different methods: report 0 has {first}, "
+            f"report 1 has {second}\n"
+        )
+        assert captured.out == ""
+        assert not json_out.exists()
+
     def test_run_external_mode_round_trip(self, workspace, tmp_path, capsys):
         _, paths = workspace
         cli.main(

@@ -344,6 +344,22 @@ class TestAggregate:
         with pytest.raises(EvalError):
             aggregate([])
 
+    @pytest.mark.parametrize("external_first", [True, False])
+    def test_mixed_method_sets_rejected(self, external_first):
+        # one method set per population: a missing method would raise
+        # KeyError, an extra one would drop out of the means
+        labels = [lab(i * 0.1, eye=i % 3 == 0) for i in range(30)]
+        evals = {ch: evaluate_channel(labels, labels, ch) for ch in CHANNELS}
+        two = ComparisonReport(methods={"generalized": evals, "personalized": evals}, frames=30)
+        three = ComparisonReport(methods={**two.methods, "external": evals}, frames=30)
+        reports = [three, two] if external_first else [two, three]
+        with pytest.raises(EvalError) as err:
+            aggregate(reports)
+        first, second = (list(r.methods) for r in reports)
+        assert str(err.value) == (
+            f"reports score different methods: report 0 has {first}, report 1 has {second}"
+        )
+
 
 def test_evaluate_channel_recalls():
     labels = [lab(i * 0.1, eye=i < 4) for i in range(10)]

@@ -17,6 +17,25 @@ def test_population_experiment_report_equals_compare(tmp_path, monkeypatch, caps
     capsys.readouterr()
 
     report = tmp_path / "compare.json"
-    assert cli.main(["compare", "--input", str(outdir), "--json", str(report)]) == 0
+    assert cli.main(
+        ["compare", "--input", str(outdir), "--calib-duration", "6.0", "--json", str(report)]
+    ) == 0
     assert capsys.readouterr().out == (outdir / "report.txt").read_text()
     assert report.read_bytes() == (outdir / "report.json").read_bytes()
+
+
+def test_population_experiment_bad_calib_window_is_config_error(tmp_path, monkeypatch, capsys):
+    script = SCRIPTS / "population_experiment.py"
+    outdir = tmp_path / "population"
+    monkeypatch.setattr(
+        sys,
+        "argv",
+        [str(script), "--outdir", str(outdir), "--drivers", "1", "--duration", "10",
+         "--calib-window", "nan"],
+    )
+    assert runpy.run_path(str(script))["main"]() == 1
+    captured = capsys.readouterr()
+    assert captured.err.endswith("drowsy: duration_s must be finite, got nan\n")
+    assert captured.out == ""
+    assert not (outdir / "report.txt").exists()
+    assert not (outdir / "report.json").exists()
