@@ -21,6 +21,8 @@ import sys
 
 from drowsy import cli
 from drowsy import io as dio
+from drowsy.calibration import CalibrationConfig
+from drowsy.errors import ConfigError
 from drowsy.synth import ScriptEvent, generate_population
 
 FRAME = 1.0 / 30.0
@@ -48,6 +50,13 @@ def main() -> int:
     parser.add_argument("--mar-range", type=float, nargs=2, default=(0.30, 0.50))
     parser.add_argument("--calib-window", type=float, default=6.0)
     args = parser.parse_args()
+
+    try:
+        # compare's own check of --calib-duration, made before any stream is written
+        CalibrationConfig(duration_s=args.calib_window)
+    except ConfigError as exc:
+        print(f"drowsy: {exc}", file=sys.stderr)
+        return 1
 
     os.makedirs(args.outdir, exist_ok=True)
     template = tuple(

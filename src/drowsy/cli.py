@@ -14,6 +14,7 @@ not. Profile creation stamps honor SOURCE_DATE_EPOCH.
 from __future__ import annotations
 
 import argparse
+import gc
 import inspect
 import os
 import sys
@@ -250,6 +251,24 @@ def _write_doc(path: str, doc: dict) -> None:
 
 
 def _compare_one(frames_path, labels_path, profile_path, external_path, configs):
+    """Score one driver with the cyclic garbage collector paused.
+
+    One driver's frames, labels and records are tens of thousands of
+    container objects per minute of stream, enough for dozens of
+    collections that find nothing: none of them forms a reference cycle,
+    and reference counting frees all of them when _score_driver returns,
+    before the caller's collector state is restored.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _score_driver(frames_path, labels_path, profile_path, external_path, configs)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _score_driver(frames_path, labels_path, profile_path, external_path, configs):
     """Score one driver; without a profile path, calibrate from the leading frames."""
     pipeline_config, calibration_config, generalized = configs
     profile = None
@@ -301,7 +320,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             reports.append(
                 _compare_one(base + suffix, base + ".labels.jsonl", profile, external, configs)
             )
-        agg = aggregate(reports)
+        agg = aggregate(reports, stems)
         sys.stdout.write(render_population(agg))
         doc = population_doc(agg)
     else:

@@ -205,19 +205,25 @@ class PopulationAggregate:
     pooled: dict[str, dict[str, ChannelEval]]
 
 
-def aggregate(reports: Sequence[ComparisonReport]) -> PopulationAggregate:
+def aggregate(
+    reports: Sequence[ComparisonReport], names: Sequence[str] | None = None
+) -> PopulationAggregate:
     """Mean per-driver accuracy plus pooled matrices across a population.
 
-    Every report must score the same methods; EvalError otherwise.
+    Every report must score the same methods; otherwise EvalError names the
+    first report and the first one that differs from it, by `names` (one
+    per report, such as the driver stems) or else as "report <index>".
     """
     if not reports:
         raise EvalError("cannot aggregate zero reports")
+    if names is None:
+        names = [f"report {i}" for i in range(len(reports))]
     method_names = list(reports[0].methods)
-    for i, report in enumerate(reports):
+    for name, report in zip(names, reports):
         if report.methods.keys() != reports[0].methods.keys():
             raise EvalError(
-                f"reports score different methods: report 0 has {method_names}, "
-                f"report {i} has {list(report.methods)}"
+                f"reports score different methods: {names[0]} has {method_names}, "
+                f"{name} has {list(report.methods)}"
             )
     mean_accuracy: dict[str, dict[str, float]] = {}
     pooled: dict[str, dict[str, ChannelEval]] = {}

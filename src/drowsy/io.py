@@ -40,7 +40,7 @@ from typing import IO, Iterable, Iterator
 
 from .calibration import CalibrationProfile
 from .errors import ConfigError, ParseError, StreamOrderError, VersionError
-from .landmarks import POINT_COUNTS, LandmarkFrame, quantize_ms
+from .landmarks import POINT_COUNTS, LandmarkFrame, Point, quantize_ms
 from .pipeline import ALL_EVENT_KINDS, AlertEvent
 from .synth import DriverParams, FrameLabel, ScriptEvent, SessionScript
 
@@ -113,11 +113,61 @@ def _lines(source: Iterable[str]) -> Iterator[tuple[int, str]]:
 
 # --- landmark frame streams -------------------------------------------------
 
+def _convert_points(raw_points: list) -> tuple[list[Point], bool]:
+    """A decoded points array as (x, y) floats plus its finiteness verdict.
+
+    The general path: it takes ints as well as floats, drops a depth
+    component and raises on anything that is not [x, y] or [x, y, z]
+    numbers, at the first bad point.
+    """
+    points = []
+    append = points.append
+    zeros = 0.0  # stays 0.0 while every coordinate is finite: inf * 0.0 is nan
+    for p in raw_points:
+        if type(p) is not list or not 2 <= len(p) <= 3:
+            raise ValueError("each point must be [x, y] or [x, y, z]")
+        x, y = p[0], p[1]
+        if type(x) is not float or type(y) is not float:
+            # exact type checks: json numbers only (bool is not a coordinate)
+            if type(x) is not float and type(x) is not int:
+                raise ValueError("point coordinates must be numbers")
+            if type(y) is not float and type(y) is not int:
+                raise ValueError("point coordinates must be numbers")
+            x, y = float(x), float(y)  # OverflowError for a huge integer
+        zeros += x * 0.0 + y * 0.0
+        append((x, y))
+    return points, zeros == 0.0
+
+
+def _points(raw_points: list) -> tuple[list[Point], bool]:
+    """_convert_points, with a fast path for arrays of [x, y] float pairs.
+
+    The written form of every frame. One comprehension unpacks the pairs,
+    then one loop checks that each coordinate is exactly a float and sums
+    the finiteness verdict. In a decoded JSON array two floats can only
+    come from a two-element list (a dict or a string unpacks to strings),
+    so the fast path accepts exactly the arrays _convert_points accepts
+    unchanged. Any other array, including one whose unpacking raises, goes
+    through _convert_points, so its values and errors are that path's.
+    """
+    try:
+        points = [(x, y) for x, y in raw_points]
+    except (TypeError, ValueError):
+        return _convert_points(raw_points)
+    zeros = 0.0
+    for x, y in points:
+        if type(x) is not float or type(y) is not float:
+            return _convert_points(raw_points)
+        zeros += x * 0.0 + y * 0.0
+    return points, zeros == 0.0
+
+
 def read_frames(source: Iterable[str]) -> Iterator[LandmarkFrame]:
     """Parse a frame stream; timestamps must strictly increase.
 
     Each coordinate is type-checked, converted and checked for finiteness
-    once; LandmarkFrame takes that verdict instead of walking the points.
+    once, by _points; LandmarkFrame takes that verdict instead of walking
+    the points.
     """
     last_ms: int | None = None
     for line_no, line in _lines(source):
@@ -133,23 +183,8 @@ def read_frames(source: Iterable[str]) -> Iterator[LandmarkFrame]:
             raw_points = obj["points"]
             if not isinstance(raw_points, list):
                 raise ValueError("points must be an array")
-            points = []
-            append = points.append
-            zeros = 0.0  # stays 0.0 while every coordinate is finite: inf * 0.0 is nan
-            for p in raw_points:
-                if type(p) is not list or not 2 <= len(p) <= 3:
-                    raise ValueError("each point must be [x, y] or [x, y, z]")
-                x, y = p[0], p[1]
-                if type(x) is not float or type(y) is not float:
-                    # exact type checks: json numbers only (bool is not a coordinate)
-                    if type(x) is not float and type(x) is not int:
-                        raise ValueError("point coordinates must be numbers")
-                    if type(y) is not float and type(y) is not int:
-                        raise ValueError("point coordinates must be numbers")
-                    x, y = float(x), float(y)  # OverflowError for a huge integer
-                zeros += x * 0.0 + y * 0.0
-                append((x, y))
-            frame = LandmarkFrame(t, scheme, tuple(points), face, zeros == 0.0)
+            points, finite = _points(raw_points)
+            frame = LandmarkFrame(t, scheme, tuple(points), face, finite)
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise ParseError(str(exc), line_no) from None
         t_ms = quantize_ms(frame.t)

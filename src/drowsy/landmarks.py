@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import InitVar, dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import ConfigError, GeometryError
 
@@ -80,14 +81,18 @@ class LandmarkFrame:
             raise ValueError("faceless frame must carry no points")
 
 
-@dataclass(frozen=True, slots=True)
-class SemanticPoints:
+class SemanticPoints(NamedTuple):
     """Scheme-independent named points consumed by every metric.
 
     Eye tuples follow the hexagon ordering described in the module docstring;
     the mouth tuple holds the inner-lip hexagon in the same ordering. The
     outer eye corners are hexagon members, not separate fields:
     `left_eye[0]` and `right_eye[3]`.
+
+    A named tuple, built once per face frame: immutable, compared and
+    hashed by its fields, and several times cheaper to construct than a
+    frozen dataclass, whose __init__ sets each field through
+    object.__setattr__.
     """
 
     left_eye: tuple[Point, ...]
@@ -194,9 +199,4 @@ def to_semantic(frame: LandmarkFrame) -> SemanticPoints | None:
     right_eye = right_of(pts)
     if left_eye[0] == right_eye[3]:
         raise GeometryError(f"degenerate frame at t={frame.t:.3f}: eye corners coincide")
-    return SemanticPoints(
-        left_eye=left_eye,
-        right_eye=right_eye,
-        mouth=mouth_of(pts),
-        nose_tip=pts[nose_i],
-    )
+    return SemanticPoints(left_eye, right_eye, mouth_of(pts), pts[nose_i])

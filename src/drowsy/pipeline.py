@@ -25,7 +25,7 @@ import time
 from collections import deque
 from dataclasses import asdict, dataclass
 from math import fsum
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .calibration import CalibrationProfile, require_finite
 from .errors import ConfigError, MissingLabelError, NoDataError, PerclosUndefinedError, StreamOrderError
@@ -190,9 +190,13 @@ def external_state(states: Mapping[int, tuple[bool, bool]], t: float) -> tuple[b
         raise MissingLabelError(t) from None
 
 
-@dataclass(frozen=True, slots=True)
-class FrameRecord:
-    """Per-frame pipeline output: smoothed metrics plus channel decisions."""
+class FrameRecord(NamedTuple):
+    """Per-frame pipeline output: smoothed metrics plus channel decisions.
+
+    A named tuple, built once per frame: immutable, compared and hashed by
+    its fields, and several times cheaper to construct than a frozen
+    dataclass, whose __init__ sets each field through object.__setattr__.
+    """
 
     t: float
     face_present: bool
@@ -316,15 +320,7 @@ class Pipeline:
             )
 
         record = FrameRecord(
-            t=t,
-            face_present=face,
-            ear=s_ear,
-            mar=s_mar,
-            head_drop=s_head,
-            eye_closed=eye_closed,
-            mouth_yawn=mouth_yawn,
-            head_down=head_down,
-            perclos=perclos_value,
+            t, face, s_ear, s_mar, s_head, eye_closed, mouth_yawn, head_down, perclos_value
         )
         return record, tuple(events)
 

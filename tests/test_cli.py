@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import gc
 import inspect
 import io as stdio
 import json
@@ -204,11 +205,53 @@ class TestWorkflow:
         three = two + ["external"]
         first, second = (three, two) if external_stem == "driver00" else (two, three)
         assert captured.err == (
-            f"drowsy: reports score different methods: report 0 has {first}, "
-            f"report 1 has {second}\n"
+            f"drowsy: reports score different methods: driver00 has {first}, "
+            f"driver01 has {second}\n"
         )
         assert captured.out == ""
         assert not json_out.exists()
+
+    @pytest.mark.parametrize("case", ["scored", "bad_second_driver", "caller_disabled"])
+    def test_compare_restores_collector_state(self, tmp_path, capsys, monkeypatch, case):
+        pop = tmp_path / "population"
+        pop.mkdir()
+        script_path = tmp_path / "session.script.json"
+        write_script_file(script_path, duration=10.0)
+        for stem in ("driver00", "driver01"):
+            assert cli.main(
+                ["synth", "--script", str(script_path),
+                 "--out", str(pop / f"{stem}.frames.jsonl"),
+                 "--labels", str(pop / f"{stem}.labels.jsonl")]
+            ) == 0
+        if case == "bad_second_driver":
+            with open(pop / "driver01.frames.jsonl", "a") as sink:
+                sink.write("{not json\n")
+        capsys.readouterr()
+        during = []
+
+        def spy(*args, **kwargs):
+            during.append(gc.isenabled())
+            return compare(*args, **kwargs)
+
+        compare = cli.compare
+        monkeypatch.setattr(cli, "compare", spy)
+        was_enabled = gc.isenabled()
+        if case == "caller_disabled":
+            gc.disable()
+        try:
+            rc = cli.main(["compare", "--input", str(pop)])
+            after = gc.isenabled()
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert after is (case != "caller_disabled")
+        if case == "bad_second_driver":
+            assert rc == 1
+            assert capsys.readouterr().err.startswith("drowsy: line 301:")
+            assert during == [False]  # the first driver was scored, the second failed to parse
+        else:
+            assert rc == 0
+            assert during == [False, False]
 
     def test_run_external_mode_round_trip(self, workspace, tmp_path, capsys):
         _, paths = workspace

@@ -353,9 +353,14 @@ class TestAggregate:
         two = ComparisonReport(methods={"generalized": evals, "personalized": evals}, frames=30)
         three = ComparisonReport(methods={**two.methods, "external": evals}, frames=30)
         reports = [three, two] if external_first else [two, three]
+        first, second = (list(r.methods) for r in reports)
+        with pytest.raises(EvalError) as err:
+            aggregate(reports, ["driver00", "driver01"])
+        assert str(err.value) == (
+            f"reports score different methods: driver00 has {first}, driver01 has {second}"
+        )
         with pytest.raises(EvalError) as err:
             aggregate(reports)
-        first, second = (list(r.methods) for r in reports)
         assert str(err.value) == (
             f"reports score different methods: report 0 has {first}, report 1 has {second}"
         )

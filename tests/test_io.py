@@ -3,6 +3,7 @@ import io as stdio
 import json
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -765,3 +766,60 @@ def test_read_frames_fault_precedence(line, message):
         assert outcome[0] == "ok"
     else:
         assert outcome[0] == "ParseError" and message in outcome[1], outcome
+
+
+# --- the point fast path ----------------------------------------------------------
+# read_frames hands each decoded points array to dio._points, which unpacks
+# [x, y] float pairs in one comprehension and sends every other array through
+# the general loop dio._convert_points. The arrays below are what the JSON
+# decoder can produce: lists, dicts with string keys, strings, ints of any
+# size, floats (1e400 decodes to inf), booleans and null.
+
+COORDINATES = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([math.inf, -math.inf, 10**400, -(10**400), True, False, 7, -0.0]),
+    st.integers(-(10**6), 10**6),
+)
+ODD_POINTS = st.one_of(
+    st.lists(COORDINATES, min_size=3, max_size=3),  # mesh depth
+    st.lists(COORDINATES, max_size=5),  # wrong lengths
+    st.lists(st.one_of(COORDINATES, st.text(max_size=2), st.none()), min_size=2, max_size=2),
+    st.text(max_size=3),  # a two-character string unpacks to two strings
+    st.dictionaries(st.text(max_size=2), COORDINATES, max_size=3),
+    st.lists(st.lists(COORDINATES, max_size=2), min_size=2, max_size=2),  # nested lists
+    COORDINATES,
+    st.none(),
+)
+
+
+@st.composite
+def point_arrays(draw):
+    """Mostly [x, y] float pairs (some infinite), with odd points at drawn positions."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    coordinate = st.one_of(finite, finite, finite, st.sampled_from([math.inf, -math.inf]))
+    pair = st.lists(coordinate, min_size=2, max_size=2)
+    points = draw(st.lists(pair, max_size=20))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(points)))
+        points.insert(at, draw(st.one_of(pair, ODD_POINTS)))
+    return points
+
+
+def _points_outcome(convert, raw):
+    """Points (repr tells 1 from 1.0 and -0.0 from 0.0) and verdict, or the error."""
+    try:
+        points, finite = convert(raw)
+    except (ValueError, TypeError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return "ok", repr(points), finite
+
+
+@settings(max_examples=500, deadline=None)
+@given(point_arrays())
+def test_point_fast_path_equals_general_loop(raw):
+    general = _points_outcome(dio._convert_points, raw)
+    assert _points_outcome(dio._points, raw) == general
+    if all(type(p) is list and len(p) == 2 and {type(c) for c in p} == {float} for p in raw):
+        # the written form never reaches the general loop
+        with mock.patch.object(dio, "_convert_points", side_effect=AssertionError("fell back")):
+            assert _points_outcome(dio._points, raw) == general

@@ -14,6 +14,7 @@ from drowsy.landmarks import (
     SEMANTIC,
     SEMANTIC_MAP,
     LandmarkFrame,
+    SemanticPoints,
     builtin_scheme_map,
     to_semantic,
 )
@@ -101,6 +102,17 @@ class TestToSemantic:
         assert sp.right_eye == frame.points[6:12]
         assert sp.mouth == frame.points[12:18]
         assert sp.nose_tip == frame.points[18]
+
+    def test_semantic_points_are_immutable_in_field_order(self):
+        sp = to_semantic(semantic_frame())
+        assert SemanticPoints._fields == ("left_eye", "right_eye", "mouth", "nose_tip")
+        for name in SemanticPoints._fields:
+            with pytest.raises(AttributeError):
+                setattr(sp, name, ())
+        by_keyword = SemanticPoints(
+            left_eye=sp.left_eye, right_eye=sp.right_eye, mouth=sp.mouth, nose_tip=sp.nose_tip
+        )
+        assert by_keyword == sp and hash(by_keyword) == hash(sp)
 
     def test_dlib68_left_eye_selection(self):
         # sentinel coordinates at 36..41 must pass through untouched, in order

@@ -10,6 +10,7 @@ from drowsy.landmarks import LandmarkFrame, SEMANTIC, to_semantic
 from drowsy.metrics import compute_binocular_ear, compute_head_drop, compute_mar
 from drowsy.pipeline import (
     ChannelState,
+    FrameRecord,
     Pipeline,
     PipelineConfig,
     SmoothingBuffer,
@@ -344,3 +345,15 @@ def test_pipeline_config_validation():
         PipelineConfig(perclos_limit=150.0)
     with pytest.raises(ConfigError):
         PipelineConfig(rearm_frames=-1)
+
+
+def test_frame_record_is_an_immutable_record_in_field_order():
+    (record,) = run_session(metric_frames([0.32]), profile()).records
+    assert FrameRecord._fields == (
+        "t", "face_present", "ear", "mar", "head_drop",
+        "eye_closed", "mouth_yawn", "head_down", "perclos",
+    )
+    for name in FrameRecord._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    assert record == FrameRecord(*record) and hash(record) == hash(FrameRecord(*record))

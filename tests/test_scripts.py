@@ -39,3 +39,4 @@ def test_population_experiment_bad_calib_window_is_config_error(tmp_path, monkey
     assert captured.out == ""
     assert not (outdir / "report.txt").exists()
     assert not (outdir / "report.json").exists()
+    assert not list(outdir.glob("driver*.frames.jsonl"))
