@@ -3,8 +3,11 @@
 Exit codes: 0 success, 1 input or format error (including usage errors),
 2 domain failure such as a failed calibration. Alerts are data, never
 failures: cmd_run exits 0 however many warnings fired. Every file argument
-accepts "-" for standard input/output. Output files are written atomically
-(temp file + rename), so a failing run leaves no partial outputs behind.
+accepts "-" for standard input/output, at most one input and one output
+per command (eval's and compare's text report already writes stdout), and
+no output may name an input or another output; both rules are checked
+before any file is opened. Output files are written atomically (temp file
++ rename), so a failing run leaves no partial outputs behind.
 
 Data outputs (stdout and files) are byte-reproducible given identical
 inputs, flags, and seed; diagnostics on stderr may include timing and are
@@ -146,11 +149,42 @@ def _open_out(path: str):
         raise
 
 
+def _same_file(a: str, b: str) -> bool:
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
+_REPORT = ("the text report", "-")  # eval and compare print theirs on stdout
+
+
+def _check_paths(inputs, outputs) -> None:
+    """Refuse file arguments that would lose or garble data, before any file is opened.
+
+    inputs and outputs are (flag, path) pairs; a None path is a flag not
+    given. At most one input may read "-" (stdin) and one output may write
+    "-" (stdout), and an output may name no input and no other output.
+    """
+    for pairs, verb in ((inputs, "read standard input"), (outputs, "write standard output")):
+        dashes = [flag for flag, path in pairs if path == "-"]
+        if len(dashes) > 1:
+            raise ConfigError(f"{dashes[0]} and {dashes[1]} both {verb}")
+    files = [(flag, path) for flag, path in inputs if path and path != "-"]
+    for flag, path in outputs:
+        if not path or path == "-":
+            continue
+        for other, other_path in files:
+            if _same_file(path, other_path):
+                raise ConfigError(f"{other} and {flag} name the same file: {other_path}")
+        files.append((flag, path))
+
+
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     config = _build(CalibrationConfig, args)
     dio.default_created_at()  # a malformed SOURCE_DATE_EPOCH fails before any file is opened
+    _check_paths([("--input", args.input)], [("--out", args.out)])
     with _open_in(args.input) as src:
         samples = list(samples_from_frames(dio.read_frames(src)))
     profile = calibrate(samples, config)
@@ -169,6 +203,10 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _build(PipelineConfig, args)
+    _check_paths(
+        [("--input", args.input), ("--profile", args.profile), ("--external", args.external)],
+        [("--out", args.out), ("--records", args.records)],
+    )
     with _open_in(args.profile) as src:
         profile = dio.read_profile(src)
     external = None
@@ -209,6 +247,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    _check_paths([("--script", args.script)], [("--out", args.out), ("--labels", args.labels)])
     with _open_in(args.script) as src:
         script = dio.read_script(src)
     if args.seed is not None:
@@ -224,6 +263,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    _check_paths(
+        [("--pred", args.pred), ("--labels", args.labels)], [("--json", args.json), _REPORT]
+    )
     with _open_in(args.pred) as src:
         predictions = list(dio.read_states(src))
     with _open_in(args.labels) as src:
@@ -303,6 +345,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         _build(CalibrationConfig, args),
         _build(generalized_profile, args),
     )
+    outputs = [("--json", args.json), _REPORT]
     if os.path.isdir(args.input):
         suffix = ".frames.jsonl"
         stems = sorted(
@@ -312,21 +355,24 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
         if not stems:
             raise ConfigError(f"no *{suffix} files under {args.input}")
-        reports = []
+        drivers = []
         for stem in stems:
             base = os.path.join(args.input, stem)
             optional = [base + ".profile.json", base + ".external.jsonl"]
             profile, external = (path if os.path.exists(path) else None for path in optional)
-            reports.append(
-                _compare_one(base + suffix, base + ".labels.jsonl", profile, external, configs)
-            )
+            drivers.append((base + suffix, base + ".labels.jsonl", profile, external))
+        _check_paths([("--input", path) for driver in drivers for path in driver], outputs)
+        reports = [_compare_one(*driver, configs) for driver in drivers]
         agg = aggregate(reports, stems)
         sys.stdout.write(render_population(agg))
         doc = population_doc(agg)
     else:
         if not args.labels or not args.profile:
             raise ConfigError("single-stream compare requires --labels and --profile")
-        report = _compare_one(args.input, args.labels, args.profile, args.external, configs)
+        driver = (args.input, args.labels, args.profile, args.external)
+        flags = ("--input", "--labels", "--profile", "--external")
+        _check_paths(list(zip(flags, driver)), outputs)
+        report = _compare_one(*driver, configs)
         sys.stdout.write(render_report(report))
         doc = report_doc(report)
     if args.json:

@@ -24,6 +24,13 @@ the same writer. Unknown keys are ignored on read and never emitted on
 write. A third coordinate in frame points (mesh depth) is accepted on read
 and dropped.
 
+Label and external-state lines repeat a handful of texts after their
+timestamp (record lines, which carry metrics, do not). A state line of the
+written shape {"t": <fraction>, "...} has that tail decoded and checked
+once and kept in a bounded memo; later lines with a known tail skip the
+decoder and convert only their timestamp. Every other line takes the full
+decode, so values, messages and line numbers do not depend on the memo.
+
 Alignment between streams is defined at millisecond resolution:
 landmarks.quantize_ms is the single timestamp key used everywhere.
 """
@@ -33,8 +40,10 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 import time as _time
 from dataclasses import asdict, fields
+from functools import lru_cache
 from itertools import starmap
 from typing import IO, Iterable, Iterator
 
@@ -104,16 +113,18 @@ def _boolean(obj: dict, key: str) -> bool:
 
 
 def _lines(source: Iterable[str]) -> Iterator[tuple[int, str]]:
-    for line_no, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line:
-            raise ParseError("blank line", line_no)
-        yield line_no, line
+    """(line number, stripped line) pairs; a blank line is left to _line_error."""
+    return enumerate(map(str.strip, source), 1)
+
+
+def _line_error(exc: Exception, line: str, line_no: int) -> ParseError:
+    """The ParseError for a line a reader rejected: a blank line fails to decode."""
+    return ParseError(str(exc) if line else "blank line", line_no)
 
 
 # --- landmark frame streams -------------------------------------------------
 
-def _convert_points(raw_points: list) -> tuple[list[Point], bool]:
+def _convert_points(raw_points: list) -> tuple[tuple[Point, ...], bool]:
     """A decoded points array as (x, y) floats plus its finiteness verdict.
 
     The general path: it takes ints as well as floats, drops a depth
@@ -136,30 +147,32 @@ def _convert_points(raw_points: list) -> tuple[list[Point], bool]:
             x, y = float(x), float(y)  # OverflowError for a huge integer
         zeros += x * 0.0 + y * 0.0
         append((x, y))
-    return points, zeros == 0.0
+    return tuple(points), zeros == 0.0
 
 
-def _points(raw_points: list) -> tuple[list[Point], bool]:
+def _points(raw_points: list) -> tuple[tuple[Point, ...], bool]:
     """_convert_points, with a fast path for arrays of [x, y] float pairs.
 
-    The written form of every frame. One comprehension unpacks the pairs,
-    then one loop checks that each coordinate is exactly a float and sums
-    the finiteness verdict. In a decoded JSON array two floats can only
-    come from a two-element list (a dict or a string unpacks to strings),
-    so the fast path accepts exactly the arrays _convert_points accepts
-    unchanged. Any other array, including one whose unpacking raises, goes
-    through _convert_points, so its values and errors are that path's.
+    The written form of every frame. One loop unpacks each pair, checks
+    that both coordinates are exactly floats and sums the finiteness
+    verdict; then the pairs become tuples in C. In a decoded JSON array two
+    floats can only come from a two-element list (a dict or a string
+    unpacks to strings), so the fast path accepts exactly the arrays
+    _convert_points accepts unchanged. Any other array, including one whose
+    unpacking raises, goes through _convert_points, so its values and
+    errors are that path's.
     """
-    try:
-        points = [(x, y) for x, y in raw_points]
-    except (TypeError, ValueError):
-        return _convert_points(raw_points)
     zeros = 0.0
-    for x, y in points:
-        if type(x) is not float or type(y) is not float:
-            return _convert_points(raw_points)
-        zeros += x * 0.0 + y * 0.0
-    return points, zeros == 0.0
+    try:
+        for x, y in raw_points:
+            if type(x) is not float or type(y) is not float:
+                break
+            zeros += x * 0.0 + y * 0.0
+        else:
+            return tuple(map(tuple, raw_points)), zeros == 0.0
+    except (TypeError, ValueError):
+        pass
+    return _convert_points(raw_points)
 
 
 def read_frames(source: Iterable[str]) -> Iterator[LandmarkFrame]:
@@ -175,18 +188,22 @@ def read_frames(source: Iterable[str]) -> Iterator[LandmarkFrame]:
             obj = _decode(line)
             if not isinstance(obj, dict):
                 raise ValueError("frame line must be a JSON object")
-            t = _number(obj, "t")
+            t = obj["t"]
+            if type(t) is not float:
+                t = _number(obj, "t")
             scheme = obj["scheme"]
             if scheme not in POINT_COUNTS:
                 raise ValueError(f"unknown scheme {scheme!r}")
-            face = _boolean(obj, "face")
+            face = obj["face"]
+            if type(face) is not bool:
+                face = _boolean(obj, "face")
             raw_points = obj["points"]
             if not isinstance(raw_points, list):
                 raise ValueError("points must be an array")
             points, finite = _points(raw_points)
-            frame = LandmarkFrame(t, scheme, tuple(points), face, finite)
+            frame = LandmarkFrame(t, scheme, points, face, finite)
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
-            raise ParseError(str(exc), line_no) from None
+            raise _line_error(exc, line, line_no) from None
         t_ms = quantize_ms(frame.t)
         if last_ms is not None and t_ms <= last_ms:
             raise StreamOrderError(
@@ -217,26 +234,78 @@ def _parse_state(obj: dict, key: str, table: dict[str, bool]) -> bool:
     return table[value]
 
 
+def _state_fields(obj: dict) -> tuple:
+    """The fields after the timestamp of a decoded state line, in FrameLabel order."""
+    face = obj["face"]
+    if type(face) is not bool:
+        face = _boolean(obj, "face")
+    if not face:
+        return False, None, None, None
+    eye = _parse_state(obj, "eye", EYE_STATES)
+    mouth = _parse_state(obj, "mouth", MOUTH_STATES)
+    head = _parse_state(obj, "head", HEAD_STATES) if "head" in obj else None
+    return True, eye, mouth, head
+
+
+def _state_time(t: float) -> float:
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"timestamp must be finite and non-negative, got {t!r}")
+    return t
+
+
+# The written head of a state line: a JSON number with a fraction and no
+# exponent (float() reads it exactly as the decoder does), then the tail.
+# {"t": N, TAIL is valid JSON exactly when "{" + TAIL is a non-empty object,
+# and it decodes to {"t": N} plus the tail's members.
+_state_head = re.compile(r'\{"t": (-?(?:0|[1-9][0-9]*)\.[0-9]+), (".*)', re.DOTALL).match
+
+
+@lru_cache(maxsize=256)
+def _tail_fields(tail: str) -> tuple:
+    """The checked fields of a state-line tail; raises when the tail needs the full path.
+
+    Only a tail that decodes, carries no "t" of its own (the last "t" of a
+    line wins) and passes the field checks is cached; exceptions are not.
+    The cache is bounded, so streams whose tails never repeat (records)
+    keep their memory flat.
+    """
+    obj = _decode("{" + tail)
+    if "t" in obj:
+        raise ValueError("tail repeats the timestamp")
+    return _state_fields(obj)
+
+
 def _states(source: Iterable[str]) -> Iterator[tuple]:
-    """The fields of each label/state line, in FrameLabel order."""
+    """The fields of each label/state line, in FrameLabel order.
+
+    A line whose tail _tail_fields knows costs one regex match and one
+    float(); any other line is decoded whole, so its values, messages and
+    the order in which its faults are reported are the full decode's.
+    """
     for line_no, line in _lines(source):
         try:
-            obj = _decode(line)
-            if not isinstance(obj, dict):
-                raise ValueError("state line must be a JSON object")
-            t = _number(obj, "t")
-            if not (math.isfinite(t) and t >= 0.0):
-                raise ValueError(f"timestamp must be finite and non-negative, got {t!r}")
-            face = _boolean(obj, "face")
-            if face:
-                eye = _parse_state(obj, "eye", EYE_STATES)
-                mouth = _parse_state(obj, "mouth", MOUTH_STATES)
-                head = _parse_state(obj, "head", HEAD_STATES) if "head" in obj else None
+            head = _state_head(line)
+            fields = None
+            if head is not None:
+                number, tail = head.groups()
+                try:
+                    fields = _tail_fields(tail)
+                except (ValueError, KeyError, TypeError):
+                    pass  # the full decode below reports the line's own first fault
+            if fields is not None:
+                t = _state_time(float(number))
             else:
-                eye = mouth = head = None
+                obj = _decode(line)
+                if not isinstance(obj, dict):
+                    raise ValueError("state line must be a JSON object")
+                t = obj["t"]
+                if type(t) is not float:
+                    t = _number(obj, "t")
+                t = _state_time(t)
+                fields = _state_fields(obj)
         except (ValueError, KeyError, TypeError) as exc:
-            raise ParseError(str(exc), line_no) from None
-        yield t, face, eye, mouth, head
+            raise _line_error(exc, line, line_no) from None
+        yield (t, *fields)
 
 
 def read_states(source: Iterable[str]) -> Iterator[FrameLabel]:
@@ -348,7 +417,7 @@ def read_events(source: Iterable[str]) -> Iterator[AlertEvent]:
                 threshold=_finite(obj, "threshold"),
             )
         except (ValueError, KeyError, TypeError) as exc:
-            raise ParseError(str(exc), line_no) from None
+            raise _line_error(exc, line, line_no) from None
         if last_emitted is not None and event.emitted_t < last_emitted:
             raise ParseError("event log must be ordered by emitted_t", line_no)
         last_emitted = event.emitted_t

@@ -475,6 +475,103 @@ class TestOutputHygiene:
             assert compare(flag) == expected, flag
 
 
+RUN = ["run", "--input", "{frames}", "--profile", "{profile}"]
+EVAL = ["eval", "--pred", "{labels}", "--labels", "{calib_labels}", "--channel", "eye"]
+COMPARE = ["compare", "--input", "{frames}", "--labels", "{labels}", "--profile", "{profile}"]
+SYNTH = ["synth", "--script", "{script}"]
+
+# (argv, message): each refused before any file is opened, so nothing is written
+PATH_CONFLICTS = [
+    (RUN + ["--out", "{new}", "--records", "{new}"], "--out and --records name the same file"),
+    (RUN + ["--out", "{new}", "--records", "{new_again}"], "--out and --records name the same"),
+    (RUN + ["--out", "{frames}"], "--input and --out name the same file"),
+    (RUN + ["--out", "{link}"], "--input and --out name the same file"),  # a symlink to frames
+    (RUN + ["--out", "{hard_link}"], "--input and --out name the same file"),
+    (RUN + ["--out", "{new}", "--records", "{profile}"], "--profile and --records name the same"),
+    (RUN + ["--external", "{labels}", "--out", "{labels}"], "--external and --out name the same"),
+    (["calibrate", "--input", "{calib_frames}", "--out", "{calib_frames}"],
+     "--input and --out name the same file"),
+    (SYNTH + ["--out", "{script}", "--labels", "{new}"], "--script and --out name the same file"),
+    (SYNTH + ["--out", "{new}", "--labels", "{new}"], "--out and --labels name the same file"),
+    (EVAL + ["--json", "{labels}"], "--pred and --json name the same file"),
+    (EVAL + ["--json", "{calib_labels}"], "--labels and --json name the same file"),
+    (COMPARE + ["--json", "{labels}"], "--labels and --json name the same file"),
+    (COMPARE + ["--external", "{calib_labels}", "--json", "{calib_labels}"],
+     "--external and --json name the same file"),
+    (["compare", "--input", "{pop}", "--json", "{pop}/d.labels.jsonl"],
+     "--input and --json name the same file: {pop}/d.labels.jsonl"),
+    (["compare", "--input", "{pop}", "--json", "{pop}/d.profile.json"],
+     "--input and --json name the same file: {pop}/d.profile.json"),
+    # "-" is one stream per direction
+    (COMPARE[:3] + ["--labels", "-", "--profile", "{profile}", "--external", "-"],
+     "--labels and --external both read standard input"),
+    (["run", "--input", "-", "--profile", "-"], "--input and --profile both read standard input"),
+    (RUN + ["--out", "-", "--records", "-"], "--out and --records both write standard output"),
+    (RUN + ["--records", "-"], "--out and --records both write standard output"),  # --out is -
+    (SYNTH + ["--out", "-", "--labels", "-"], "--out and --labels both write standard output"),
+    (["eval", "--pred", "-", "--labels", "-", "--channel", "eye"],
+     "--pred and --labels both read standard input"),
+    (EVAL + ["--json", "-"], "--json and the text report both write standard output"),
+    (COMPARE + ["--json", "-"], "--json and the text report both write standard output"),
+]
+
+
+class TestPathRules:
+    @pytest.fixture
+    def files(self, workspace):
+        tmp_path, paths = workspace
+        pop = tmp_path / "pop"
+        pop.mkdir()
+        for suffix, source in ((".frames.jsonl", "frames"), (".labels.jsonl", "labels"),
+                               (".profile.json", "profile")):
+            (pop / f"d{suffix}").write_bytes(paths[source].read_bytes())
+        (tmp_path / "link.jsonl").symlink_to(paths["frames"])
+        os.link(paths["frames"], tmp_path / "hard_link.jsonl")
+        return tmp_path, {
+            **{name: str(path) for name, path in paths.items()},
+            "script": str(tmp_path / "session.script.json"),
+            "new": str(tmp_path / "new.jsonl"),
+            "new_again": str(tmp_path / "pop" / ".." / "new.jsonl"),
+            "link": str(tmp_path / "link.jsonl"),
+            "hard_link": str(tmp_path / "hard_link.jsonl"),
+            "pop": str(pop),
+        }
+
+    @staticmethod
+    def _tree(root):
+        return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+    @pytest.mark.parametrize(
+        "argv, message", PATH_CONFLICTS, ids=[" ".join(argv) for argv, _ in PATH_CONFLICTS]
+    )
+    def test_conflicting_paths_are_refused_before_any_file_is_opened(
+        self, files, argv, message, capsys, monkeypatch
+    ):
+        tmp_path, names = files
+        before = self._tree(tmp_path)
+        stdin = stdio.StringIO(open(names["frames"]).read())
+        monkeypatch.setattr("sys.stdin", stdin)
+        capsys.readouterr()
+        rc = cli.main([arg.format(**names) for arg in argv])
+        out, err = capsys.readouterr()
+        assert rc == 1
+        assert err.startswith("drowsy: " + message.format(**names)), err
+        assert out == "" and stdin.tell() == 0
+        assert self._tree(tmp_path) == before
+
+    def test_distinct_paths_and_one_dash_per_direction_still_work(self, files, capsys,
+                                                                 monkeypatch):
+        tmp_path, names = files
+        monkeypatch.setattr("sys.stdin", stdio.StringIO(open(names["labels"]).read()))
+        # an input may repeat, and one stdin plus one stdout is fine
+        argv = COMPARE[:3] + ["--labels", "-", "--profile", "{profile}",
+                              "--external", "{labels}", "--json", "{new}"]
+        assert cli.main([arg.format(**names) for arg in argv]) == 0
+        assert "external" in capsys.readouterr().out
+        assert cli.main(["compare", "--input", names["pop"],
+                         "--json", names["pop"] + "/report.json"]) == 0
+
+
 class TestDeterminism:
     def test_synth_reproducible(self, tmp_path):
         script_path = tmp_path / "s.json"

@@ -406,10 +406,11 @@ def test_quick_fuzz_never_crashes():
 
 # --- reader equivalence --------------------------------------------------------
 # read_frames, read_states and load_external_states decode each line with one
-# scanner call, fold the finiteness check into the per-point loop and build
-# frames without a second walk over the points. The properties below hold
-# them to straightforward readers: a full decode() of every line, the
-# per-point checks, then LandmarkFrame(...) or FrameLabel(...).
+# scanner call (state lines with a known tail skip it), report blank lines
+# from the decode error, fold the finiteness check into the per-point loop
+# and build frames without a second walk over the points. The properties
+# below hold them to straightforward readers: a full decode() of every line,
+# the per-point checks, then LandmarkFrame(...) or FrameLabel(...).
 
 
 def _reject_constant(token):
@@ -719,15 +720,130 @@ def test_read_frames_equals_reference_reader(lines, data):
     assert _outcome(dio.read_frames, mutated) == _outcome(reference_read_frames, mutated)
 
 
+def _assert_state_readers_equal_reference(stream):
+    assert _outcome(dio.read_states, stream) == _outcome(reference_read_states, stream)
+    assert _outcome(dio.load_external_states, stream) == _outcome(
+        reference_load_external_states, stream
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(written_labels(), st.data())
 def test_state_readers_equal_reference_readers(lines, data):
     mutated = _mutated(data, lines, _mutate_state)
     for stream in (lines, mutated):
-        assert _outcome(dio.read_states, stream) == _outcome(reference_read_states, stream)
-        assert _outcome(dio.load_external_states, stream) == _outcome(
-            reference_load_external_states, stream
-        )
+        _assert_state_readers_equal_reference(stream)
+
+
+# --- the state-tail memo -------------------------------------------------------
+# _states looks the text after {"t": N, up in dio._tail_fields. The memo is
+# process-wide, so each case runs with it cleared and with it holding every
+# tail the label writer emits.
+
+def _canonical_state_lines():
+    labels = [FrameLabel(0.0, False, None, None, None)]
+    for eye in (False, True):
+        for mouth in (False, True):
+            for head in (None, False, True):
+                labels.append(FrameLabel(0.0, True, eye, mouth, head))
+    sink = stdio.StringIO()
+    dio.write_labels(sink, labels)
+    return sink.getvalue().splitlines(keepends=True)
+
+
+CANONICAL_STATE_LINES = _canonical_state_lines()
+
+
+def _set_memo(warm):
+    dio._tail_fields.cache_clear()
+    if warm:
+        list(dio.read_states(CANONICAL_STATE_LINES))
+        assert dio._tail_fields.cache_info().currsize == len(CANONICAL_STATE_LINES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(written_labels(), st.data())
+def test_state_readers_equal_reference_readers_with_warm_memo(lines, data):
+    _set_memo(warm=True)
+    mutated = _mutated(data, lines, _mutate_state)
+    for stream in (lines, mutated):
+        _assert_state_readers_equal_reference(stream)
+
+
+LONG_DIGITS = "1" * 4301
+OPEN_TAIL = '"face": true, "eye": "open", "mouth": "normal", "head": "up"}'
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize(
+    "line",
+    [
+        f'{{"t": {LONG_DIGITS}, {OPEN_TAIL}',  # an int beyond the digit limit
+        f'{{"t": {LONG_DIGITS}.5, {OPEN_TAIL}',  # a float that reads as inf
+        f'{{"t": 1e400, {OPEN_TAIL}',
+        f'{{"t": -0, {OPEN_TAIL}',
+        f'{{"t": -0.0, {OPEN_TAIL}',
+        f'{{"t": -0.500, {OPEN_TAIL}',
+        f'{{"t": 7, {OPEN_TAIL}',
+        '{"t": 1.500, "face": false, "t": 2.500}',  # the last "t" wins
+        '{"t": 1.500, "face": false, "t": -2.500}',
+        '{"t": 1.500, "face": false, "\\u0074": 3.500}',  # an escaped "t" is still "t"
+        '{"t": 1.500, "face": false, "t": "x"}',
+        f'{{"t": 01.5, {OPEN_TAIL}',
+        f'{{"t": 1.500, {OPEN_TAIL} x',
+        f'{{"t": 1.500, {OPEN_TAIL}{{}}',
+        f'{{"t": 1.500, {OPEN_TAIL[:-1]}',
+        "",
+        "   \t",
+        f'{{"t": 1.500, "note": [1, {{"t": 2}}], {OPEN_TAIL}',  # unknown keys are ignored
+        '{"t": 1.500, "face": false, "eye": "shut"}',
+        '{"t": 1.500, "face": true, "eye": "shut", "mouth": "normal"}',
+        '{"t": 1.500, "face": 1}',
+        '{"t": 1.500, "eye": "open"}',
+        '{"t": 1.500, }',
+        '{"t": 1.500, "face": false,}',
+    ],
+    ids=lambda line: line.replace(LONG_DIGITS, "<4301 digits>"),
+)
+def test_state_memo_cases_equal_reference_reader(line, warm):
+    _set_memo(warm)
+    for stream in ([line], [f'{{"t": 9.000, {OPEN_TAIL}\n', line + "\n"]):
+        _assert_state_readers_equal_reference(stream)
+        # and again with the memo as the first pass left it
+        _assert_state_readers_equal_reference(stream)
+
+
+@pytest.mark.parametrize(
+    "reader, first",
+    [
+        (dio.read_frames, '{"t": 0.000, "scheme": "semantic", "face": false, "points": []}'),
+        (dio.read_states, '{"t": 0.000, "face": false}'),
+        (dio.read_events, '{"kind": "eyes_closed", "onset_t": 1.000, "emitted_t": 2.000, '
+                          '"value": 0.100000, "threshold": 0.200000}'),
+    ],
+    ids=["frames", "states", "events"],
+)
+@pytest.mark.parametrize("blank", ["", "\n", " \t\r\n", "\x0c"])
+def test_blank_line_is_reported_with_its_number(reader, first, blank):
+    with pytest.raises(ParseError) as err:
+        list(reader([first + "\n", blank, first + "\n"]))
+    assert str(err.value) == "line 2: blank line" and err.value.line_no == 2
+
+
+def test_state_memo_decodes_each_distinct_tail_at_most_twice():
+    _, truth = generate(sample_script(noise=0.5))
+    sink = stdio.StringIO()
+    dio.write_labels(sink, truth.labels)
+    lines = sink.getvalue().splitlines(keepends=True)
+    tails = {line.split(", ", 1)[1] for line in lines}
+    assert len(lines) >= 20 * len(tails)
+    dio._tail_fields.cache_clear()
+    with mock.patch.object(dio, "_decode", wraps=dio._decode) as decode:
+        labels = list(dio.read_states(lines))
+        external = dio.load_external_states(lines)
+    assert decode.call_count <= 2 * len(tails)
+    assert labels == list(reference_read_states(lines))
+    assert external == reference_load_external_states(lines)
 
 
 def _semantic_line(t="0.500", face="true", points=None, tail=""):

@@ -1,4 +1,6 @@
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +46,31 @@ def test_unused_import_scan_flags_orphans():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# the interpreter floor pyproject.toml declares, as a feature_version for ast.parse
+FLOOR = tuple(
+    int(part)
+    for part in re.search(
+        r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text()
+    ).groups()
+)
+SOURCES = sorted(
+    path
+    for directory in (ROOT / "src" / "drowsy", ROOT / "scripts", ROOT / "tests")
+    for path in directory.glob("*.py")
+)
+
+
+def test_syntax_floor_check_rejects_newer_syntax():
+    assert FLOOR == (3, 10)
+    newer = "try:\n    pass\nexcept* ValueError:\n    pass\n"  # 3.11 syntax
+    if sys.version_info >= (3, 11):
+        ast.parse(newer)
+    with pytest.raises(SyntaxError):
+        ast.parse(newer, feature_version=FLOOR)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_source_parses_at_the_requires_python_floor(path):
+    ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=FLOOR)
