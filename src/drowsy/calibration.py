@@ -13,7 +13,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
 
-from .errors import CalibrationError, ConfigError
+from .errors import CalibrationError, ConfigError, GeometryError
 from .landmarks import quantize_ms
 from .metrics import MetricSample
 
@@ -75,7 +75,10 @@ def trimmed_mean(values: list[float]) -> float:
     core = sorted(values)[k: len(values) - k]
     # fsum keeps the baseline exactly rounded, so constant input gives the
     # constant back and shuffled input gives bit-identical results
-    return math.fsum(core) / len(core)
+    try:
+        return math.fsum(core) / len(core)
+    except OverflowError:
+        raise GeometryError(f"trimmed mean of {len(core)} values overflows") from None
 
 
 def _covered_ms(samples: list[MetricSample]) -> int:
@@ -111,9 +114,13 @@ def calibrate(samples: Iterable[MetricSample], config: CalibrationConfig | None 
             f"insufficient calibration duration: recording covers {covered / 1000.0:.3f} s, "
             f"need {config.duration_s:.3f} s"
         )
-    baseline_ear = trimmed_mean([s.ear for s in face])
-    baseline_mar = trimmed_mean([s.mar for s in face])
-    baseline_head = trimmed_mean([s.head_drop for s in face])
+    try:
+        baseline_ear = trimmed_mean([s.ear for s in face])
+        baseline_mar = trimmed_mean([s.mar for s in face])
+        baseline_head = trimmed_mean([s.head_drop for s in face])
+    except GeometryError as exc:
+        ts = [s.t for s in face]
+        raise GeometryError(f"frames t={min(ts):.3f}..{max(ts):.3f}: {exc}") from None
     return CalibrationProfile(
         baseline_ear=baseline_ear,
         baseline_mar=baseline_mar,

@@ -179,6 +179,16 @@ def _check_paths(inputs, outputs) -> None:
         files.append((flag, path))
 
 
+def _check_directory_flags(flags) -> None:
+    """Refuse single-stream (flag, value) pairs in directory mode, before any file is opened.
+
+    The directory names every driver's files, so a given flag would be ignored.
+    """
+    for flag, value in flags:
+        if value is not None:
+            raise ConfigError(f"{flag} does not apply to a directory --input")
+
+
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
@@ -346,7 +356,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
         _build(generalized_profile, args),
     )
     outputs = [("--json", args.json), _REPORT]
+    single = [
+        ("--labels", args.labels), ("--profile", args.profile), ("--external", args.external)
+    ]
     if os.path.isdir(args.input):
+        _check_directory_flags(single)
         suffix = ".frames.jsonl"
         stems = sorted(
             name[: -len(suffix)]
@@ -369,10 +383,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     else:
         if not args.labels or not args.profile:
             raise ConfigError("single-stream compare requires --labels and --profile")
-        driver = (args.input, args.labels, args.profile, args.external)
-        flags = ("--input", "--labels", "--profile", "--external")
-        _check_paths(list(zip(flags, driver)), outputs)
-        report = _compare_one(*driver, configs)
+        _check_paths([("--input", args.input), *single], outputs)
+        report = _compare_one(args.input, args.labels, args.profile, args.external, configs)
         sys.stdout.write(render_report(report))
         doc = report_doc(report)
     if args.json:

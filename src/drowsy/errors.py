@@ -10,7 +10,11 @@ class ConfigError(DrowsyError):
 
 
 class GeometryError(DrowsyError):
-    """Degenerate landmark geometry (coincident horizontal corners); signals corrupt input."""
+    """Degenerate or overflowing landmark geometry; signals corrupt input.
+
+    Coincident corners, and finite coordinates so far apart that a ratio or
+    its mean leaves float range.
+    """
 
 
 class NoDataError(DrowsyError):

@@ -49,7 +49,7 @@ from typing import IO, Iterable, Iterator
 
 from .calibration import CalibrationProfile
 from .errors import ConfigError, ParseError, StreamOrderError, VersionError
-from .landmarks import POINT_COUNTS, LandmarkFrame, Point, quantize_ms
+from .landmarks import POINT_COUNTS, LandmarkFrame, Point, check_timestamp, quantize_ms
 from .pipeline import ALL_EVENT_KINDS, AlertEvent
 from .synth import DriverParams, FrameLabel, ScriptEvent, SessionScript
 
@@ -70,17 +70,25 @@ _loads = _decoder.decode
 _scan = _decoder.scan_once
 
 
+# the decoder recurses once per nesting level, so a deep enough line would
+# escape every reader as a RecursionError
+_TOO_DEEP = "JSON nested too deeply"
+
+
 def _decode(line: str):
     """Decode one stripped line with a single scanner call.
 
     decode() adds two whitespace scans that a stripped line does not need.
     A line the scanner does not take whole goes back through _loads, so
-    every error message is decode()'s.
+    every error message is decode()'s, except for nesting beyond the
+    recursion limit, which reads _TOO_DEEP.
     """
     try:
         obj, end = _scan(line, 0)
     except (StopIteration, ValueError):
         return _loads(line)
+    except RecursionError:
+        raise ValueError(_TOO_DEEP) from None
     if end != len(line):
         return _loads(line)
     return obj
@@ -124,8 +132,8 @@ def _line_error(exc: Exception, line: str, line_no: int) -> ParseError:
 
 # --- landmark frame streams -------------------------------------------------
 
-def _convert_points(raw_points: list) -> tuple[tuple[Point, ...], bool]:
-    """A decoded points array as (x, y) floats plus its finiteness verdict.
+def _convert_points(raw_points: list) -> tuple[Point, ...]:
+    """A decoded points array as (x, y) floats.
 
     The general path: it takes ints as well as floats, drops a depth
     component and raises on anything that is not [x, y] or [x, y, z]
@@ -133,7 +141,6 @@ def _convert_points(raw_points: list) -> tuple[tuple[Point, ...], bool]:
     """
     points = []
     append = points.append
-    zeros = 0.0  # stays 0.0 while every coordinate is finite: inf * 0.0 is nan
     for p in raw_points:
         if type(p) is not list or not 2 <= len(p) <= 3:
             raise ValueError("each point must be [x, y] or [x, y, z]")
@@ -145,31 +152,27 @@ def _convert_points(raw_points: list) -> tuple[tuple[Point, ...], bool]:
             if type(y) is not float and type(y) is not int:
                 raise ValueError("point coordinates must be numbers")
             x, y = float(x), float(y)  # OverflowError for a huge integer
-        zeros += x * 0.0 + y * 0.0
         append((x, y))
-    return tuple(points), zeros == 0.0
+    return tuple(points)
 
 
-def _points(raw_points: list) -> tuple[tuple[Point, ...], bool]:
+def _points(raw_points: list) -> tuple[Point, ...]:
     """_convert_points, with a fast path for arrays of [x, y] float pairs.
 
-    The written form of every frame. One loop unpacks each pair, checks
-    that both coordinates are exactly floats and sums the finiteness
-    verdict; then the pairs become tuples in C. In a decoded JSON array two
-    floats can only come from a two-element list (a dict or a string
-    unpacks to strings), so the fast path accepts exactly the arrays
-    _convert_points accepts unchanged. Any other array, including one whose
-    unpacking raises, goes through _convert_points, so its values and
-    errors are that path's.
+    The written form of every frame. One loop unpacks each pair and checks
+    that both coordinates are exactly floats; then the pairs become tuples
+    in C. In a decoded JSON array two floats can only come from a
+    two-element list (a dict or a string unpacks to strings), so the fast
+    path accepts exactly the arrays _convert_points accepts unchanged. Any
+    other array, including one whose unpacking raises, goes through
+    _convert_points, so its values and errors are that path's.
     """
-    zeros = 0.0
     try:
         for x, y in raw_points:
             if type(x) is not float or type(y) is not float:
                 break
-            zeros += x * 0.0 + y * 0.0
         else:
-            return tuple(map(tuple, raw_points)), zeros == 0.0
+            return tuple(map(tuple, raw_points))
     except (TypeError, ValueError):
         pass
     return _convert_points(raw_points)
@@ -178,9 +181,9 @@ def _points(raw_points: list) -> tuple[tuple[Point, ...], bool]:
 def read_frames(source: Iterable[str]) -> Iterator[LandmarkFrame]:
     """Parse a frame stream; timestamps must strictly increase.
 
-    Each coordinate is type-checked, converted and checked for finiteness
-    once, by _points; LandmarkFrame takes that verdict instead of walking
-    the points.
+    The reader checks the line's shape, its scheme and each coordinate's
+    type; LandmarkFrame decides the rest (timestamp, point count, finite
+    coordinates).
     """
     last_ms: int | None = None
     for line_no, line in _lines(source):
@@ -200,8 +203,7 @@ def read_frames(source: Iterable[str]) -> Iterator[LandmarkFrame]:
             raw_points = obj["points"]
             if not isinstance(raw_points, list):
                 raise ValueError("points must be an array")
-            points, finite = _points(raw_points)
-            frame = LandmarkFrame(t, scheme, points, face, finite)
+            frame = LandmarkFrame(t, scheme, _points(raw_points), face)
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise _line_error(exc, line, line_no) from None
         t_ms = quantize_ms(frame.t)
@@ -247,12 +249,6 @@ def _state_fields(obj: dict) -> tuple:
     return True, eye, mouth, head
 
 
-def _state_time(t: float) -> float:
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"timestamp must be finite and non-negative, got {t!r}")
-    return t
-
-
 # The written head of a state line: a JSON number with a fraction and no
 # exponent (float() reads it exactly as the decoder does), then the tail.
 # {"t": N, TAIL is valid JSON exactly when "{" + TAIL is a non-empty object,
@@ -293,7 +289,7 @@ def _states(source: Iterable[str]) -> Iterator[tuple]:
                 except (ValueError, KeyError, TypeError):
                     pass  # the full decode below reports the line's own first fault
             if fields is not None:
-                t = _state_time(float(number))
+                t = check_timestamp(float(number))
             else:
                 obj = _decode(line)
                 if not isinstance(obj, dict):
@@ -301,7 +297,7 @@ def _states(source: Iterable[str]) -> Iterator[tuple]:
                 t = obj["t"]
                 if type(t) is not float:
                     t = _number(obj, "t")
-                t = _state_time(t)
+                t = check_timestamp(t)
                 fields = _state_fields(obj)
         except (ValueError, KeyError, TypeError) as exc:
             raise _line_error(exc, line, line_no) from None
@@ -440,6 +436,8 @@ def _read_document(source: IO[str], what: str) -> dict:
             raise ValueError(f"{what} must be a JSON object")
     except ValueError as exc:
         raise ParseError(f"{what}: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{what}: {_TOO_DEEP}") from None
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise VersionError(f"unsupported {what} format_version {version!r}")

@@ -13,7 +13,7 @@ convention over the inner-lip landmarks.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -39,22 +39,21 @@ def quantize_ms(t: float) -> int:
     return round(t * 1000.0)
 
 
-def _check_finite(points) -> bool:
-    isfinite = math.isfinite
-    for x, y in points:
-        if not (isfinite(x) and isfinite(y)):
-            return False
-    return True
+def check_timestamp(t: float) -> float:
+    """The one timestamp rule, for frames and state lines: t, if finite and non-negative."""
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"timestamp must be finite and non-negative, got {t!r}")
+    return t
 
 
 @dataclass(frozen=True, slots=True)
 class LandmarkFrame:
     """One timestamped set of 2-D facial landmarks under a declared scheme.
 
-    `finite` is not stored: a parser that already checked every coordinate
-    passes its verdict, so validation does not walk the points again; None
-    (the default) walks them. The checks run in a fixed order (scheme, t,
-    point count, finiteness), so a frame with several faults always reports
+    Construction is validation, and the only place a frame's validity is
+    decided: a known scheme, a timestamp check_timestamp accepts, then for a
+    face frame the scheme's point count and finite coordinates. The checks
+    run in that fixed order, so a frame with several faults always reports
     the same one.
     """
 
@@ -62,21 +61,21 @@ class LandmarkFrame:
     scheme: str
     points: tuple[Point, ...]
     face_present: bool
-    finite: InitVar[bool | None] = None
 
-    def __post_init__(self, finite):
+    def __post_init__(self):
         if self.scheme not in POINT_COUNTS:
             raise ValueError(f"unknown landmark scheme {self.scheme!r}")
-        if not (math.isfinite(self.t) and self.t >= 0.0):
-            raise ValueError(f"timestamp must be finite and non-negative, got {self.t!r}")
+        check_timestamp(self.t)
         if self.face_present:
             expected = POINT_COUNTS[self.scheme]
             if len(self.points) != expected:
                 raise ValueError(
                     f"scheme {self.scheme} requires {expected} points, got {len(self.points)}"
                 )
-            if not (_check_finite(self.points) if finite is None else finite):
-                raise ValueError("landmark coordinates must be finite")
+            isfinite = math.isfinite
+            for x, y in self.points:
+                if not (isfinite(x) and isfinite(y)):
+                    raise ValueError("landmark coordinates must be finite")
         elif self.points:
             raise ValueError("faceless frame must carry no points")
 

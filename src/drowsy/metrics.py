@@ -9,13 +9,17 @@ the vertical pairs,
 using Euclidean distances. Eyes score high when open and near zero when
 closed; the mouth ratio rises sharply during yawns. Both are invariant
 under translation, rotation, and uniform scaling.
+
+Finite coordinates can lie far enough apart to overflow a distance or a
+ratio. Each ratio is checked once, so a metric is a finite float or a
+GeometryError, never inf or nan.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import dist
+from math import dist, inf, isfinite
 from typing import Iterable, Iterator
 
 from .errors import GeometryError, PerclosUndefinedError, StreamOrderError
@@ -24,10 +28,13 @@ from .landmarks import LandmarkFrame, Point, SemanticPoints, quantize_ms, to_sem
 
 def _aspect_ratio(pts: tuple[Point, ...], what: str) -> float:
     p1, p2, p3, p4, p5, p6 = pts
-    horizontal = dist(p1, p4)
-    if horizontal == 0.0:
+    width = 2.0 * dist(p1, p4)
+    if width == 0.0:
         raise GeometryError(f"degenerate {what}: horizontal corner points coincide")
-    return (dist(p2, p6) + dist(p3, p5)) / (2.0 * horizontal)
+    ratio = (dist(p2, p6) + dist(p3, p5)) / width
+    if not isfinite(ratio) or width == inf:  # an infinite width reads any opening as 0
+        raise GeometryError(f"{what} aspect ratio overflows")
+    return ratio
 
 
 def compute_ear(eye: tuple[Point, ...]) -> float:
@@ -41,8 +48,13 @@ def compute_mar(mouth: tuple[Point, ...]) -> float:
 
 
 def compute_binocular_ear(sp: SemanticPoints) -> float:
-    """Mean of left and right eye aspect ratios (averaging damps one-eye noise)."""
-    return (compute_ear(sp.left_eye) + compute_ear(sp.right_eye)) / 2.0
+    """Mean of left and right eye aspect ratios (averaging damps one-eye noise).
+
+    Each ratio is halved before the sum, so two finite ratios cannot
+    overflow their mean. Halving a normal float is exact, so the result is
+    bit-equal to (left + right) / 2 wherever that is normal and finite.
+    """
+    return compute_ear(sp.left_eye) / 2.0 + compute_ear(sp.right_eye) / 2.0
 
 
 def compute_head_drop(sp: SemanticPoints) -> float:
@@ -57,7 +69,10 @@ def compute_head_drop(sp: SemanticPoints) -> float:
     if inter_ocular == 0.0:
         raise GeometryError("degenerate face: eye corners coincide")
     eye_level = (c0[1] + c1[1]) / 2.0
-    return (sp.nose_tip[1] - eye_level) / inter_ocular
+    ratio = (sp.nose_tip[1] - eye_level) / inter_ocular
+    if not isfinite(ratio) or inter_ocular == inf:
+        raise GeometryError("head-drop ratio overflows")
+    return ratio
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,13 +90,12 @@ def metric_sample(frame: LandmarkFrame) -> MetricSample:
     sp = to_semantic(frame)
     if sp is None:
         return MetricSample(t=frame.t, ear=None, mar=None, head_drop=None, face_present=False)
-    return MetricSample(
-        t=frame.t,
-        ear=compute_binocular_ear(sp),
-        mar=compute_mar(sp.mouth),
-        head_drop=compute_head_drop(sp),
-        face_present=True,
-    )
+    try:
+        ear, mar = compute_binocular_ear(sp), compute_mar(sp.mouth)
+        head_drop = compute_head_drop(sp)
+    except GeometryError as exc:
+        raise GeometryError(f"frame at t={frame.t:.3f}: {exc}") from None
+    return MetricSample(t=frame.t, ear=ear, mar=mar, head_drop=head_drop, face_present=True)
 
 
 def samples_from_frames(frames: Iterable[LandmarkFrame]) -> Iterator[MetricSample]:

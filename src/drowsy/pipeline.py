@@ -28,7 +28,8 @@ from math import fsum
 from typing import Callable, Iterable, Mapping, NamedTuple
 
 from .calibration import CalibrationProfile, require_finite
-from .errors import ConfigError, MissingLabelError, NoDataError, PerclosUndefinedError, StreamOrderError
+from .errors import ConfigError, GeometryError, MissingLabelError, NoDataError
+from .errors import PerclosUndefinedError, StreamOrderError
 from .landmarks import LandmarkFrame, quantize_ms, to_semantic
 from .metrics import PerclosWindow, compute_binocular_ear, compute_head_drop, compute_mar
 
@@ -103,7 +104,10 @@ class SmoothingBuffer:
         if not values:
             raise NoDataError("smoothing buffer is empty")
         # exactly-rounded sum: a constant buffer averages to the constant
-        return fsum(values) / len(values)
+        try:
+            return fsum(values) / len(values)
+        except OverflowError:
+            raise GeometryError("smoothed mean overflows") from None
 
     def __len__(self) -> int:
         return len(self._values)
@@ -276,12 +280,15 @@ class Pipeline:
         face = frame.face_present
         if face:
             sp = to_semantic(frame)
-            self._ear_buf.push(compute_binocular_ear(sp))
-            self._mar_buf.push(compute_mar(sp.mouth))
-            self._head_buf.push(compute_head_drop(sp))
-            s_ear = self._ear_buf.smoothed()
-            s_mar = self._mar_buf.smoothed()
-            s_head = self._head_buf.smoothed()
+            try:
+                self._ear_buf.push(compute_binocular_ear(sp))
+                self._mar_buf.push(compute_mar(sp.mouth))
+                self._head_buf.push(compute_head_drop(sp))
+                s_ear = self._ear_buf.smoothed()
+                s_mar = self._mar_buf.smoothed()
+                s_head = self._head_buf.smoothed()
+            except GeometryError as exc:
+                raise GeometryError(f"frame at t={t:.3f}: {exc}") from None
             if self.external is None:
                 eye_closed, mouth_yawn = threshold_states(profile, s_ear, s_mar)
             else:

@@ -11,7 +11,7 @@ from drowsy.calibration import (
     generalized_profile,
     trimmed_mean,
 )
-from drowsy.errors import CalibrationError, ConfigError
+from drowsy.errors import CalibrationError, ConfigError, GeometryError
 from drowsy.metrics import MetricSample
 
 
@@ -96,6 +96,12 @@ class TestCalibrate:
     def test_all_faceless_input(self):
         with pytest.raises(CalibrationError):
             calibrate(constant_samples(face=False))
+
+    def test_baseline_beyond_float_range_is_geometry_error(self):
+        # each ratio is finite, their sum is not: an input error, not a failed calibration
+        with pytest.raises(GeometryError) as err:
+            calibrate(constant_samples(mar=1e307))
+        assert str(err.value) == "frames t=0.000..4.967: trimmed mean of 120 values overflows"
 
     def test_coverage_counts_trailing_hold(self):
         # 150 frames at 30 fps: last frame at 4.967 s + one 33 ms hold = 5.0 s

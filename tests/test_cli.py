@@ -416,6 +416,57 @@ class TestExitCodes:
         assert out.read_text() == ""
 
 
+def overflow_stream(source, target, kind):
+    """Rewrite every frame's left eye so that its metrics leave float range.
+
+    "inf": p2/p6 at y = -+1.7e308, so the opening, and the EAR, is infinite.
+    "huge": both vertical pairs at y = -+4e307 over corners 0.5 apart, so
+    the EAR is 1.6e308: finite, but its running sums are not.
+    """
+    with open(source) as src:
+        frames = list(dio.read_frames(src))
+    edited = []
+    for frame in frames:
+        pts = list(frame.points)
+        if kind == "inf":
+            pts[1], pts[5] = (pts[1][0], -1.7e308), (pts[5][0], 1.7e308)
+        else:
+            pts[3] = (pts[0][0] + 0.5, pts[0][1])
+            for i, y in ((1, -4e307), (2, -4e307), (4, 4e307), (5, 4e307)):
+                pts[i] = (pts[i][0], y)
+        edited.append(dataclasses.replace(frame, points=tuple(pts)))
+    with open(target, "w") as sink:
+        dio.write_frames(sink, edited)
+
+
+OVERFLOWS = [
+    ("inf", "run", "frame at t=0.000: eye aspect ratio overflows"),
+    ("inf", "calibrate", "frame at t=0.000: eye aspect ratio overflows"),
+    ("huge", "run", "frame at t=0.067: smoothed mean overflows"),
+    ("huge", "calibrate", "frames t=0.000..5.967: trimmed mean of 144 values overflows"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, command, message", OVERFLOWS, ids=[f"{k}-{c}" for k, c, _ in OVERFLOWS]
+)
+def test_overflowing_metrics_are_input_errors(workspace, capsys, kind, command, message):
+    tmp_path, paths = workspace
+    frames = tmp_path / f"{kind}.frames.jsonl"
+    overflow_stream(paths["calib_frames"], frames, kind)
+    outputs = [tmp_path / "out.jsonl", tmp_path / "records.jsonl"]
+    if command == "run":
+        argv = ["run", "--input", str(frames), "--profile", str(paths["profile"]),
+                "--out", str(outputs[0]), "--records", str(outputs[1])]
+    else:
+        argv = ["calibrate", "--input", str(frames), "--out", str(outputs[0])]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"drowsy: {message}\n")
+    assert not any(path.exists() for path in outputs)
+    assert not list(tmp_path.glob(".drowsy-*"))
+
+
 class TestOutputHygiene:
     def test_no_partial_output_on_failure(self, workspace, tmp_path):
         _, paths = workspace
@@ -557,6 +608,20 @@ class TestPathRules:
         assert rc == 1
         assert err.startswith("drowsy: " + message.format(**names)), err
         assert out == "" and stdin.tell() == 0
+        assert self._tree(tmp_path) == before
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--labels", "{labels}"), ("--profile", "{new}"), ("--external", "{labels}")],
+    )
+    def test_directory_compare_refuses_single_stream_flags(self, files, capsys, flag, value):
+        tmp_path, names = files
+        before = self._tree(tmp_path)
+        capsys.readouterr()
+        rc = cli.main(["compare", "--input", names["pop"], flag, value.format(**names)])
+        assert rc == 1
+        message = f"drowsy: {flag} does not apply to a directory --input\n"
+        assert capsys.readouterr() == ("", message)
         assert self._tree(tmp_path) == before
 
     def test_distinct_paths_and_one_dash_per_direction_still_work(self, files, capsys,

@@ -407,10 +407,9 @@ def test_quick_fuzz_never_crashes():
 # --- reader equivalence --------------------------------------------------------
 # read_frames, read_states and load_external_states decode each line with one
 # scanner call (state lines with a known tail skip it), report blank lines
-# from the decode error, fold the finiteness check into the per-point loop
-# and build frames without a second walk over the points. The properties
-# below hold them to straightforward readers: a full decode() of every line,
-# the per-point checks, then LandmarkFrame(...) or FrameLabel(...).
+# from the decode error and convert [x, y] float points on a fast path. The
+# properties below hold them to straightforward readers: a full decode() of
+# every line, the per-point checks, then LandmarkFrame(...) or FrameLabel(...).
 
 
 def _reject_constant(token):
@@ -830,6 +829,36 @@ def test_blank_line_is_reported_with_its_number(reader, first, blank):
     assert str(err.value) == "line 2: blank line" and err.value.line_no == 2
 
 
+DEEP = "[" * 100_000 + "]" * 100_000  # far beyond the recursion limit
+
+
+@pytest.mark.parametrize(
+    "reader, first, line",
+    [
+        (dio.read_frames, '{"t": 0.000, "scheme": "semantic", "face": false, "points": []}',
+         '{"t": 0.100, "scheme": "semantic", "face": false, "points": ' + DEEP + "}"),
+        # the written head of a state line, so the memo path meets the nesting first
+        (dio.read_states, '{"t": 0.000, "face": false}',
+         '{"t": 0.100, "face": false, "x": ' + DEEP + "}"),
+        (dio.load_external_states, '{"t": 0.000, "face": false}', DEEP),
+        (dio.read_events, '{"kind": "eyes_closed", "onset_t": 1.000, "emitted_t": 2.000, '
+                          '"value": 0.100000, "threshold": 0.200000}', '{"kind": ' + DEEP + "}"),
+    ],
+    ids=["frames", "states", "external", "events"],
+)
+def test_nesting_beyond_the_recursion_limit_is_a_parse_error(reader, first, line):
+    with pytest.raises(ParseError) as err:
+        list(reader([first + "\n", line + "\n"]))
+    assert str(err.value) == "line 2: JSON nested too deeply" and err.value.line_no == 2
+
+
+def test_document_nesting_beyond_the_recursion_limit_is_a_parse_error():
+    text = '{"format_version": 1, "baseline_ear": ' + DEEP + "}\n"
+    with pytest.raises(ParseError) as err:
+        dio.read_profile(stdio.StringIO(text))
+    assert str(err.value) == "profile: JSON nested too deeply"
+
+
 def test_state_memo_decodes_each_distinct_tail_at_most_twice():
     _, truth = generate(sample_script(noise=0.5))
     sink = stdio.StringIO()
@@ -885,11 +914,12 @@ def test_read_frames_fault_precedence(line, message):
 
 
 # --- the point fast path ----------------------------------------------------------
-# read_frames hands each decoded points array to dio._points, which unpacks
-# [x, y] float pairs in one comprehension and sends every other array through
-# the general loop dio._convert_points. The arrays below are what the JSON
-# decoder can produce: lists, dicts with string keys, strings, ints of any
-# size, floats (1e400 decodes to inf), booleans and null.
+# read_frames hands each decoded points array to dio._points, which turns
+# [x, y] float pairs into tuples in C and sends every other array through
+# the general loop dio._convert_points; both return the points tuple, and
+# LandmarkFrame alone checks that the coordinates are finite. The arrays
+# below are what the JSON decoder can produce: lists, dicts with string keys,
+# strings, ints of any size, floats (1e400 decodes to inf), booleans and null.
 
 COORDINATES = st.one_of(
     st.floats(allow_nan=False),
@@ -922,12 +952,16 @@ def point_arrays(draw):
 
 
 def _points_outcome(convert, raw):
-    """Points (repr tells 1 from 1.0 and -0.0 from 0.0) and verdict, or the error."""
+    """The returned points (repr tells 1 from 1.0 and -0.0 from 0.0), or the error.
+
+    convert's whole result is compared, never unpacked: unpacking would raise
+    the same error on both sides for most arrays, and compare nothing.
+    """
     try:
-        points, finite = convert(raw)
+        points = convert(raw)
     except (ValueError, TypeError, OverflowError) as exc:
         return type(exc), str(exc)
-    return "ok", repr(points), finite
+    return "ok", repr(points)
 
 
 @settings(max_examples=500, deadline=None)

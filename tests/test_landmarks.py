@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -41,10 +42,17 @@ class TestLandmarkFrame:
             LandmarkFrame(t=0.0, scheme=SEMANTIC, points=((1.0, 2.0),), face_present=False)
 
     def test_rejects_non_finite(self):
-        pts = [(float(i), 0.0) for i in range(19)]
-        pts[4] = (float("nan"), 0.0)
-        with pytest.raises(ValueError):
-            LandmarkFrame(t=0.0, scheme=SEMANTIC, points=tuple(pts), face_present=True)
+        good = [(float(i), 0.0) for i in range(19)]
+        for bad in (math.inf, -math.inf, math.nan):
+            for at in (0, 9, 18):
+                for axis in (0, 1):
+                    pts = list(good)
+                    pts[at] = (bad, 0.0) if axis == 0 else (float(at), bad)
+                    with pytest.raises(ValueError, match="landmark coordinates must be finite"):
+                        LandmarkFrame(0.0, SEMANTIC, tuple(pts), True)
+                    # validity is the frame's own decision: no caller can vouch for the points
+                    with pytest.raises(TypeError):
+                        LandmarkFrame(0.0, SEMANTIC, tuple(pts), True, finite=True)
         with pytest.raises(ValueError):
             LandmarkFrame(t=float("inf"), scheme=SEMANTIC, points=(), face_present=False)
         with pytest.raises(ValueError):

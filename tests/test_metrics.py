@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from drowsy.errors import GeometryError, PerclosUndefinedError, StreamOrderError
-from drowsy.landmarks import SemanticPoints, to_semantic
+from drowsy.landmarks import SEMANTIC, LandmarkFrame, SemanticPoints, to_semantic
 from drowsy.metrics import (
     PerclosWindow,
     compute_binocular_ear,
@@ -73,6 +73,69 @@ class TestBinocularEar:
             )
             expected = (compute_ear(left) + compute_ear(right)) / 2.0
             assert compute_binocular_ear(sp) == expected
+
+
+def with_points(pts, **moved):
+    """pts with the points at the given p<i> positions (1-based, as in the formula) replaced."""
+    pts = list(pts)
+    for name, point in moved.items():
+        pts[int(name[1:]) - 1] = point
+    return tuple(pts)
+
+
+class TestOverflow:
+    # finite coordinates so far apart that a distance or a ratio leaves float range
+
+    @pytest.mark.parametrize("compute, what", [(compute_ear, "eye"), (compute_mar, "mouth")])
+    def test_opening_beyond_float_range_is_rejected(self, compute, what):
+        pts = with_points(hexagon(4.0, 1.0), p2=(4 / 3, -1.7e308), p6=(4 / 3, 1.7e308))
+        with pytest.raises(GeometryError) as err:
+            compute(pts)
+        assert str(err.value) == f"{what} aspect ratio overflows"
+
+    @pytest.mark.parametrize("p4", [(1e308, 0.0), (2e307, 1e308)], ids=["distance", "doubled"])
+    def test_infinite_width_is_rejected_not_read_as_closed(self, p4):
+        # 2 * |p1 - p4| overflows: the opening would otherwise divide to 0.0
+        pts = with_points(hexagon(4.0, 1.0), p1=(-1e308, 0.0), p4=p4)
+        with pytest.raises(GeometryError, match="eye aspect ratio overflows"):
+            compute_ear(pts)
+
+    def test_binocular_mean_of_two_huge_ratios_is_finite(self):
+        eye = with_points(
+            hexagon(0.5, 1.0),
+            p2=(0.2, -4e307), p3=(0.3, -4e307), p5=(0.3, 4e307), p6=(0.2, 4e307),
+        )
+        right = tuple((x + 10.0, y) for x, y in eye)
+        sp = SemanticPoints(eye, right, hexagon(6.0, 3.0, y0=20.0), (7.0, 10.0))
+        assert compute_ear(eye) == compute_ear(right) == 1.6e308  # finite ratios are kept
+        assert compute_binocular_ear(sp) == 1.6e308
+
+    @pytest.mark.parametrize(
+        "left_corner, right_corner, nose",
+        [
+            ((-50.0, -1.7e308), (50.0, -1.7e308), (0.0, 1.7e308)),  # the drop overflows
+            ((-1e308, 0.0), (1e308, 0.0), (0.0, 55.0)),  # the inter-ocular distance overflows
+        ],
+        ids=["drop", "inter-ocular"],
+    )
+    def test_head_drop_beyond_float_range_is_rejected(self, left_corner, right_corner, nose):
+        sp = to_semantic(semantic_frame())
+        broken = SemanticPoints(
+            left_eye=(left_corner,) + sp.left_eye[1:],
+            right_eye=sp.right_eye[:3] + (right_corner,) + sp.right_eye[4:],
+            mouth=sp.mouth,
+            nose_tip=nose,
+        )
+        with pytest.raises(GeometryError) as err:
+            compute_head_drop(broken)
+        assert str(err.value) == "head-drop ratio overflows"
+
+    def test_metric_sample_names_the_frame(self):
+        frame = semantic_frame(t=1.5)
+        pts = with_points(frame.points, p2=(0.0, -1.7e308), p6=(0.0, 1.7e308))
+        with pytest.raises(GeometryError) as err:
+            metric_sample(LandmarkFrame(1.5, SEMANTIC, pts, True))
+        assert str(err.value) == "frame at t=1.500: eye aspect ratio overflows"
 
 
 class TestMar:

@@ -8,7 +8,12 @@ import pytest
 import drowsy
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted([*(ROOT / "src" / "drowsy").glob("*.py"), *(ROOT / "scripts").glob("*.py")])
+# bench/ is in pytest's testpaths, so tier-1 imports its modules too
+MODULES = sorted(
+    path
+    for directory in (ROOT / "src" / "drowsy", ROOT / "scripts", ROOT / "bench")
+    for path in directory.glob("*.py")
+)
 
 
 def test_public_names_resolve():
@@ -57,7 +62,7 @@ FLOOR = tuple(
 )
 SOURCES = sorted(
     path
-    for directory in (ROOT / "src" / "drowsy", ROOT / "scripts", ROOT / "tests")
+    for directory in (ROOT / "src" / "drowsy", ROOT / "scripts", ROOT / "tests", ROOT / "bench")
     for path in directory.glob("*.py")
 )
 

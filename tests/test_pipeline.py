@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from drowsy.calibration import generalized_profile
-from drowsy.errors import ConfigError, MissingLabelError, NoDataError, StreamOrderError
+from drowsy.errors import ConfigError, GeometryError, MissingLabelError, NoDataError
+from drowsy.errors import StreamOrderError
 from drowsy.landmarks import LandmarkFrame, SEMANTIC, to_semantic
 from drowsy.metrics import compute_binocular_ear, compute_head_drop, compute_mar
 from drowsy.pipeline import (
@@ -70,6 +71,33 @@ class TestSmoothingBuffer:
     def test_empty_buffer_error(self):
         with pytest.raises(NoDataError):
             SmoothingBuffer(3).smoothed()
+
+    def test_mean_beyond_float_range_is_geometry_error(self):
+        buf = SmoothingBuffer(3)
+        buf.push(1.6e308)
+        assert buf.smoothed() == 1.6e308
+        buf.push(1.6e308)
+        with pytest.raises(GeometryError, match="smoothed mean overflows"):
+            buf.smoothed()
+
+
+def huge_ear_frame(t):
+    """A left-eye opening of 8e307 over a 0.5 width: EAR 1.6e308, finite on its own."""
+    pts = list(semantic_frame(t=t).points)
+    x0, y0 = pts[0]
+    pts[3] = (x0 + 0.5, y0)
+    for i, y in ((1, -4e307), (2, -4e307), (4, 4e307), (5, 4e307)):
+        pts[i] = (pts[i][0], y)
+    return LandmarkFrame(t, SEMANTIC, tuple(pts), True)
+
+
+def test_step_names_the_frame_whose_smoothed_mean_overflows():
+    pipe = Pipeline(profile())
+    pipe.step(huge_ear_frame(0.0))  # binocular EAR about 8e307
+    pipe.step(huge_ear_frame(0.033))
+    with pytest.raises(GeometryError) as err:
+        pipe.step(huge_ear_frame(0.067))  # three of them sum past float max
+    assert str(err.value) == "frame at t=0.067: smoothed mean overflows"
 
 
 class TestChannelState:
