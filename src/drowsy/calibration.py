@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
 
 from .errors import CalibrationError, ConfigError, GeometryError
-from .landmarks import quantize_ms
+from .landmarks import MAX_SECONDS, quantize_ms
 from .metrics import MetricSample
 
 TRIM_FRACTION = 0.10
@@ -40,6 +40,8 @@ class CalibrationConfig:
         require_finite(asdict(self))
         if self.duration_s <= 0.0 or self.min_samples < 1:
             raise ConfigError("calibration duration and minimum sample count must be positive")
+        if self.duration_s > MAX_SECONDS:
+            raise ConfigError(f"calibration duration must be at most {MAX_SECONDS!r} s")
         if min(self.ear_factor, self.mar_factor, self.head_factor) <= 0.0:
             raise ConfigError("threshold factors must be positive")
 
@@ -121,13 +123,17 @@ def calibrate(samples: Iterable[MetricSample], config: CalibrationConfig | None 
     except GeometryError as exc:
         ts = [s.t for s in face]
         raise GeometryError(f"frames t={min(ts):.3f}..{max(ts):.3f}: {exc}") from None
+    thresholds = {
+        "ear_threshold": config.ear_factor * baseline_ear,
+        "mar_threshold": config.mar_factor * baseline_mar,
+        "head_drop_limit": config.head_factor * baseline_head,
+    }
+    require_finite(thresholds)  # a finite factor times a finite baseline can overflow
     return CalibrationProfile(
         baseline_ear=baseline_ear,
         baseline_mar=baseline_mar,
         baseline_head_drop=baseline_head,
-        ear_threshold=config.ear_factor * baseline_ear,
-        mar_threshold=config.mar_factor * baseline_mar,
-        head_drop_limit=config.head_factor * baseline_head,
+        **thresholds,
         ear_factor=config.ear_factor,
         mar_factor=config.mar_factor,
         head_factor=config.head_factor,

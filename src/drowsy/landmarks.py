@@ -30,6 +30,9 @@ SEMANTIC = "semantic"
 #: corners are the corner members of the eye hexagons, not extra points.
 POINT_COUNTS = {DLIB68: 68, MESH468: 468, SEMANTIC: 19}
 
+#: The largest seconds value with a millisecond key: above it t * 1000 overflows.
+MAX_SECONDS = 1.7976931348623156e305
+
 
 def quantize_ms(t: float) -> int:
     """Seconds to integer milliseconds, the package-wide timestamp resolution.
@@ -40,9 +43,12 @@ def quantize_ms(t: float) -> int:
 
 
 def check_timestamp(t: float) -> float:
-    """The one timestamp rule, for frames and state lines: t, if finite and non-negative."""
-    if not (math.isfinite(t) and t >= 0.0):
-        raise ValueError(f"timestamp must be finite and non-negative, got {t!r}")
+    """The one timestamp rule, for frames and state lines: t, if it has a millisecond key.
+
+    That is a t in [0, MAX_SECONDS]; the comparison also refuses nan and infinities.
+    """
+    if not 0.0 <= t <= MAX_SECONDS:
+        raise ValueError(f"timestamp must be finite and in [0, {MAX_SECONDS!r}] s, got {t!r}")
     return t
 
 

@@ -2,11 +2,12 @@
 
 Raw metrics are averaged over a trailing frame buffer before any threshold
 comparison, so blinks and speech do not flip decisions. Each alarm channel
-(eyes, mouth, head, presence, perclos) runs an independent debounced state
-machine: a condition must hold continuously for the channel's sustain
-duration before one alert is emitted, and the channel re-arms only after
-the condition has been absent for a fixed number of frames. Threshold
-comparisons are strict, so a value exactly at its threshold never triggers.
+runs an independent debounced state machine and is named by the alert kind
+it emits (ALL_EVENT_KINDS, in per-frame evaluation order): a condition must
+hold continuously for the channel's sustain duration before one alert is
+emitted, and the channel re-arms only after the condition has been absent
+for a fixed number of frames. Threshold comparisons are strict, so a value
+exactly at its threshold never triggers.
 
 Faceless frames freeze the eye/mouth/head channels (buffers keep their
 contents, state machines do not advance) and feed only the presence
@@ -21,7 +22,6 @@ Separate instances are fully independent.
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import asdict, dataclass
 from math import fsum
@@ -30,24 +30,11 @@ from typing import Callable, Iterable, Mapping, NamedTuple
 from .calibration import CalibrationProfile, require_finite
 from .errors import ConfigError, GeometryError, MissingLabelError, NoDataError
 from .errors import PerclosUndefinedError, StreamOrderError
-from .landmarks import LandmarkFrame, quantize_ms, to_semantic
+from .landmarks import MAX_SECONDS, LandmarkFrame, quantize_ms, to_semantic
 from .metrics import PerclosWindow, compute_binocular_ear, compute_head_drop, compute_mar
 
-CHANNEL_EYES = "eyes"
-CHANNEL_MOUTH = "mouth"
-CHANNEL_HEAD = "head"
-CHANNEL_PRESENCE = "presence"
-CHANNEL_PERCLOS = "perclos"
-
-#: Alert kind emitted per channel, in the fixed per-frame evaluation order.
-EVENT_KINDS = {
-    CHANNEL_EYES: "eyes_closed",
-    CHANNEL_MOUTH: "yawning",
-    CHANNEL_HEAD: "head_down",
-    CHANNEL_PRESENCE: "driver_missing",
-    CHANNEL_PERCLOS: "perclos_high",
-}
-ALL_EVENT_KINDS = tuple(EVENT_KINDS.values())
+#: The alert kind of each alarm channel, in the fixed per-frame evaluation order.
+ALL_EVENT_KINDS = ("eyes_closed", "yawning", "head_down", "driver_missing", "perclos_high")
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,21 +53,27 @@ class PipelineConfig:
         require_finite(asdict(self))
         if self.buffer_capacity < 1:
             raise ConfigError("buffer capacity must be at least 1")
-        sustains = (
+        sustains = self.sustains().values()
+        if min(sustains) < 0.0:
+            raise ConfigError("sustain durations cannot be negative")
+        if max(sustains) > MAX_SECONDS:
+            raise ConfigError(f"sustain durations must be at most {MAX_SECONDS!r} s")
+        if self.rearm_frames < 0:
+            raise ConfigError("re-arm frame count cannot be negative")
+        if not 0.0 < self.perclos_window_s <= MAX_SECONDS:
+            raise ConfigError(f"PERCLOS window must be positive and at most {MAX_SECONDS!r} s")
+        if not 0.0 <= self.perclos_limit <= 100.0:
+            raise ConfigError("PERCLOS limit is a percentage")
+
+    def sustains(self) -> dict[str, float]:
+        """Each alert kind's sustain duration in seconds, in ALL_EVENT_KINDS order."""
+        return dict(zip(ALL_EVENT_KINDS, (
             self.sustain_eyes_s,
             self.sustain_mouth_s,
             self.sustain_head_s,
             self.sustain_presence_s,
             self.sustain_perclos_s,
-        )
-        if min(sustains) < 0.0:
-            raise ConfigError("sustain durations cannot be negative")
-        if self.rearm_frames < 0:
-            raise ConfigError("re-arm frame count cannot be negative")
-        if self.perclos_window_s <= 0.0:
-            raise ConfigError("PERCLOS window must be positive")
-        if not 0.0 <= self.perclos_limit <= 100.0:
-            raise ConfigError("PERCLOS limit is a percentage")
+        )))
 
 
 class SmoothingBuffer:
@@ -235,31 +228,21 @@ class Pipeline:
         self._head_buf = SmoothingBuffer(cap)
         self._window = PerclosWindow(self.config.perclos_window_s)
 
-        config = self.config
-        rearm = config.rearm_frames
-        sustains = {
-            CHANNEL_EYES: config.sustain_eyes_s,
-            CHANNEL_MOUTH: config.sustain_mouth_s,
-            CHANNEL_HEAD: config.sustain_head_s,
-            CHANNEL_PRESENCE: config.sustain_presence_s,
-            CHANNEL_PERCLOS: config.sustain_perclos_s,
-        }
-        self._channels = {
-            channel: ChannelState(quantize_ms(sustain_s), rearm)
-            for channel, sustain_s in sustains.items()
-        }
+        sustains = self.config.sustains()
+        rearm = self.config.rearm_frames
+        self._channels = {kind: ChannelState(quantize_ms(s), rearm) for kind, s in sustains.items()}
+        # the driver_missing alert reports its sustain time as its threshold
+        self._presence_sustain_s = sustains["driver_missing"]
         self._last_t_ms: int | None = None
         self.frames = 0
         self.faceless_frames = 0
-        self.alert_counts = {kind: 0 for kind in ALL_EVENT_KINDS}
+        self.alert_counts = dict.fromkeys(ALL_EVENT_KINDS, 0)
 
-    def _emit(self, channel: str, t_ms: int, value: float, threshold: float) -> AlertEvent:
-        state = self._channels[channel]
-        kind = EVENT_KINDS[channel]
+    def _emit(self, kind: str, t_ms: int, value: float, threshold: float) -> AlertEvent:
         self.alert_counts[kind] += 1
         return AlertEvent(
             kind=kind,
-            onset_t=state.condition_since_ms / 1000.0,
+            onset_t=self._channels[kind].condition_since_ms / 1000.0,
             emitted_t=t_ms / 1000.0,
             value=value,
             threshold=threshold,
@@ -306,36 +289,28 @@ class Pipeline:
             perclos_value = None
 
         if face:
-            if self._channels[CHANNEL_EYES].advance(eye_closed, t_ms):
-                events.append(self._emit(CHANNEL_EYES, t_ms, s_ear, profile.ear_threshold))
-            if self._channels[CHANNEL_MOUTH].advance(mouth_yawn, t_ms):
-                events.append(self._emit(CHANNEL_MOUTH, t_ms, s_mar, profile.mar_threshold))
-            if self._channels[CHANNEL_HEAD].advance(head_down, t_ms):
-                events.append(self._emit(CHANNEL_HEAD, t_ms, s_head, profile.head_drop_limit))
+            if self._channels["eyes_closed"].advance(eye_closed, t_ms):
+                events.append(self._emit("eyes_closed", t_ms, s_ear, profile.ear_threshold))
+            if self._channels["yawning"].advance(mouth_yawn, t_ms):
+                events.append(self._emit("yawning", t_ms, s_mar, profile.mar_threshold))
+            if self._channels["head_down"].advance(head_down, t_ms):
+                events.append(self._emit("head_down", t_ms, s_head, profile.head_drop_limit))
 
-        presence = self._channels[CHANNEL_PRESENCE]
+        presence = self._channels["driver_missing"]
         if presence.advance(not face, t_ms):
             absent_s = (t_ms - presence.condition_since_ms) / 1000.0
-            events.append(
-                self._emit(CHANNEL_PRESENCE, t_ms, absent_s, self.config.sustain_presence_s)
-            )
+            events.append(self._emit("driver_missing", t_ms, absent_s, self._presence_sustain_s))
 
         perclos_high = perclos_value is not None and perclos_value > self.config.perclos_limit
-        if self._channels[CHANNEL_PERCLOS].advance(perclos_high, t_ms):
+        if self._channels["perclos_high"].advance(perclos_high, t_ms):
             events.append(
-                self._emit(CHANNEL_PERCLOS, t_ms, perclos_value, self.config.perclos_limit)
+                self._emit("perclos_high", t_ms, perclos_value, self.config.perclos_limit)
             )
 
         record = FrameRecord(
             t, face, s_ear, s_mar, s_head, eye_closed, mouth_yawn, head_down, perclos_value
         )
         return record, tuple(events)
-
-    def final_perclos(self) -> float | None:
-        try:
-            return self._window.perclos()
-        except PerclosUndefinedError:
-            return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -344,7 +319,6 @@ class SessionSummary:
     faceless_frames: int
     alerts: dict[str, int]
     final_perclos: float | None
-    throughput_fps: float
 
 
 @dataclass(frozen=True, slots=True)
@@ -365,14 +339,16 @@ def run_session(
 ) -> SessionResult:
     """Fold step() over a frame stream.
 
-    Deterministic for a given stream and configuration. With collect=False
+    Deterministic for a given stream and configuration: equal inputs give
+    equal records, events and summary. The summary holds no timing; a
+    caller that wants throughput times the call itself. With collect=False
     nothing is accumulated (pass sinks instead), so memory stays bounded by
     the smoothing buffers and the PERCLOS window regardless of stream length.
     """
     pipe = Pipeline(profile, config, external)
     events: list[AlertEvent] = []
     records: list[FrameRecord] = []
-    start = time.perf_counter()
+    record = None
     for frame in frames:
         record, new_events = pipe.step(frame)
         if on_record is not None:
@@ -384,12 +360,11 @@ def run_session(
                 on_event(ev)
             if collect:
                 events.append(ev)
-    elapsed = time.perf_counter() - start
     summary = SessionSummary(
         frames=pipe.frames,
         faceless_frames=pipe.faceless_frames,
         alerts=dict(pipe.alert_counts),
-        final_perclos=pipe.final_perclos(),
-        throughput_fps=pipe.frames / elapsed if elapsed > 0 else 0.0,
+        # the PERCLOS window is not touched after the last record is built
+        final_perclos=None if record is None else record.perclos,
     )
     return SessionResult(events=events, records=records, summary=summary)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import ScriptError
-from .landmarks import SEMANTIC, LandmarkFrame, Point
+from .landmarks import MAX_SECONDS, SEMANTIC, LandmarkFrame, Point, check_timestamp
 
 EVENT_BLINK = "blink"
 EVENT_CLOSURE = "sustained_closure"
@@ -82,6 +82,10 @@ class SessionScript:
             raise ScriptError("fps and duration must be positive")
         if not math.isfinite(self.fps * self.duration_s):
             raise ScriptError("frame count fps * duration_s must be finite")
+        try:
+            check_timestamp(_frame_t(max(self.frame_count - 1, 0), self.fps))
+        except (OverflowError, ValueError):
+            raise ScriptError(f"frame times must be at most {MAX_SECONDS!r} s") from None
         if self.noise_sigma < 0.0:
             raise ScriptError("noise_sigma cannot be negative")
         d = self.driver
@@ -102,6 +106,11 @@ class SessionScript:
     @property
     def frame_count(self) -> int:
         return round(self.duration_s * self.fps)
+
+
+def _frame_t(i: int, fps: float) -> float:
+    """Frame i's time, on the millisecond grid; no later frame has an earlier time."""
+    return round(1000.0 * i / fps) / 1000.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -170,7 +179,7 @@ def iter_session(script: SessionScript) -> Iterator[tuple[LandmarkFrame, FrameLa
     driver = script.driver
     events = script.events
     for i in range(script.frame_count):
-        t = round(1000.0 * i / script.fps) / 1000.0
+        t = _frame_t(i, script.fps)
 
         eye_mult = 1.0
         mouth_mult = 1.0

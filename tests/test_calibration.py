@@ -12,6 +12,7 @@ from drowsy.calibration import (
     trimmed_mean,
 )
 from drowsy.errors import CalibrationError, ConfigError, GeometryError
+from drowsy.landmarks import MAX_SECONDS
 from drowsy.metrics import MetricSample
 
 
@@ -103,6 +104,17 @@ class TestCalibrate:
             calibrate(constant_samples(mar=1e307))
         assert str(err.value) == "frames t=0.000..4.967: trimmed mean of 120 values overflows"
 
+    @pytest.mark.parametrize("factor", ["ear_factor", "mar_factor", "head_factor"])
+    def test_threshold_beyond_float_range_is_config_error(self, factor):
+        # finite baselines above 1 times a finite factor: the product overflows
+        limit = {"ear_factor": "ear_threshold", "mar_factor": "mar_threshold",
+                 "head_factor": "head_drop_limit"}[factor]
+        samples = constant_samples(n=180, span_s=6.0, ear=1.2, mar=1.2, head=1.2)
+        with pytest.raises(ConfigError) as err:
+            calibrate(samples, CalibrationConfig(**{factor: 1.7e308}))
+        assert str(err.value) == f"{limit} must be finite, got inf"
+        assert calibrate(samples, CalibrationConfig(**{factor: 1.4e308})).personalized
+
     def test_coverage_counts_trailing_hold(self):
         # 150 frames at 30 fps: last frame at 4.967 s + one 33 ms hold = 5.0 s
         samples = [
@@ -180,3 +192,8 @@ def test_config_validation():
         CalibrationConfig(min_samples=0)
     with pytest.raises(ConfigError):
         CalibrationConfig(ear_factor=-0.5)
+    # the duration's millisecond key must exist: 1e308 s * 1000 overflows
+    assert CalibrationConfig(duration_s=MAX_SECONDS).duration_s == MAX_SECONDS
+    for seconds in (math.nextafter(MAX_SECONDS, math.inf), 1e308):
+        with pytest.raises(ConfigError, match="calibration duration must be at most"):
+            CalibrationConfig(duration_s=seconds)

@@ -16,6 +16,8 @@ from drowsy.calibration import CalibrationConfig, generalized_profile
 from drowsy.pipeline import PipelineConfig
 from drowsy.synth import DriverParams, ScriptEvent, SessionScript
 
+DRIVER = DriverParams(0.32, 0.40, 0.55, 200.0)
+
 
 def write_script_file(path, duration=30.0, events=(), noise=0.0, seed=5, ear=0.32, mar=0.40):
     script = SessionScript(
@@ -340,6 +342,22 @@ class TestExitCodes:
         assert f"field '{field}' must be finite" in err
         assert not out.exists() and not labels.exists()
 
+    def test_script_frame_time_without_millisecond_key_is_input_error(self, tmp_path, capsys):
+        # 100 frames, but 1000 * i / fps overflows from frame 2 on
+        source = tmp_path / "keyless.script.json"
+        with open(source, "w") as fp:
+            dio.write_script(fp, SessionScript(fps=30.0, duration_s=1.0, driver=DRIVER))
+        source.write_text(re.sub(r'"duration_s": [^,\n]+', '"duration_s": 1e307',
+                                 re.sub(r'"fps": [^,\n]+', '"fps": 1e-305', source.read_text())))
+        out = tmp_path / "out.jsonl"
+        labels = tmp_path / "out.labels.jsonl"
+        argv = ["synth", "--script", str(source), "--out", str(out), "--labels", str(labels)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "drowsy: frame times must be at most 1.7976931348623156e+305 s\n"
+        )
+        assert not out.exists() and not labels.exists()
+
     def test_script_frame_count_overflow_is_input_error(self, workspace, tmp_path, capsys):
         _, paths = workspace
         source = (tmp_path / "session.script.json").read_text()
@@ -465,6 +483,59 @@ def test_overflowing_metrics_are_input_errors(workspace, capsys, kind, command, 
     assert capsys.readouterr() == ("", f"drowsy: {message}\n")
     assert not any(path.exists() for path in outputs)
     assert not list(tmp_path.glob(".drowsy-*"))
+
+
+KEYLESS = "timestamp must be finite and in [0, 1.7976931348623156e+305] s, got 1e+306"
+
+
+@pytest.mark.parametrize("command", ["run", "calibrate", "eval", "run --external"])
+def test_timestamp_without_millisecond_key_is_input_error(workspace, capsys, command):
+    tmp_path, paths = workspace
+    source = paths["calib_frames"] if command in ("run", "calibrate") else paths["labels"]
+    lines = source.read_text().splitlines(keepends=True)
+    lines[1] = re.sub(r'"t": [0-9.]+', '"t": 1e306', lines[1], count=1)
+    bad = tmp_path / ("keyless" + "".join(source.suffixes))
+    bad.write_text("".join(lines))
+    outputs = [tmp_path / "out.jsonl", tmp_path / "out.records.jsonl"]
+    argv = {
+        "run": ["run", "--input", str(bad), "--profile", str(paths["profile"]),
+                "--out", str(outputs[0]), "--records", str(outputs[1])],
+        "calibrate": ["calibrate", "--input", str(bad), "--out", str(outputs[0])],
+        "eval": ["eval", "--pred", str(bad), "--labels", str(paths["labels"]),
+                 "--channel", "eye", "--json", str(outputs[0])],
+        "run --external": ["run", "--input", str(paths["frames"]),
+                           "--profile", str(paths["profile"]), "--external", str(bad),
+                           "--out", str(outputs[0]), "--records", str(outputs[1])],
+    }[command]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"drowsy: line 2: {KEYLESS}\n")
+    assert not any(path.exists() for path in outputs)
+    assert not list(tmp_path.glob(".drowsy-*"))
+
+
+@pytest.mark.parametrize("command", ["calibrate", "compare"])
+def test_threshold_beyond_float_range_is_input_error(tmp_path, capsys, command):
+    # a head-drop baseline of 1.2 times --head-factor 1.7e308 overflows
+    script = SessionScript(fps=30.0, duration_s=6.0, driver=DriverParams(0.32, 0.40, 1.2, 200.0))
+    script_path = tmp_path / "head.script.json"
+    with open(script_path, "w") as fp:
+        dio.write_script(fp, script)
+    drivers = tmp_path / "drivers"
+    drivers.mkdir()
+    frames = drivers / "d1.frames.jsonl"
+    assert cli.main(["synth", "--script", str(script_path), "--out", str(frames),
+                     "--labels", str(drivers / "d1.labels.jsonl")]) == 0
+    out = tmp_path / "out.json"
+    if command == "calibrate":
+        argv = ["calibrate", "--input", str(frames), "--out", str(out)]
+    else:
+        argv = ["compare", "--input", str(drivers), "--json", str(out)]
+    capsys.readouterr()
+    assert cli.main([*argv, "--head-factor", "1.7e308"]) == 1
+    assert capsys.readouterr() == ("", "drowsy: head_drop_limit must be finite, got inf\n")
+    assert not out.exists()
+    assert cli.main([*argv, "--head-factor", "1.4e308"]) == 0 and out.exists()
 
 
 class TestOutputHygiene:
@@ -731,6 +802,19 @@ CONFIG_FLAGS = [
      "mar_threshold must be finite"),
     (("compare",), "--gen-head", generalized_profile, "head_drop_limit", "inf",
      "head_drop_limit must be finite"),
+    # finite durations whose millisecond key (seconds * 1000) overflows
+    (("run", "compare"), "--sustain-eyes", PipelineConfig, "sustain_eyes_s", "1e308",
+     "sustain durations must be at most 1.7976931348623156e+305 s"),
+    (("run", "compare"), "--sustain-head", PipelineConfig, "sustain_head_s", "1e308",
+     "sustain durations must be at most"),
+    (("run", "compare"), "--sustain-perclos", PipelineConfig, "sustain_perclos_s", "1e306",
+     "sustain durations must be at most"),
+    (("run", "compare"), "--perclos-window", PipelineConfig, "perclos_window_s", "1e308",
+     "PERCLOS window must be positive and at most"),
+    (("calibrate",), "--duration", CalibrationConfig, "duration_s", "1e308",
+     "calibration duration must be at most"),
+    (("compare",), "--calib-duration", CalibrationConfig, "duration_s", "1e308",
+     "calibration duration must be at most"),
 ]
 
 # Config groups in the order commands validate them; a bad value in an
@@ -758,8 +842,9 @@ def _config_default(config, name):
 @pytest.mark.parametrize(
     "commands, flag, config, name, bad, message",
     CONFIG_FLAGS,
-    ids=[flag if math.isfinite(float(bad)) else f"{flag}={bad}"
-         for _, flag, _, _, bad, _ in CONFIG_FLAGS],
+    # a flag's first case is named by the flag alone, any later one by flag=value
+    ids=[flag if all(other != flag for _, other, *_ in CONFIG_FLAGS[:i]) else f"{flag}={bad}"
+         for i, (_, flag, _, _, bad, _) in enumerate(CONFIG_FLAGS)],
 )
 def test_config_flag_default_and_validation(
     commands, flag, config, name, bad, message, tmp_path, monkeypatch, capsys

@@ -495,8 +495,11 @@ def reference_read_states(source):
             if not isinstance(obj, dict):
                 raise ValueError("state line must be a JSON object")
             t = _reference_number(obj, "t")
-            if not (math.isfinite(t) and t >= 0.0):
-                raise ValueError(f"timestamp must be finite and non-negative, got {t!r}")
+            # t must have a millisecond key: t * 1000 finite, which also refuses nan and inf
+            if not (math.isfinite(t * 1000.0) and t >= 0.0):
+                raise ValueError(
+                    f"timestamp must be finite and in [0, 1.7976931348623156e+305] s, got {t!r}"
+                )
             face = _reference_boolean(obj, "face")
             if face:
                 eye = _reference_state(obj, "eye", dio.EYE_STATES)
@@ -575,7 +578,11 @@ def _line(fields, spacing, extra=""):
 
 ODD_NUMBERS = ["1e400", "-1e400", "1" + "0" * 400, "-" + "9" * 400, "NaN", "Infinity", "7", "-0"]
 NOT_NUMBERS = ["true", "false", "null", '"1.5"', "[1.0]", "{}"]
-T_TOKENS = ["-0.5", "-1e400", "1e400", "1" + "0" * 400, '"0.1"', "true", "-0.0", "0.0"]
+# 1e306 and its digits are finite, but have no millisecond key
+KEYLESS_T = "1" + "0" * 306 + ".500"  # the written head form, so the state memo path sees it
+T_TOKENS = [
+    "-0.5", "-1e400", "1e400", "1" + "0" * 400, '"0.1"', "true", "-0.0", "0.0", "1e306", KEYLESS_T
+]
 WHOLE_LINES = ["[1, 2]", "7", '"frame"', "null", "{", "not json", "]", "", "   "]
 
 
@@ -850,6 +857,28 @@ def test_nesting_beyond_the_recursion_limit_is_a_parse_error(reader, first, line
     with pytest.raises(ParseError) as err:
         list(reader([first + "\n", line + "\n"]))
     assert str(err.value) == "line 2: JSON nested too deeply" and err.value.line_no == 2
+
+
+@pytest.mark.parametrize(
+    "reader, first, line",
+    [
+        (dio.read_frames, '{"t": 0.000, "scheme": "semantic", "face": false, "points": []}',
+         '{"t": 1e306, "scheme": "semantic", "face": false, "points": []}'),
+        (dio.read_states, '{"t": 0.000, "face": false}', f'{{"t": {KEYLESS_T}, "face": false}}'),
+        (dio.read_states, '{"t": 0.000, "face": false}', '{"t": 1e306, "face": false}'),
+        (dio.load_external_states, '{"t": 0.000, "face": false}',
+         f'{{"t": {KEYLESS_T}, {OPEN_TAIL}'),
+    ],
+    ids=["frames", "states-memo", "states-decode", "external"],
+)
+def test_timestamp_without_a_millisecond_key_is_a_parse_error(reader, first, line):
+    _set_memo(warm=True)
+    with pytest.raises(ParseError) as err:
+        list(reader([first + "\n", line + "\n"]))
+    assert err.value.line_no == 2
+    assert str(err.value) == (
+        "line 2: timestamp must be finite and in [0, 1.7976931348623156e+305] s, got 1e+306"
+    )
 
 
 def test_document_nesting_beyond_the_recursion_limit_is_a_parse_error():

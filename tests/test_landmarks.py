@@ -9,6 +9,7 @@ from drowsy.errors import ConfigError, GeometryError
 from drowsy.landmarks import (
     DLIB68,
     DLIB68_MAP,
+    MAX_SECONDS,
     MESH468,
     MESH468_MAP,
     POINT_COUNTS,
@@ -17,6 +18,8 @@ from drowsy.landmarks import (
     LandmarkFrame,
     SemanticPoints,
     builtin_scheme_map,
+    check_timestamp,
+    quantize_ms,
     to_semantic,
 )
 
@@ -57,6 +60,19 @@ class TestLandmarkFrame:
             LandmarkFrame(t=float("inf"), scheme=SEMANTIC, points=(), face_present=False)
         with pytest.raises(ValueError):
             LandmarkFrame(t=-1.0, scheme=SEMANTIC, points=(), face_present=False)
+
+    def test_timestamp_bound_is_the_largest_with_a_millisecond_key(self):
+        assert quantize_ms(MAX_SECONDS) == round(MAX_SECONDS * 1000.0)
+        assert check_timestamp(MAX_SECONDS) == MAX_SECONDS
+        assert faceless(t=MAX_SECONDS).t == MAX_SECONDS
+        beyond = math.nextafter(MAX_SECONDS, math.inf)
+        with pytest.raises(OverflowError):
+            quantize_ms(beyond)
+        for t in (beyond, 1e306, math.inf, math.nan, -math.inf, -5e-324):
+            with pytest.raises(ValueError, match=r"timestamp must be finite and in \[0, "):
+                check_timestamp(t)
+            with pytest.raises(ValueError, match="timestamp"):
+                faceless(t=t)
 
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):

@@ -53,6 +53,44 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def unused_private_names(source: str) -> list[str]:
+    """Module-level _names (not __dunders__) a module defines but never reads."""
+    tree = ast.parse(source)
+    defined: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(
+                name.id for target in targets for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+            )
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        name for name in defined - read if name.startswith("_") and not name.startswith("__")
+    )
+
+
+def test_unused_private_name_scan_flags_orphans():
+    source = (
+        "_a = 1\n_b, (_c, d) = 2, (3, 4)\n_e: int = 5\n__all__ = []\n"
+        "def _f():\n    return _a + _c\n"
+        "class _G:\n    _h = 6\n"
+        "def public(_i=_G):\n    _j = 7\n"
+    )
+    assert unused_private_names(source) == ["_b", "_e", "_f"]
+    assert unused_private_names("_k = 1\n_k = 2\nprint(_k)\n") == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_private_names(path):
+    assert unused_private_names(path.read_text(encoding="utf-8")) == []
+
+
 # the interpreter floor pyproject.toml declares, as a feature_version for ast.parse
 FLOOR = tuple(
     int(part)

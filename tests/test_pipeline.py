@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,9 +8,10 @@ from hypothesis import strategies as st
 from drowsy.calibration import generalized_profile
 from drowsy.errors import ConfigError, GeometryError, MissingLabelError, NoDataError
 from drowsy.errors import StreamOrderError
-from drowsy.landmarks import LandmarkFrame, SEMANTIC, to_semantic
+from drowsy.landmarks import MAX_SECONDS, LandmarkFrame, SEMANTIC, quantize_ms, to_semantic
 from drowsy.metrics import compute_binocular_ear, compute_head_drop, compute_mar
 from drowsy.pipeline import (
+    ALL_EVENT_KINDS,
     ChannelState,
     FrameRecord,
     Pipeline,
@@ -331,6 +333,8 @@ class TestPipelineBehavior:
         b = run_session(frames, profile())
         assert a.events == b.events
         assert a.records == b.records
+        assert a.summary == b.summary
+        assert a.summary.final_perclos == a.records[-1].perclos
 
     def test_sinks_without_collection(self):
         seen_records, seen_events = [], []
@@ -364,6 +368,76 @@ class TestPipelineBehavior:
             assert ev.emitted_t - ev.onset_t >= sustain[ev.kind] - 1e-9
 
 
+# Five distinct sustains on a 10 fps grid: each kind must wait exactly its own.
+DISTINCT_SUSTAINS = {
+    "eyes_closed": 0.5,
+    "yawning": 0.7,
+    "head_down": 0.9,
+    "driver_missing": 1.1,
+    "perclos_high": 0.3,
+}
+
+
+def episode_frames(fps=10.0):
+    """Neutral frames around one 3 s episode per channel; eye closure also lifts PERCLOS."""
+    frames = []
+    for i in range(260):
+        t = grid_t(i, fps)
+        if 200 <= i < 230:
+            frames.append(LandmarkFrame(t=t, scheme=SEMANTIC, points=(), face_present=False))
+            continue
+        ear = 0.0 if 50 <= i < 80 else 0.32
+        mar = 0.90 if 100 <= i < 130 else 0.40
+        head = 0.90 if 150 <= i < 180 else 0.55
+        frames.append(semantic_frame(t=t, ear=ear, mar=mar, head_drop=head))
+    return frames
+
+
+def test_each_kind_waits_its_own_sustain():
+    config = PipelineConfig(
+        buffer_capacity=1,
+        sustain_eyes_s=DISTINCT_SUSTAINS["eyes_closed"],
+        sustain_mouth_s=DISTINCT_SUSTAINS["yawning"],
+        sustain_head_s=DISTINCT_SUSTAINS["head_down"],
+        sustain_presence_s=DISTINCT_SUSTAINS["driver_missing"],
+        sustain_perclos_s=DISTINCT_SUSTAINS["perclos_high"],
+    )
+    assert config.sustains() == DISTINCT_SUSTAINS
+    assert list(config.sustains()) == list(ALL_EVENT_KINDS)
+    events = run_session(episode_frames(), profile(), config).events
+    assert sorted(ev.kind for ev in events) == sorted(ALL_EVENT_KINDS)
+    for ev in events:
+        waited_ms = quantize_ms(ev.emitted_t) - quantize_ms(ev.onset_t)
+        assert waited_ms == quantize_ms(DISTINCT_SUSTAINS[ev.kind]), ev
+    (missing,) = [ev for ev in events if ev.kind == "driver_missing"]
+    assert missing.threshold == DISTINCT_SUSTAINS["driver_missing"]
+
+
+def test_alerts_on_one_frame_come_out_in_kind_order():
+    zero = PipelineConfig(
+        buffer_capacity=1, sustain_eyes_s=0.0, sustain_mouth_s=0.0, sustain_head_s=0.0,
+        sustain_presence_s=0.0, sustain_perclos_s=0.1,
+    )
+    pipe = Pipeline(profile(), zero)
+    assert pipe.step(semantic_frame(t=0.0, ear=0.32, mar=0.40, head_drop=0.55))[1] == ()
+    # eyes, mouth and head fire at onset; PERCLOS (50 %) starts pending
+    _, events = pipe.step(semantic_frame(t=0.1, ear=0.0, mar=0.90, head_drop=0.90))
+    assert [ev.kind for ev in events] == ["eyes_closed", "yawning", "head_down"]
+    # the face vanishes as PERCLOS completes its sustain: presence still comes first
+    _, events = pipe.step(LandmarkFrame(t=0.2, scheme=SEMANTIC, points=(), face_present=False))
+    assert [ev.kind for ev in events] == ["driver_missing", "perclos_high"]
+    instant = PipelineConfig(
+        buffer_capacity=1, sustain_eyes_s=0.0, sustain_mouth_s=0.0, sustain_head_s=0.0,
+        sustain_perclos_s=0.0,
+    )
+    pipe = Pipeline(profile(), instant)
+    pipe.step(semantic_frame(t=0.0, ear=0.32, mar=0.40, head_drop=0.55))
+    _, events = pipe.step(semantic_frame(t=0.1, ear=0.0, mar=0.90, head_drop=0.90))
+    assert [ev.kind for ev in events] == [
+        kind for kind in ALL_EVENT_KINDS if kind != "driver_missing"
+    ]
+
+
 def test_pipeline_config_validation():
     with pytest.raises(ConfigError):
         PipelineConfig(buffer_capacity=0)
@@ -373,6 +447,20 @@ def test_pipeline_config_validation():
         PipelineConfig(perclos_limit=150.0)
     with pytest.raises(ConfigError):
         PipelineConfig(rearm_frames=-1)
+
+
+@pytest.mark.parametrize(
+    "field",
+    ["sustain_eyes_s", "sustain_mouth_s", "sustain_head_s", "sustain_presence_s",
+     "sustain_perclos_s", "perclos_window_s"],
+)
+def test_durations_need_a_millisecond_key(field):
+    # seconds * 1000 must stay finite for every duration the pipeline keys in milliseconds
+    Pipeline(profile(), PipelineConfig(**{field: MAX_SECONDS}))
+    message = "PERCLOS window must be" if field == "perclos_window_s" else "sustain durations must"
+    for seconds in (math.nextafter(MAX_SECONDS, math.inf), 1e306, 1e308):
+        with pytest.raises(ConfigError, match=message):
+            PipelineConfig(**{field: seconds})
 
 
 def test_frame_record_is_an_immutable_record_in_field_order():

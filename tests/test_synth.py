@@ -145,6 +145,13 @@ class TestScriptValidation:
         with pytest.raises(ScriptError, match="frame count"):
             script(fps=1e200, duration=1e200)
 
+    def test_frame_time_without_millisecond_key(self):
+        # 100 frames, but frame 2 onward lies past the largest keyed time
+        with pytest.raises(ScriptError, match="frame times must be at most"):
+            script(fps=1e-305, duration=1e307)
+        # frame 99 at 9.9e304 s still has a key
+        assert script(fps=1e-303, duration=1e305).frame_count == 100
+
     def test_non_positive_baseline(self):
         with pytest.raises(ScriptError):
             script(driver=DriverParams(0.0, 0.4, 0.5))
