@@ -4,10 +4,11 @@ Exit codes: 0 success, 1 input or format error (including usage errors),
 2 domain failure such as a failed calibration. Alerts are data, never
 failures: cmd_run exits 0 however many warnings fired. Every file argument
 accepts "-" for standard input/output, at most one input and one output
-per command (eval's and compare's text report already writes stdout), and
-no output may name an input or another output; both rules are checked
-before any file is opened. Output files are written atomically (temp file
-+ rename), so a failing run leaves no partial outputs behind.
+per command (eval's and compare's text report already writes stdout), no
+output may name an input or another output, and no path may be empty;
+these rules are checked before any file is opened. Inputs are read as
+UTF-8. Output files are written atomically (temp file + rename), so a
+failing run leaves no partial outputs behind.
 
 Data outputs (stdout and files) are byte-reproducible given identical
 inputs, flags, and seed; diagnostics on stderr may include timing and are
@@ -28,7 +29,7 @@ from dataclasses import fields, is_dataclass, replace
 
 from . import io as dio
 from .calibration import CalibrationConfig, calibrate, generalized_profile
-from .errors import CalibrationError, ConfigError, DrowsyError
+from .errors import CalibrationError, ConfigError, DrowsyError, ParseError
 from .eval import (
     CHANNELS,
     aggregate,
@@ -124,11 +125,24 @@ def _build(config, args: argparse.Namespace):
 
 @contextmanager
 def _open_in(path: str):
-    if path == "-":
-        yield sys.stdin
-    else:
-        with open(path, "r", encoding="utf-8") as fp:
-            yield fp
+    """Read an input as UTF-8 text; other bytes are an input error naming the input.
+
+    The error is raised while a reader iterates the lines, outside its
+    per-line handling. The text layer decodes in chunks, so the message
+    gives no byte offset.
+    """
+    try:
+        if path == "-":
+            # the interpreter's stdin may decode leniently (surrogateescape in
+            # UTF-8 mode), which would let any byte through
+            if hasattr(sys.stdin, "reconfigure"):
+                sys.stdin.reconfigure(encoding="utf-8", errors="strict")
+            yield sys.stdin
+        else:
+            with open(path, encoding="utf-8") as fp:
+                yield fp
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
 
 
 @contextmanager
@@ -163,16 +177,20 @@ def _check_paths(inputs, outputs) -> None:
     """Refuse file arguments that would lose or garble data, before any file is opened.
 
     inputs and outputs are (flag, path) pairs; a None path is a flag not
-    given. At most one input may read "-" (stdin) and one output may write
-    "-" (stdout), and an output may name no input and no other output.
+    given, and an empty one is refused. At most one input may read "-"
+    (stdin) and one output may write "-" (stdout), and an output may name
+    no input and no other output.
     """
+    for flag, path in (*inputs, *outputs):
+        if path == "":
+            raise ConfigError(f"{flag} names an empty path")
     for pairs, verb in ((inputs, "read standard input"), (outputs, "write standard output")):
         dashes = [flag for flag, path in pairs if path == "-"]
         if len(dashes) > 1:
             raise ConfigError(f"{dashes[0]} and {dashes[1]} both {verb}")
-    files = [(flag, path) for flag, path in inputs if path and path != "-"]
+    files = [(flag, path) for flag, path in inputs if path not in (None, "-")]
     for flag, path in outputs:
-        if not path or path == "-":
+        if path in (None, "-"):
             continue
         for other, other_path in files:
             if _same_file(path, other_path):
@@ -297,7 +315,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         f"recall negative: {rn}"
     )
     if args.json:
-        _write_doc(args.json, channel_eval_doc(result))
+        _write_doc(args.json, channel_eval_doc(args.channel, result))
     return 0
 
 
@@ -385,7 +403,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         sys.stdout.write(render_population(agg))
         doc = population_doc(agg)
     else:
-        if not args.labels or not args.profile:
+        if args.labels is None or args.profile is None:
             raise ConfigError("single-stream compare requires --labels and --profile")
         _check_paths([("--input", args.input), *single], outputs)
         report = _compare_one(args.input, args.labels, args.profile, args.external, configs)

@@ -123,7 +123,6 @@ def confusion(
 
 @dataclass(frozen=True, slots=True)
 class ChannelEval:
-    channel: str
     matrix: ConfusionMatrix
     accuracy: float
     recall_positive: float | None
@@ -131,11 +130,10 @@ class ChannelEval:
     excluded: int
 
 
-def _channel_eval(channel: str, matrix: ConfusionMatrix, excluded: int) -> ChannelEval:
+def _channel_eval(matrix: ConfusionMatrix, excluded: int) -> ChannelEval:
     pos = matrix.tp + matrix.fn
     neg = matrix.tn + matrix.fp
     return ChannelEval(
-        channel=channel,
         matrix=matrix,
         accuracy=accuracy(matrix),
         recall_positive=100.0 * matrix.tp / pos if pos else None,
@@ -145,8 +143,7 @@ def _channel_eval(channel: str, matrix: ConfusionMatrix, excluded: int) -> Chann
 
 
 def evaluate_channel(predictions: Sequence, labels: Sequence, channel: str) -> ChannelEval:
-    matrix, excluded = confusion(predictions, labels, channel)
-    return _channel_eval(channel, matrix, excluded)
+    return _channel_eval(*confusion(predictions, labels, channel))
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,7 +186,7 @@ def compare(
         # (eye closed?, yawning?) per frame; faceless frames stay undecided
         decisions = [decide(r) if r.face_present else _UNDECIDED for r in records]
         methods[method] = {
-            ch: _channel_eval(ch, *_tally(map(itemgetter(i), decisions), truth))
+            ch: _channel_eval(*_tally(map(itemgetter(i), decisions), truth))
             for i, (ch, truth) in enumerate(zip(CHANNELS, truths))
         }
     return ComparisonReport(methods=methods, frames=len(frames))
@@ -199,7 +196,6 @@ def compare(
 
 @dataclass(frozen=True, slots=True)
 class PopulationAggregate:
-    drivers: int
     reports: list[ComparisonReport]
     mean_accuracy: dict[str, dict[str, float]]
     pooled: dict[str, dict[str, ChannelEval]]
@@ -239,9 +235,8 @@ def aggregate(
                 fp=sum(e.matrix.fp for e in evals),
                 fn=sum(e.matrix.fn for e in evals),
             )
-            pooled[method][ch] = _channel_eval(ch, matrix, sum(e.excluded for e in evals))
+            pooled[method][ch] = _channel_eval(matrix, sum(e.excluded for e in evals))
     return PopulationAggregate(
-        drivers=len(reports),
         reports=list(reports),
         mean_accuracy=mean_accuracy,
         pooled=pooled,
@@ -257,12 +252,12 @@ def _fmt_pct(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.2f}"
 
 
-def _matrix_lines(tag: str, ev: ChannelEval) -> list[str]:
+def _matrix_lines(method: str, channel: str, ev: ChannelEval) -> list[str]:
     m = ev.matrix
-    name = {positive: state for state, positive in _STATES[ev.channel].items()}
+    name = {positive: state for state, positive in _STATES[channel].items()}
     pos, neg = name[True], name[False]
     return [
-        f"  {tag}: tp={m.tp} tn={m.tn} fp={m.fp} fn={m.fn} excluded={ev.excluded}",
+        f"  {method}/{channel}: tp={m.tp} tn={m.tn} fp={m.fp} fn={m.fn} excluded={ev.excluded}",
         f"    recall[{pos}]={_fmt_pct(ev.recall_positive)}% "
         f"recall[{neg}]={_fmt_pct(ev.recall_negative)}%",
     ]
@@ -288,7 +283,7 @@ def _matrix_block(title: str, methods: Mapping[str, Mapping[str, ChannelEval]]) 
     out = [title]
     for method, evals in methods.items():
         for ch in CHANNELS:
-            out.extend(_matrix_lines(f"{method}/{ch}", evals[ch]))
+            out.extend(_matrix_lines(method, ch, evals[ch]))
     out.append("")
     return out
 
@@ -303,7 +298,7 @@ def render_report(report: ComparisonReport) -> str:
 
 def render_population(agg: PopulationAggregate) -> str:
     return "\n".join(
-        [f"Population comparison over {agg.drivers} drivers (mean frame accuracy)"]
+        [f"Population comparison over {len(agg.reports)} drivers (mean frame accuracy)"]
         + _accuracy_tables("Mean acc (%)", agg.mean_accuracy)
         + _matrix_block("Pooled confusion matrices", agg.pooled)
     )
@@ -323,9 +318,9 @@ def _channels_doc(evals: Mapping[str, ChannelEval]) -> dict:
     return {ch: _channel_doc(evals[ch]) for ch in CHANNELS}
 
 
-def channel_eval_doc(ev: ChannelEval) -> dict:
-    """JSON-serializable single-channel evaluation document."""
-    return {"format_version": FORMAT_VERSION, "channel": ev.channel, **_channel_doc(ev)}
+def channel_eval_doc(channel: str, ev: ChannelEval) -> dict:
+    """JSON-serializable evaluation document of one channel's ChannelEval."""
+    return {"format_version": FORMAT_VERSION, "channel": channel, **_channel_doc(ev)}
 
 
 def report_doc(report: ComparisonReport) -> dict:
@@ -345,7 +340,7 @@ def population_doc(agg: PopulationAggregate) -> dict:
     return {
         "format_version": FORMAT_VERSION,
         "mode": "population",
-        "drivers": agg.drivers,
+        "drivers": len(agg.reports),
         "mean_accuracy": agg.mean_accuracy,
         "pooled": {method: _channels_doc(evals) for method, evals in agg.pooled.items()},
         "per_driver": [_accuracies(r.methods) for r in agg.reports],

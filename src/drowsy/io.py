@@ -215,16 +215,13 @@ def read_frames(source: Iterable[str]) -> Iterator[LandmarkFrame]:
         yield frame
 
 
-def write_frames(sink: IO[str], frames: Iterable[LandmarkFrame]) -> int:
-    n = 0
+def write_frames(sink: IO[str], frames: Iterable[LandmarkFrame]) -> None:
     for frame in frames:
         pts = ", ".join(f"[{x:.6f}, {y:.6f}]" for x, y in frame.points)
         face = "true" if frame.face_present else "false"
         sink.write(
             f'{{"t": {frame.t:.3f}, "scheme": "{frame.scheme}", "face": {face}, "points": [{pts}]}}\n'
         )
-        n += 1
-    return n
 
 
 # --- label / external-state / record streams --------------------------------
@@ -359,36 +356,27 @@ def _state_line(rec, with_metrics: bool) -> str:
     return line + "}\n"
 
 
-def write_labels(sink: IO[str], labels: Iterable) -> int:
+def write_labels(sink: IO[str], labels: Iterable) -> None:
     """Write per-frame labels; accepts any objects with the state attributes."""
-    n = 0
     for lab in labels:
         sink.write(_state_line(lab, False))
-        n += 1
-    return n
 
 
-def write_records(sink: IO[str], records: Iterable) -> int:
+def write_records(sink: IO[str], records: Iterable) -> None:
     """Write per-frame pipeline records (a superset of the label format)."""
-    n = 0
     for rec in records:
         sink.write(_state_line(rec, True))
-        n += 1
-    return n
 
 
 # --- event logs ---------------------------------------------------------------
 
-def write_events(sink: IO[str], events: Iterable[AlertEvent]) -> int:
-    n = 0
+def write_events(sink: IO[str], events: Iterable[AlertEvent]) -> None:
     for ev in events:
         sink.write(
             f'{{"kind": "{ev.kind}", "onset_t": {ev.onset_t:.3f}, '
             f'"emitted_t": {ev.emitted_t:.3f}, "value": {ev.value:.6f}, '
             f'"threshold": {ev.threshold:.6f}}}\n'
         )
-        n += 1
-    return n
 
 
 def read_events(source: Iterable[str]) -> Iterator[AlertEvent]:

@@ -126,9 +126,6 @@ class PerclosWindow:
         self._closed_ms = 0
         self._monitored_ms = 0
 
-    def __len__(self) -> int:
-        return len(self._samples)
-
     @property
     def samples(self) -> list[tuple[float, bool, bool]]:
         """Window contents as (t_seconds, closed, monitored), oldest first."""

@@ -2,12 +2,14 @@
 
 Raw metrics are averaged over a trailing frame buffer before any threshold
 comparison, so blinks and speech do not flip decisions. Each alarm channel
-runs an independent debounced state machine and is named by the alert kind
-it emits (ALL_EVENT_KINDS, in per-frame evaluation order): a condition must
-hold continuously for the channel's sustain duration before one alert is
-emitted, and the channel re-arms only after the condition has been absent
-for a fixed number of frames. Threshold comparisons are strict, so a value
-exactly at its threshold never triggers.
+runs an independent debounced state machine (ChannelState) and is named by
+the alert kind it emits (ALL_EVENT_KINDS, in per-frame evaluation order).
+A channel is normal until its condition appears, then pending from that
+onset (onset_ms); a condition that holds continuously for the channel's
+sustain duration emits one alert and leaves the channel alerting
+(alerted), and the channel is normal again only after the condition has
+been absent for a fixed number of frames. Threshold comparisons are
+strict, so a value exactly at its threshold never triggers.
 
 Faceless frames freeze the eye/mouth/head channels (buffers keep their
 contents, state machines do not advance) and feed only the presence
@@ -106,54 +108,46 @@ class SmoothingBuffer:
         return len(self._values)
 
 
-PHASE_NORMAL = "normal"
-PHASE_PENDING = "pending"
-PHASE_ALERTING = "alerting"
-
-
 @dataclass(slots=True)
 class ChannelState:
     """Debounce state machine for one alarm channel.
 
-    Phases cycle normal -> pending -> alerting -> normal; a pending episode
-    that ends before its sustain duration falls back to normal without
-    alerting. Exactly one alert is emitted per continuous episode.
+    Normal while onset_ms is None. A frame with the condition starts an
+    episode: onset_ms holds its time and the channel is pending. A pending
+    episode that ends before its sustain duration falls back to normal
+    without alerting; one that lasts it fires the episode's one alert and
+    the channel is alerting (alerted). An alerting channel returns to
+    normal after rearm_frames consecutive frames without the condition;
+    rearm_progress counts them and is 0 whenever the channel is not
+    alerting.
     """
 
     sustain_ms: int
     rearm_frames: int
-    phase: str = PHASE_NORMAL
-    condition_since_ms: int | None = None
+    onset_ms: int | None = None
+    alerted: bool = False
     rearm_progress: int = 0
 
     def advance(self, condition: bool, t_ms: int) -> bool:
         """Feed one frame's condition; True exactly when an alert fires now."""
-        if self.phase == PHASE_NORMAL:
-            if not condition:
-                return False
-            self.phase = PHASE_PENDING
-            self.condition_since_ms = t_ms
-            # fall through so a zero-sustain channel alerts immediately
-        if self.phase == PHASE_PENDING:
-            if not condition:
-                self.phase = PHASE_NORMAL
-                self.condition_since_ms = None
-                return False
-            if t_ms - self.condition_since_ms >= self.sustain_ms:
-                self.phase = PHASE_ALERTING
+        if self.alerted:
+            if condition:
                 self.rearm_progress = 0
-                return True
+                return False
+            self.rearm_progress += 1
+            if self.rearm_progress >= self.rearm_frames:
+                self.onset_ms = None
+                self.alerted = False
+                self.rearm_progress = 0
             return False
-        # alerting: stay quiet until the condition has been gone long enough
-        if condition:
-            self.rearm_progress = 0
+        if not condition:
+            self.onset_ms = None
             return False
-        self.rearm_progress += 1
-        if self.rearm_progress >= self.rearm_frames:
-            self.phase = PHASE_NORMAL
-            self.condition_since_ms = None
-            self.rearm_progress = 0
-        return False
+        if self.onset_ms is None:
+            self.onset_ms = t_ms
+        # checked on the onset frame too, so a zero-sustain channel alerts at once
+        self.alerted = t_ms - self.onset_ms >= self.sustain_ms
+        return self.alerted
 
 
 @dataclass(frozen=True, slots=True)
@@ -242,7 +236,7 @@ class Pipeline:
         self.alert_counts[kind] += 1
         return AlertEvent(
             kind=kind,
-            onset_t=self._channels[kind].condition_since_ms / 1000.0,
+            onset_t=self._channels[kind].onset_ms / 1000.0,
             emitted_t=t_ms / 1000.0,
             value=value,
             threshold=threshold,
@@ -298,7 +292,7 @@ class Pipeline:
 
         presence = self._channels["driver_missing"]
         if presence.advance(not face, t_ms):
-            absent_s = (t_ms - presence.condition_since_ms) / 1000.0
+            absent_s = (t_ms - presence.onset_ms) / 1000.0
             events.append(self._emit("driver_missing", t_ms, absent_s, self._presence_sustain_s))
 
         perclos_high = perclos_value is not None and perclos_value > self.config.perclos_limit

@@ -7,8 +7,13 @@ import json
 import math
 import os
 import re
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drowsy import cli
 from drowsy import io as dio
@@ -255,6 +260,22 @@ class TestWorkflow:
             assert rc == 0
             assert during == [False, False]
 
+    def test_bell_rings_once_per_alert_and_changes_no_output(self, workspace, tmp_path, capsys):
+        _, paths = workspace
+        runs = []
+        for flags in ([], ["--bell"]):
+            events = tmp_path / f"events{len(flags)}.jsonl"
+            records = tmp_path / f"records{len(flags)}.jsonl"
+            assert cli.main(
+                ["run", "--input", str(paths["frames"]), "--profile", str(paths["profile"]),
+                 "--out", str(events), "--records", str(records), *flags]
+            ) == 0
+            bells = capsys.readouterr().err.count("\a")
+            runs.append((events.read_bytes(), records.read_bytes(), bells))
+        (events, records, quiet), (bell_events, bell_records, rung) = runs
+        assert (bell_events, bell_records) == (events, records)
+        assert quiet == 0 and rung == events.count(b"\n") == 2
+
     def test_run_external_mode_round_trip(self, workspace, tmp_path, capsys):
         _, paths = workspace
         cli.main(
@@ -282,6 +303,21 @@ class TestExitCodes:
                        "--duration", "5.0"])
         assert rc == 2
         assert "insufficient" in capsys.readouterr().err
+
+    def test_one_frame_recording_is_domain_failure(self, workspace, tmp_path, capsys):
+        _, paths = workspace
+        one = tmp_path / "one.jsonl"
+        one.write_text(paths["calib_frames"].read_text().splitlines(keepends=True)[0])
+        out = tmp_path / "p.json"
+        rc = cli.main(["calibrate", "--input", str(one), "--min-samples", "1", "--out", str(out)])
+        assert rc == 2
+        assert "recording covers 0.000 s" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_compare_directory_without_frame_streams(self, tmp_path, capsys):
+        (tmp_path / "d.labels.jsonl").write_text("")
+        assert cli.main(["compare", "--input", str(tmp_path)]) == 1
+        assert capsys.readouterr() == ("", f"drowsy: no *.frames.jsonl files under {tmp_path}\n")
 
     def test_parse_error_is_input_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -635,6 +671,13 @@ PATH_CONFLICTS = [
      "--pred and --labels both read standard input"),
     (EVAL + ["--json", "-"], "--json and the text report both write standard output"),
     (COMPARE + ["--json", "-"], "--json and the text report both write standard output"),
+    # an empty path is refused, not read as a flag not given
+    (RUN + ["--external", ""], "--external names an empty path"),
+    (RUN + ["--records", ""], "--records names an empty path"),
+    (EVAL + ["--json", ""], "--json names an empty path"),
+    (COMPARE + ["--external", ""], "--external names an empty path"),
+    (COMPARE + ["--json", ""], "--json names an empty path"),
+    (["compare", "--input", "{pop}", "--json", ""], "--json names an empty path"),
 ]
 
 
@@ -878,3 +921,138 @@ def test_invalid_flag_value_is_input_error(workspace, capsys):
                    "--out", "-", "--sustain-eyes", "-3"])
     assert rc == 1
     assert "sustain" in capsys.readouterr().err
+
+
+def utf8_mode_stdin(data):
+    """Standard input as the interpreter opens it in UTF-8 mode: it lets any byte through."""
+    return stdio.TextIOWrapper(stdio.BytesIO(data), encoding="utf-8", errors="surrogateescape")
+
+
+@pytest.mark.parametrize("command", ["run", "run stdin", "calibrate", "eval", "compare DIR"])
+def test_input_that_is_not_utf8_is_input_error(workspace, capsys, monkeypatch, command):
+    tmp_path, paths = workspace
+    source = paths["labels"] if command == "eval" else paths["calib_frames"]
+    data = source.read_bytes()
+    middle = data.index(b"\n", len(data) // 2)  # past the text layer's first chunk
+    data = data[:middle] + b"\xff" + data[middle:]
+    bad = tmp_path / ("bad" + "".join(source.suffixes))
+    bad.write_bytes(data)
+    named = str(bad)
+    outputs = [tmp_path / "out.jsonl", tmp_path / "out.records.jsonl"]
+    if command == "run stdin":
+        monkeypatch.setattr("sys.stdin", utf8_mode_stdin(data))
+        named = "-"
+    elif command == "compare DIR":
+        pop = tmp_path / "pop"
+        pop.mkdir()
+        named = str(bad.rename(pop / "d.frames.jsonl"))
+        (pop / "d.labels.jsonl").write_bytes(paths["calib_labels"].read_bytes())
+    argv = {
+        "run": ["run", "--input", named, "--profile", str(paths["profile"]),
+                "--out", str(outputs[0]), "--records", str(outputs[1])],
+        "calibrate": ["calibrate", "--input", named, "--out", str(outputs[0])],
+        "eval": ["eval", "--pred", named, "--labels", str(paths["labels"]),
+                 "--channel", "eye", "--json", str(outputs[0])],
+        "compare DIR": ["compare", "--input", str(tmp_path / "pop"), "--json", str(outputs[0])],
+    }[command.replace(" stdin", "")]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"drowsy: {named}: not UTF-8 text\n")
+    assert not any(path.exists() for path in outputs)
+    assert not list(tmp_path.rglob(".drowsy-*"))
+
+
+# Byte sequences that are not UTF-8: stray continuation and invalid bytes, a
+# truncated sequence, an encoded surrogate, an overlong form, beyond U+10FFFF.
+NOT_UTF8 = [b"\x80", b"\xff", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf",
+            b"\xf4\x90\x80\x80"]
+
+
+@st.composite
+def damaged(draw, valid):
+    """Random bytes, or valid bytes with bytes flipped, cut off or made invalid UTF-8."""
+    if draw(st.integers(min_value=0, max_value=3)) == 0:
+        return draw(st.binary(max_size=400))
+    data = bytearray(valid)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        edit = draw(st.sampled_from(["flip", "truncate", "not utf-8"]))
+        if edit == "flip" and at < len(data):
+            data[at] ^= draw(st.integers(min_value=1, max_value=255))
+        elif edit == "truncate":
+            del data[at:]
+        elif edit == "not utf-8":
+            data[at:at] = draw(st.sampled_from(NOT_UTF8))
+    return bytes(data)
+
+
+# Input name -> file name; a directory-mode compare reads the driver "d".
+FUZZ_FILES = {
+    "frames": "d.frames.jsonl",
+    "labels": "d.labels.jsonl",
+    "profile": "d.profile.json",
+    "external": "d.external.jsonl",
+    "records": "d.records.jsonl",
+}
+FUZZ_COMMANDS = {
+    "calibrate": ["calibrate", "--input", "{frames}", "--out", "{out}"],
+    "run": ["run", "--input", "{frames}", "--profile", "{profile}", "--external", "{external}",
+            "--out", "{out}", "--records", "{out}.records"],
+    "eval": ["eval", "--pred", "{records}", "--labels", "{labels}", "--channel", "eye",
+             "--json", "{out}"],
+    "compare": ["compare", "--input", "{frames}", "--labels", "{labels}", "--profile", "{profile}",
+                "--external", "{external}", "--json", "{out}"],
+    "compare DIR": ["compare", "--input", "{dir}", "--json", "{out}"],
+}
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(tmp_path_factory):
+    """One small valid input of each kind, as bytes."""
+    tmp_path = tmp_path_factory.mktemp("valid")
+    script = tmp_path / "s.script.json"
+    write_script_file(script, duration=6.0, events=(ScriptEvent("yawn", 5.0, 1.0, 1.0),))
+    paths = {name: tmp_path / file for name, file in FUZZ_FILES.items()}
+    assert cli.main(["synth", "--script", str(script), "--out", str(paths["frames"]),
+                     "--labels", str(paths["labels"])]) == 0
+    assert cli.main(["calibrate", "--input", str(paths["frames"]),
+                     "--out", str(paths["profile"])]) == 0
+    assert cli.main(["run", "--input", str(paths["frames"]), "--profile", str(paths["profile"]),
+                     "--out", str(tmp_path / "events.jsonl"),
+                     "--records", str(paths["records"])]) == 0
+    paths["external"] = paths["labels"]  # a label stream is a valid external state stream
+    return {name: path.read_bytes() for name, path in paths.items()}
+
+
+@pytest.mark.parametrize("command", FUZZ_COMMANDS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_no_input_ends_in_a_traceback(valid_inputs, command, data):
+    """Damage one input of a command, read from a file or from stdin; main returns an exit code."""
+    argv = FUZZ_COMMANDS[command]
+    if command == "compare DIR":
+        optional = data.draw(st.sets(st.sampled_from(["profile", "external"])))
+        inputs = ["frames", "labels", *sorted(optional)]
+    else:
+        inputs = [name for name in FUZZ_FILES if "{" + name + "}" in argv]
+    target = data.draw(st.sampled_from(inputs))
+    content = data.draw(damaged(valid_inputs[target]))
+    from_stdin = command != "compare DIR" and data.draw(st.booleans())
+    with tempfile.TemporaryDirectory() as tmp:
+        names = {name: os.path.join(tmp, file) for name, file in FUZZ_FILES.items()}
+        for name in inputs:
+            with open(names[name], "wb") as sink:
+                sink.write(content if name == target else valid_inputs[name])
+        if from_stdin:
+            names[target] = "-"
+        names.update(dir=tmp, out=os.path.join(tmp, "out"))
+        with (
+            mock.patch("sys.stdin", utf8_mode_stdin(content)),
+            redirect_stdout(stdio.StringIO()),
+            redirect_stderr(stdio.StringIO()),
+        ):
+            try:
+                rc = cli.main([arg.format(**names) for arg in argv])
+            except SystemExit as exc:  # an argparse usage error
+                rc = exc.code
+    assert rc in (0, 1, 2)

@@ -328,7 +328,7 @@ class TestAggregate:
             personalized = personalized_for(frames)
             reports.append(compare(frames, truth.labels, personalized, generalized_profile()))
         agg = aggregate(reports)
-        assert agg.drivers == 3
+        assert len(agg.reports) == 3
         per_eye = [r.methods["personalized"][CHANNEL_EYE].accuracy for r in reports]
         assert agg.mean_accuracy["personalized"][CHANNEL_EYE] == sum(per_eye) / 3.0
         pooled = agg.pooled["personalized"][CHANNEL_EYE].matrix

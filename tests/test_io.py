@@ -364,6 +364,12 @@ class TestScriptFile:
             dio.read_script(stdio.StringIO("[1, 2, 3]"))
         with pytest.raises(ParseError):
             dio.read_script(stdio.StringIO("not json"))
+        sink = stdio.StringIO()
+        dio.write_script(sink, sample_script())
+        doc = json.loads(sink.getvalue())
+        doc["events"] = [7]
+        with pytest.raises(ParseError, match="script: each event must be an object"):
+            dio.read_script(stdio.StringIO(json.dumps(doc)))
 
 
 def test_quick_fuzz_never_crashes():

@@ -98,6 +98,10 @@ class TestSchemeMaps:
         with pytest.raises(ConfigError):
             builtin_scheme_map(SEMANTIC)
 
+    def test_unknown_scheme_has_no_map(self):
+        with pytest.raises(ConfigError, match="no builtin map for scheme 'bogus'"):
+            builtin_scheme_map("bogus")
+
     @pytest.mark.parametrize(
         "m, corners",
         [(DLIB68_MAP, (36, 45)), (MESH468_MAP, (33, 263)), (SEMANTIC_MAP, (0, 9))],

@@ -329,6 +329,11 @@ class TestPerclos:
         with pytest.raises(StreamOrderError):
             w.append(0.1, False, True)
 
+    @pytest.mark.parametrize("duration_s", [0.0, -1.0])
+    def test_window_duration_must_be_positive(self, duration_s):
+        with pytest.raises(ValueError, match="must be positive"):
+            PerclosWindow(duration_s)
+
     def test_closed_requires_monitored(self):
         w = PerclosWindow(10.0)
         with pytest.raises(ValueError):

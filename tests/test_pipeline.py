@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -153,6 +154,65 @@ class TestChannelState:
                 run += 1
                 j -= 1
             assert run >= sustain_frames + 1 or sustain_frames == 0
+
+    @given(
+        st.integers(min_value=0, max_value=2000),
+        st.integers(min_value=0, max_value=20),
+        st.lists(st.tuples(st.booleans(), st.integers(min_value=1, max_value=25)), max_size=40),
+        st.lists(st.integers(min_value=1, max_value=400), min_size=1, max_size=50),
+    )
+    def test_matches_three_phase_reference(self, sustain_ms, rearm, runs, gaps_ms):
+        """Runs of equal conditions, one frame per step, gaps_ms cycled as frame spacing."""
+        state = ChannelState(sustain_ms, rearm)
+        reference = ThreePhaseChannel(sustain_ms, rearm)
+        conditions = [condition for condition, length in runs for _ in range(length)]
+        t_ms = 0
+        for condition, gap_ms in zip(conditions, itertools.cycle(gaps_ms)):
+            t_ms += gap_ms
+            fired = state.advance(condition, t_ms)
+            assert fired == reference.advance(condition, t_ms)
+            if fired:
+                assert state.onset_ms == reference.condition_since_ms
+            assert (state.onset_ms is None) == (reference.phase == "normal")
+            assert state.alerted == (reference.phase == "alerting")
+            assert state.rearm_progress == reference.rearm_progress
+
+
+class ThreePhaseChannel:
+    """Oracle for ChannelState: the machine it replaced, with an explicit phase string."""
+
+    def __init__(self, sustain_ms, rearm_frames):
+        self.sustain_ms = sustain_ms
+        self.rearm_frames = rearm_frames
+        self.phase = "normal"
+        self.condition_since_ms = None
+        self.rearm_progress = 0
+
+    def advance(self, condition, t_ms):
+        if self.phase == "normal":
+            if not condition:
+                return False
+            self.phase = "pending"
+            self.condition_since_ms = t_ms
+        if self.phase == "pending":
+            if not condition:
+                self.phase = "normal"
+                self.condition_since_ms = None
+                return False
+            if t_ms - self.condition_since_ms >= self.sustain_ms:
+                self.phase = "alerting"
+                self.rearm_progress = 0
+                return True
+            return False
+        if condition:
+            self.rearm_progress = 0
+            return False
+        self.rearm_progress += 1
+        if self.rearm_progress >= self.rearm_frames:
+            self.phase = "normal"
+            self.condition_since_ms = None
+            self.rearm_progress = 0
+        return False
 
 
 class TestPipelineBehavior:

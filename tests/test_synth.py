@@ -155,6 +155,12 @@ class TestScriptValidation:
     def test_non_positive_baseline(self):
         with pytest.raises(ScriptError):
             script(driver=DriverParams(0.0, 0.4, 0.5))
+        with pytest.raises(ScriptError, match="baseline head drop cannot be negative"):
+            script(driver=DriverParams(0.3, 0.4, -0.1))
+
+    def test_negative_noise(self):
+        with pytest.raises(ScriptError, match="noise_sigma cannot be negative"):
+            script(noise=-0.1)
 
 
 class TestPopulation:
@@ -195,6 +201,12 @@ class TestPopulation:
     def test_empty_range_rejected(self):
         with pytest.raises(ScriptError):
             list(generate_population(3, (0.4, 0.2), (0.3, 0.5), self.TEMPLATE, seed=1))
+
+    def test_non_positive_range_rejected(self):
+        with pytest.raises(ScriptError, match="baseline EAR range must be positive"):
+            list(generate_population(3, (0.0, 0.2), (0.3, 0.5), self.TEMPLATE, seed=1))
+        with pytest.raises(ScriptError, match="baseline MAR range must be positive"):
+            list(generate_population(3, (0.2, 0.4), (-0.1, 0.5), self.TEMPLATE, seed=1))
 
     def test_population_size_validated(self):
         with pytest.raises(ScriptError):
