@@ -38,10 +38,13 @@ class CalibrationConfig:
 
     def __post_init__(self):
         require_finite(asdict(self))
-        if self.duration_s <= 0.0 or self.min_samples < 1:
-            raise ConfigError("calibration duration and minimum sample count must be positive")
         if self.duration_s > MAX_SECONDS:
             raise ConfigError(f"calibration duration must be at most {MAX_SECONDS!r} s")
+        if self.duration_s <= 0.0 or quantize_ms(self.duration_s) == 0 or self.min_samples < 1:
+            raise ConfigError(
+                "calibration duration (on the millisecond grid) and minimum sample count "
+                "must be positive"
+            )
         if min(self.ear_factor, self.mar_factor, self.head_factor) <= 0.0:
             raise ConfigError("threshold factors must be positive")
 

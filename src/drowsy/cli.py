@@ -25,7 +25,7 @@ import sys
 import tempfile
 import time
 from contextlib import contextmanager, nullcontext
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import replace
 
 from . import io as dio
 from .calibration import CalibrationConfig, calibrate, generalized_profile
@@ -47,9 +47,7 @@ from .synth import iter_session
 
 
 def _defaults(config) -> dict:
-    """Field defaults of a config dataclass, or parameter defaults of a factory."""
-    if is_dataclass(config):
-        return {f.name: f.default for f in fields(config)}
+    """Parameter defaults of a config class or factory, in parameter order."""
     return {name: p.default for name, p in inspect.signature(config).parameters.items()}
 
 
@@ -398,7 +396,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
             profile, external = (path if os.path.exists(path) else None for path in optional)
             drivers.append((base + suffix, base + ".labels.jsonl", profile, external))
         _check_paths([("--input", path) for driver in drivers for path in driver], outputs)
-        reports = [_compare_one(*driver, configs) for driver in drivers]
+        reports = []
+        for stem, driver in zip(stems, drivers):
+            try:
+                reports.append(_compare_one(*driver, configs))
+            except (DrowsyError, OSError) as exc:
+                # name the driver; a calibration failure keeps its exit code
+                kind = CalibrationError if isinstance(exc, CalibrationError) else DrowsyError
+                raise kind(f"{stem}: {exc}") from None
         agg = aggregate(reports, stems)
         sys.stdout.write(render_population(agg))
         doc = population_doc(agg)

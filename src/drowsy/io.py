@@ -24,12 +24,15 @@ the same writer. Unknown keys are ignored on read and never emitted on
 write. A third coordinate in frame points (mesh depth) is accepted on read
 and dropped.
 
-Label and external-state lines repeat a handful of texts after their
-timestamp (record lines, which carry metrics, do not). A state line of the
-written shape {"t": <fraction>, "...} has that tail decoded and checked
-once and kept in a bounded memo; later lines with a known tail skip the
-decoder and convert only their timestamp. Every other line takes the full
-decode, so values, messages and line numbers do not depend on the memo.
+A state line's text after its timestamp is one of 13 tails: one per
+face-present (eye, mouth, head) combination, plus the faceless one. One
+table, built from EYE_STATES, MOUTH_STATES and HEAD_STATES, holds them;
+the label and record writers write from it, and the state readers look a
+line of the written shape {"t": <fraction><tail>} up in its inverse, so a
+line written as write_labels writes it skips the decoder and converts only
+its timestamp. Every other line, records included, takes the full decode.
+Nothing is remembered between lines, so values, messages and line numbers
+do not depend on what was read before.
 
 Alignment between streams is defined at millisecond resolution:
 landmarks.quantize_ms is the single timestamp key used everywhere.
@@ -43,7 +46,6 @@ import os
 import re
 import time as _time
 from dataclasses import asdict, fields
-from functools import lru_cache
 from itertools import starmap
 from typing import IO, Iterable, Iterator
 
@@ -246,47 +248,40 @@ def _state_fields(obj: dict) -> tuple:
     return True, eye, mouth, head
 
 
+# The written text of each face-present (eye, mouth, head) between the
+# timestamp and the closing brace ("head" is left out when unknown), and
+# of a faceless line.
+_HEAD_TEXTS = {None: "", **{flag: f', "head": "{name}"' for name, flag in HEAD_STATES.items()}}
+_STATE_TAILS = {
+    (eye, mouth, head): f', "face": true, "eye": "{eye_name}", "mouth": "{mouth_name}"{head_text}'
+    for eye_name, eye in EYE_STATES.items()
+    for mouth_name, mouth in MOUTH_STATES.items()
+    for head, head_text in _HEAD_TEXTS.items()
+}
+_FACELESS_TAIL = ', "face": false'
+
+# The inverse, closing brace included: written tail -> fields after the timestamp.
+_TAIL_FIELDS = {tail + "}": (True, *states) for states, tail in _STATE_TAILS.items()}
+_TAIL_FIELDS[_FACELESS_TAIL + "}"] = (False, None, None, None)
+
 # The written head of a state line: a JSON number with a fraction and no
-# exponent (float() reads it exactly as the decoder does), then the tail.
-# {"t": N, TAIL is valid JSON exactly when "{" + TAIL is a non-empty object,
-# and it decodes to {"t": N} plus the tail's members.
-_state_head = re.compile(r'\{"t": (-?(?:0|[1-9][0-9]*)\.[0-9]+), (".*)', re.DOTALL).match
-
-
-@lru_cache(maxsize=256)
-def _tail_fields(tail: str) -> tuple:
-    """The checked fields of a state-line tail; raises when the tail needs the full path.
-
-    Only a tail that decodes, carries no "t" of its own (the last "t" of a
-    line wins) and passes the field checks is cached; exceptions are not.
-    The cache is bounded, so streams whose tails never repeat (records)
-    keep their memory flat.
-    """
-    obj = _decode("{" + tail)
-    if "t" in obj:
-        raise ValueError("tail repeats the timestamp")
-    return _state_fields(obj)
+# exponent (float() reads it exactly as the decoder does), then the rest.
+_state_head = re.compile(r'\{"t": (-?(?:0|[1-9][0-9]*)\.[0-9]+)(.*)', re.DOTALL).match
 
 
 def _states(source: Iterable[str]) -> Iterator[tuple]:
     """The fields of each label/state line, in FrameLabel order.
 
-    A line whose tail _tail_fields knows costs one regex match and one
+    A line whose tail _TAIL_FIELDS holds costs one regex match and one
     float(); any other line is decoded whole, so its values, messages and
     the order in which its faults are reported are the full decode's.
     """
     for line_no, line in _lines(source):
         try:
             head = _state_head(line)
-            fields = None
-            if head is not None:
-                number, tail = head.groups()
-                try:
-                    fields = _tail_fields(tail)
-                except (ValueError, KeyError, TypeError):
-                    pass  # the full decode below reports the line's own first fault
+            fields = None if head is None else _TAIL_FIELDS.get(head[2])
             if fields is not None:
-                t = check_timestamp(float(number))
+                t = check_timestamp(float(head[1]))
             else:
                 obj = _decode(line)
                 if not isinstance(obj, dict):
@@ -319,53 +314,33 @@ def load_external_states(source: Iterable[str]) -> dict[int, tuple[bool, bool]]:
     return states
 
 
-def _json_names(table: dict[str, bool]) -> dict[bool | None, str]:
-    # reverse of a state table: flag -> quoted JSON name, None -> null
-    names: dict[bool | None, str] = {flag: f'"{name}"' for name, flag in table.items()}
-    names[None] = "null"
-    return names
-
-
-_EYE_JSON = _json_names(EYE_STATES)
-_MOUTH_JSON = _json_names(MOUTH_STATES)
-_HEAD_JSON = _json_names(HEAD_STATES)
-
-
 def _opt6(value: float | None) -> str:
     return "null" if value is None else f"{value:.6f}"
 
 
-def _state_line(rec, with_metrics: bool) -> str:
-    """One label line, or with_metrics one record line (labels plus metrics)."""
+def _tail(rec) -> str:
+    """The written text of rec's states; a face-present rec needs eye and mouth states."""
     if rec.face_present:
-        line = (
-            f'{{"t": {rec.t:.3f}, "face": true, "eye": {_EYE_JSON[rec.eye_closed]}, '
-            f'"mouth": {_MOUTH_JSON[rec.mouth_yawn]}'
-        )
-        if rec.head_down is not None:
-            line += f', "head": {_HEAD_JSON[rec.head_down]}'
-        if with_metrics:
-            line += (
-                f', "ear": {_opt6(rec.ear)}, "mar": {_opt6(rec.mar)}, '
-                f'"head_drop": {_opt6(rec.head_drop)}, "perclos": {_opt6(rec.perclos)}'
-            )
-    else:
-        line = f'{{"t": {rec.t:.3f}, "face": false'
-        if with_metrics:
-            line += f', "perclos": {_opt6(rec.perclos)}'
-    return line + "}\n"
+        return _STATE_TAILS[rec.eye_closed, rec.mouth_yawn, rec.head_down]
+    return _FACELESS_TAIL
 
 
 def write_labels(sink: IO[str], labels: Iterable) -> None:
     """Write per-frame labels; accepts any objects with the state attributes."""
     for lab in labels:
-        sink.write(_state_line(lab, False))
+        sink.write(f'{{"t": {lab.t:.3f}{_tail(lab)}}}\n')
 
 
 def write_records(sink: IO[str], records: Iterable) -> None:
     """Write per-frame pipeline records (a superset of the label format)."""
     for rec in records:
-        sink.write(_state_line(rec, True))
+        metrics = ""
+        if rec.face_present:
+            metrics = (
+                f', "ear": {_opt6(rec.ear)}, "mar": {_opt6(rec.mar)}, '
+                f'"head_drop": {_opt6(rec.head_drop)}'
+            )
+        sink.write(f'{{"t": {rec.t:.3f}{_tail(rec)}{metrics}, "perclos": {_opt6(rec.perclos)}}}\n')
 
 
 # --- event logs ---------------------------------------------------------------

@@ -119,8 +119,8 @@ class PerclosWindow:
     __slots__ = ("duration_ms", "_samples", "_closed_ms", "_monitored_ms")
 
     def __init__(self, duration_s: float):
-        if duration_s <= 0.0:
-            raise ValueError("window duration must be positive")
+        if duration_s <= 0.0 or quantize_ms(duration_s) == 0:
+            raise ValueError("window duration must be positive on the millisecond grid")
         self.duration_ms = quantize_ms(duration_s)
         self._samples: deque[tuple[int, bool, bool]] = deque()
         self._closed_ms = 0

@@ -62,8 +62,12 @@ class PipelineConfig:
             raise ConfigError(f"sustain durations must be at most {MAX_SECONDS!r} s")
         if self.rearm_frames < 0:
             raise ConfigError("re-arm frame count cannot be negative")
-        if not 0.0 < self.perclos_window_s <= MAX_SECONDS:
-            raise ConfigError(f"PERCLOS window must be positive and at most {MAX_SECONDS!r} s")
+        window = self.perclos_window_s
+        if not 0.0 < window <= MAX_SECONDS or quantize_ms(window) == 0:
+            raise ConfigError(
+                f"PERCLOS window must be positive and at most {MAX_SECONDS!r} s "
+                "on the millisecond grid"
+            )
         if not 0.0 <= self.perclos_limit <= 100.0:
             raise ConfigError("PERCLOS limit is a percentage")
 
@@ -225,8 +229,6 @@ class Pipeline:
         sustains = self.config.sustains()
         rearm = self.config.rearm_frames
         self._channels = {kind: ChannelState(quantize_ms(s), rearm) for kind, s in sustains.items()}
-        # the driver_missing alert reports its sustain time as its threshold
-        self._presence_sustain_s = sustains["driver_missing"]
         self._last_t_ms: int | None = None
         self.frames = 0
         self.faceless_frames = 0
@@ -293,7 +295,10 @@ class Pipeline:
         presence = self._channels["driver_missing"]
         if presence.advance(not face, t_ms):
             absent_s = (t_ms - presence.onset_ms) / 1000.0
-            events.append(self._emit("driver_missing", t_ms, absent_s, self._presence_sustain_s))
+            # the alert reports its sustain time as its threshold
+            events.append(
+                self._emit("driver_missing", t_ms, absent_s, self.config.sustain_presence_s)
+            )
 
         perclos_high = perclos_value is not None and perclos_value > self.config.perclos_limit
         if self._channels["perclos_high"].advance(perclos_high, t_ms):

@@ -82,6 +82,8 @@ class SessionScript:
             raise ScriptError("fps and duration must be positive")
         if not math.isfinite(self.fps * self.duration_s):
             raise ScriptError("frame count fps * duration_s must be finite")
+        if self.fps > 1000.0:
+            raise ScriptError("fps must be at most 1000: frames are timed on the millisecond grid")
         try:
             check_timestamp(_frame_t(max(self.frame_count - 1, 0), self.fps))
         except (OverflowError, ValueError):

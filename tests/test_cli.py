@@ -254,7 +254,7 @@ class TestWorkflow:
         assert after is (case != "caller_disabled")
         if case == "bad_second_driver":
             assert rc == 1
-            assert capsys.readouterr().err.startswith("drowsy: line 301:")
+            assert capsys.readouterr().err.startswith("drowsy: driver01: line 301:")
             assert during == [False]  # the first driver was scored, the second failed to parse
         else:
             assert rc == 0
@@ -318,6 +318,37 @@ class TestExitCodes:
         (tmp_path / "d.labels.jsonl").write_text("")
         assert cli.main(["compare", "--input", str(tmp_path)]) == 1
         assert capsys.readouterr() == ("", f"drowsy: no *.frames.jsonl files under {tmp_path}\n")
+
+    @pytest.mark.parametrize(
+        "fault, rc, message",
+        [
+            ("label", 1, "b: line 7: field 'face' must be a boolean"),
+            ("lead-in", 2, "b: insufficient calibration duration: recording covers 3.001 s, "
+                           "need 5.000 s"),
+            ("missing", 1, "b: [Errno 2] No such file or directory: '{dir}/b.labels.jsonl'"),
+        ],
+        ids=["label", "lead-in", "missing"],
+    )
+    def test_compare_directory_error_names_the_driver(self, tmp_path, capsys, fault, rc, message):
+        pop = tmp_path / "pop"
+        pop.mkdir()
+        for stem in ("a", "b", "c"):
+            script_path = tmp_path / f"{stem}.script.json"
+            short = stem == "b" and fault == "lead-in"
+            write_script_file(script_path, duration=3.0 if short else 8.0)
+            assert cli.main(["synth", "--script", str(script_path),
+                             "--out", str(pop / f"{stem}.frames.jsonl"),
+                             "--labels", str(pop / f"{stem}.labels.jsonl")]) == 0
+        labels = pop / "b.labels.jsonl"
+        if fault == "label":
+            lines = labels.read_text().splitlines(keepends=True)
+            lines[6] = lines[6].replace('"face": true', '"face": 1')
+            labels.write_text("".join(lines))
+        elif fault == "missing":
+            labels.unlink()
+        capsys.readouterr()
+        assert cli.main(["compare", "--input", str(pop)]) == rc
+        assert capsys.readouterr() == ("", f"drowsy: {message.format(dir=pop)}\n")
 
     def test_parse_error_is_input_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -569,7 +600,8 @@ def test_threshold_beyond_float_range_is_input_error(tmp_path, capsys, command):
         argv = ["compare", "--input", str(drivers), "--json", str(out)]
     capsys.readouterr()
     assert cli.main([*argv, "--head-factor", "1.7e308"]) == 1
-    assert capsys.readouterr() == ("", "drowsy: head_drop_limit must be finite, got inf\n")
+    driver = "d1: " if command == "compare" else ""  # directory mode names the driver
+    assert capsys.readouterr() == ("", f"drowsy: {driver}head_drop_limit must be finite, got inf\n")
     assert not out.exists()
     assert cli.main([*argv, "--head-factor", "1.4e308"]) == 0 and out.exists()
 
@@ -797,9 +829,16 @@ CONFIG_FLAGS = [
      "PERCLOS window"),
     (("run", "compare"), "--perclos-limit", PipelineConfig, "perclos_limit", "101",
      "PERCLOS limit"),
+    # positive, but 0 ms on the millisecond grid
+    (("run", "compare"), "--perclos-window", PipelineConfig, "perclos_window_s", "0.0004",
+     "PERCLOS window must be positive"),
     (("calibrate",), "--duration", CalibrationConfig, "duration_s", "0", "calibration duration"),
     (("compare",), "--calib-duration", CalibrationConfig, "duration_s", "0",
      "calibration duration"),
+    (("calibrate",), "--duration", CalibrationConfig, "duration_s", "0.0004",
+     "calibration duration (on the millisecond grid)"),
+    (("compare",), "--calib-duration", CalibrationConfig, "duration_s", "0.0004",
+     "calibration duration (on the millisecond grid)"),
     (("calibrate", "compare"), "--min-samples", CalibrationConfig, "min_samples", "0",
      "calibration duration"),
     (("calibrate", "compare"), "--ear-factor", CalibrationConfig, "ear_factor", "0",
@@ -957,7 +996,8 @@ def test_input_that_is_not_utf8_is_input_error(workspace, capsys, monkeypatch, c
     }[command.replace(" stdin", "")]
     capsys.readouterr()
     assert cli.main(argv) == 1
-    assert capsys.readouterr() == ("", f"drowsy: {named}: not UTF-8 text\n")
+    driver = "d: " if command == "compare DIR" else ""  # directory mode names the driver
+    assert capsys.readouterr() == ("", f"drowsy: {driver}{named}: not UTF-8 text\n")
     assert not any(path.exists() for path in outputs)
     assert not list(tmp_path.rglob(".drowsy-*"))
 

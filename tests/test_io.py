@@ -14,7 +14,7 @@ from drowsy.calibration import CalibrationProfile, calibrate, generalized_profil
 from drowsy.errors import MissingLabelError, ParseError, StreamOrderError, VersionError
 from drowsy.landmarks import POINT_COUNTS, LandmarkFrame
 from drowsy.metrics import MetricSample
-from drowsy.pipeline import AlertEvent, run_session
+from drowsy.pipeline import AlertEvent, FrameRecord, run_session
 from drowsy.synth import DriverParams, FrameLabel, ScriptEvent, SessionScript, generate
 
 
@@ -585,7 +585,7 @@ def _line(fields, spacing, extra=""):
 ODD_NUMBERS = ["1e400", "-1e400", "1" + "0" * 400, "-" + "9" * 400, "NaN", "Infinity", "7", "-0"]
 NOT_NUMBERS = ["true", "false", "null", '"1.5"', "[1.0]", "{}"]
 # 1e306 and its digits are finite, but have no millisecond key
-KEYLESS_T = "1" + "0" * 306 + ".500"  # the written head form, so the state memo path sees it
+KEYLESS_T = "1" + "0" * 306 + ".500"  # the written head form, so the state table path sees it
 T_TOKENS = [
     "-0.5", "-1e400", "1e400", "1" + "0" * 400, '"0.1"', "true", "-0.0", "0.0", "1e306", KEYLESS_T
 ]
@@ -747,46 +747,70 @@ def test_state_readers_equal_reference_readers(lines, data):
         _assert_state_readers_equal_reference(stream)
 
 
-# --- the state-tail memo -------------------------------------------------------
-# _states looks the text after {"t": N, up in dio._tail_fields. The memo is
-# process-wide, so each case runs with it cleared and with it holding every
-# tail the label writer emits.
+# --- the written state tails ---------------------------------------------------
+# _states looks the text after {"t": N up in dio._TAIL_FIELDS, the inverse of
+# the table the writers write from; every other line takes the full decode.
 
-def _canonical_state_lines():
-    labels = [FrameLabel(0.0, False, None, None, None)]
-    for eye in (False, True):
-        for mouth in (False, True):
-            for head in (None, False, True):
-                labels.append(FrameLabel(0.0, True, eye, mouth, head))
+# every state a label can carry: faceless, then each face-present eye/mouth/head
+STATE_LABELS = [FrameLabel(0.5, False, None, None, None)] + [
+    FrameLabel(0.5, True, eye, mouth, head)
+    for eye in (False, True) for mouth in (False, True) for head in (None, False, True)
+]
+
+
+def _written(writer, items):
     sink = stdio.StringIO()
-    dio.write_labels(sink, labels)
+    writer(sink, items)
     return sink.getvalue().splitlines(keepends=True)
 
 
-CANONICAL_STATE_LINES = _canonical_state_lines()
+def test_table_holds_one_tail_per_written_state():
+    lines = _written(dio.write_labels, STATE_LABELS)
+    tails = {line.removeprefix('{"t": 0.500').rstrip("\n") for line in lines}
+    assert set(dio._TAIL_FIELDS) == tails and len(tails) == 13
 
 
-def _set_memo(warm):
-    dio._tail_fields.cache_clear()
-    if warm:
-        list(dio.read_states(CANONICAL_STATE_LINES))
-        assert dio._tail_fields.cache_info().currsize == len(CANONICAL_STATE_LINES)
+def _no_decode(line):
+    raise AssertionError(f"decoded {line!r}")
 
 
-@settings(max_examples=300, deadline=None)
-@given(written_labels(), st.data())
-def test_state_readers_equal_reference_readers_with_warm_memo(lines, data):
-    _set_memo(warm=True)
-    mutated = _mutated(data, lines, _mutate_state)
-    for stream in (lines, mutated):
-        _assert_state_readers_equal_reference(stream)
+@pytest.mark.parametrize(
+    "label", STATE_LABELS,
+    ids=lambda lab: "faceless" if not lab.face_present
+    else f"eye={lab.eye_closed}-mouth={lab.mouth_yawn}-head={lab.head_down}",
+)
+def test_written_state_is_read_back_through_the_table(label):
+    lines = _written(dio.write_labels, [label])
+    with mock.patch.object(dio, "_decode", _no_decode):
+        assert list(dio.read_states(lines)) == [label] == list(reference_read_states(lines))
+
+
+def test_state_readers_skip_the_decoder_on_written_labels():
+    _, truth = generate(sample_script(noise=0.5))
+    lines = _written(dio.write_labels, truth.labels)
+    with mock.patch.object(dio, "_decode", wraps=dio._decode) as decode:
+        labels = list(dio.read_states(lines))
+        external = dio.load_external_states(lines)
+    assert decode.call_count == 0
+    assert labels == list(reference_read_states(lines))
+    assert external == reference_load_external_states(lines)
+
+
+@pytest.mark.parametrize("writer", [dio.write_labels, dio.write_records], ids=["labels", "records"])
+@pytest.mark.parametrize("eye, mouth", [(None, False), (False, None)], ids=["eye", "mouth"])
+def test_face_present_state_without_eye_or_mouth_is_not_written(writer, eye, mouth):
+    # such a line ("eye": null) would be one that read_states refuses
+    rec = FrameRecord(0.5, True, 0.3, 0.4, 0.5, eye, mouth, None, None)
+    sink = stdio.StringIO()
+    with pytest.raises(KeyError):
+        writer(sink, [rec])
+    assert sink.getvalue() == ""
 
 
 LONG_DIGITS = "1" * 4301
 OPEN_TAIL = '"face": true, "eye": "open", "mouth": "normal", "head": "up"}'
 
 
-@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 @pytest.mark.parametrize(
     "line",
     [
@@ -817,11 +841,8 @@ OPEN_TAIL = '"face": true, "eye": "open", "mouth": "normal", "head": "up"}'
     ],
     ids=lambda line: line.replace(LONG_DIGITS, "<4301 digits>"),
 )
-def test_state_memo_cases_equal_reference_reader(line, warm):
-    _set_memo(warm)
+def test_state_line_cases_equal_reference_reader(line):
     for stream in ([line], [f'{{"t": 9.000, {OPEN_TAIL}\n', line + "\n"]):
-        _assert_state_readers_equal_reference(stream)
-        # and again with the memo as the first pass left it
         _assert_state_readers_equal_reference(stream)
 
 
@@ -850,7 +871,7 @@ DEEP = "[" * 100_000 + "]" * 100_000  # far beyond the recursion limit
     [
         (dio.read_frames, '{"t": 0.000, "scheme": "semantic", "face": false, "points": []}',
          '{"t": 0.100, "scheme": "semantic", "face": false, "points": ' + DEEP + "}"),
-        # the written head of a state line, so the memo path meets the nesting first
+        # the written head of a state line, with a tail the table does not hold
         (dio.read_states, '{"t": 0.000, "face": false}',
          '{"t": 0.100, "face": false, "x": ' + DEEP + "}"),
         (dio.load_external_states, '{"t": 0.000, "face": false}', DEEP),
@@ -875,10 +896,9 @@ def test_nesting_beyond_the_recursion_limit_is_a_parse_error(reader, first, line
         (dio.load_external_states, '{"t": 0.000, "face": false}',
          f'{{"t": {KEYLESS_T}, {OPEN_TAIL}'),
     ],
-    ids=["frames", "states-memo", "states-decode", "external"],
+    ids=["frames", "states-table", "states-decode", "external"],
 )
 def test_timestamp_without_a_millisecond_key_is_a_parse_error(reader, first, line):
-    _set_memo(warm=True)
     with pytest.raises(ParseError) as err:
         list(reader([first + "\n", line + "\n"]))
     assert err.value.line_no == 2
@@ -892,22 +912,6 @@ def test_document_nesting_beyond_the_recursion_limit_is_a_parse_error():
     with pytest.raises(ParseError) as err:
         dio.read_profile(stdio.StringIO(text))
     assert str(err.value) == "profile: JSON nested too deeply"
-
-
-def test_state_memo_decodes_each_distinct_tail_at_most_twice():
-    _, truth = generate(sample_script(noise=0.5))
-    sink = stdio.StringIO()
-    dio.write_labels(sink, truth.labels)
-    lines = sink.getvalue().splitlines(keepends=True)
-    tails = {line.split(", ", 1)[1] for line in lines}
-    assert len(lines) >= 20 * len(tails)
-    dio._tail_fields.cache_clear()
-    with mock.patch.object(dio, "_decode", wraps=dio._decode) as decode:
-        labels = list(dio.read_states(lines))
-        external = dio.load_external_states(lines)
-    assert decode.call_count <= 2 * len(tails)
-    assert labels == list(reference_read_states(lines))
-    assert external == reference_load_external_states(lines)
 
 
 def _semantic_line(t="0.500", face="true", points=None, tail=""):

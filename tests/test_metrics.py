@@ -329,7 +329,7 @@ class TestPerclos:
         with pytest.raises(StreamOrderError):
             w.append(0.1, False, True)
 
-    @pytest.mark.parametrize("duration_s", [0.0, -1.0])
+    @pytest.mark.parametrize("duration_s", [0.0, -1.0, 0.0004, 0.0005])
     def test_window_duration_must_be_positive(self, duration_s):
         with pytest.raises(ValueError, match="must be positive"):
             PerclosWindow(duration_s)

@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drowsy.errors import ScriptError
-from drowsy.landmarks import to_semantic
+from drowsy.landmarks import quantize_ms, to_semantic
 from drowsy.metrics import compute_binocular_ear, compute_head_drop, compute_mar
 from drowsy.synth import (
     DriverParams,
@@ -141,6 +143,14 @@ class TestScriptValidation:
         with pytest.raises(ScriptError):
             script(fps=0.0)
 
+    def test_fps_above_the_millisecond_grid(self):
+        # at 2000 fps frames 0 and 1 would both be written at t=0.000
+        with pytest.raises(ScriptError, match="fps must be at most 1000"):
+            script(fps=2000.0)
+        assert [f.t for f in iter_frames(script(fps=1000.0, duration=0.003))] == [
+            0.0, 0.001, 0.002
+        ]
+
     def test_frame_count_overflow(self):
         with pytest.raises(ScriptError, match="frame count"):
             script(fps=1e200, duration=1e200)
@@ -161,6 +171,17 @@ class TestScriptValidation:
     def test_negative_noise(self):
         with pytest.raises(ScriptError, match="noise_sigma cannot be negative"):
             script(noise=-0.1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(fps=st.floats(0.5, 2000.0), duration=st.floats(0.001, 1.0))
+def test_accepted_script_frame_keys_strictly_increase(fps, duration):
+    try:
+        s = script(duration=duration, fps=fps)
+    except ScriptError:
+        return
+    keys = [quantize_ms(frame.t) for frame in iter_frames(s)]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 class TestPopulation:
