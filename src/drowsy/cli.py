@@ -5,10 +5,11 @@ Exit codes: 0 success, 1 input or format error (including usage errors),
 failures: cmd_run exits 0 however many warnings fired. Every file argument
 accepts "-" for standard input/output, at most one input and one output
 per command (eval's and compare's text report already writes stdout), no
-output may name an input or another output, and no path may be empty;
-these rules are checked before any file is opened. Inputs are read as
-UTF-8. Output files are written atomically (temp file + rename), so a
-failing run leaves no partial outputs behind.
+output may name an input or another output (in a directory compare, every
+driver's four files, present or not, and any new <stem>.frames.jsonl
+there), and no path may be empty; these rules are checked before any file
+is opened. Inputs are read as UTF-8. Output files are written atomically
+(temp file + rename), so a failing run leaves no partial outputs behind.
 
 Data outputs (stdout and files) are byte-reproducible given identical
 inputs, flags, and seed; diagnostics on stderr may include timing and are
@@ -389,17 +390,20 @@ def cmd_compare(args: argparse.Namespace) -> int:
         )
         if not stems:
             raise ConfigError(f"no *{suffix} files under {args.input}")
-        drivers = []
-        for stem in stems:
-            base = os.path.join(args.input, stem)
-            optional = [base + ".profile.json", base + ".external.jsonl"]
-            profile, external = (path if os.path.exists(path) else None for path in optional)
-            drivers.append((base + suffix, base + ".labels.jsonl", profile, external))
+        # every driver file is an input, present or not, and no output may
+        # pass for a driver's frames: the next run over DIR would read it
+        names = (suffix, ".labels.jsonl", ".profile.json", ".external.jsonl")
+        drivers = [[os.path.join(args.input, stem + name) for name in names] for stem in stems]
         _check_paths([("--input", path) for driver in drivers for path in driver], outputs)
+        if args.json and args.json.endswith(suffix) and _same_file(
+            os.path.dirname(os.path.abspath(args.json)), args.input
+        ):
+            raise ConfigError(f"--json names a frame stream in the --input directory: {args.json}")
         reports = []
-        for stem, driver in zip(stems, drivers):
+        for stem, (frames, labels, *optional) in zip(stems, drivers):
+            profile, external = (path if os.path.exists(path) else None for path in optional)
             try:
-                reports.append(_compare_one(*driver, configs))
+                reports.append(_compare_one(frames, labels, profile, external, configs))
             except (DrowsyError, OSError) as exc:
                 # name the driver; a calibration failure keeps its exit code
                 kind = CalibrationError if isinstance(exc, CalibrationError) else DrowsyError

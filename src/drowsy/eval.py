@@ -20,13 +20,13 @@ tally, so the confusion-matrix summary has one definition.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .calibration import CalibrationProfile
 from .errors import EvalError
-from .io import EYE_STATES, FORMAT_VERSION, MOUTH_STATES
+from .io import EYE_STATES, MOUTH_STATES
 from .landmarks import quantize_ms
 from .pipeline import PipelineConfig, external_state, run_session, threshold_states
 
@@ -123,6 +123,8 @@ def confusion(
 
 @dataclass(frozen=True, slots=True)
 class ChannelEval:
+    """One channel's scores; its fields, the matrix nested, are the channel's report entry."""
+
     matrix: ConfusionMatrix
     accuracy: float
     recall_positive: float | None
@@ -304,29 +306,18 @@ def render_population(agg: PopulationAggregate) -> str:
     )
 
 
-def _channel_doc(ev: ChannelEval) -> dict:
-    return {
-        "accuracy": ev.accuracy,
-        "matrix": {"tp": ev.matrix.tp, "tn": ev.matrix.tn, "fp": ev.matrix.fp, "fn": ev.matrix.fn},
-        "recall_positive": ev.recall_positive,
-        "recall_negative": ev.recall_negative,
-        "excluded": ev.excluded,
-    }
-
-
 def _channels_doc(evals: Mapping[str, ChannelEval]) -> dict:
-    return {ch: _channel_doc(evals[ch]) for ch in CHANNELS}
+    return {ch: asdict(evals[ch]) for ch in CHANNELS}
 
 
 def channel_eval_doc(channel: str, ev: ChannelEval) -> dict:
     """JSON-serializable evaluation document of one channel's ChannelEval."""
-    return {"format_version": FORMAT_VERSION, "channel": channel, **_channel_doc(ev)}
+    return {"channel": channel, **asdict(ev)}
 
 
 def report_doc(report: ComparisonReport) -> dict:
     """JSON-serializable comparison report document."""
     return {
-        "format_version": FORMAT_VERSION,
         "mode": "single",
         "frames": report.frames,
         "methods": {
@@ -338,7 +329,6 @@ def report_doc(report: ComparisonReport) -> dict:
 
 def population_doc(agg: PopulationAggregate) -> dict:
     return {
-        "format_version": FORMAT_VERSION,
         "mode": "population",
         "drivers": len(agg.reports),
         "mean_accuracy": agg.mean_accuracy,

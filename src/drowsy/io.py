@@ -14,15 +14,17 @@ Line formats (field order as written):
   records  labels plus "ear", "mar", "head_drop", "perclos" (null when absent)
   events   {"kind": "...", "onset_t": 1.2, "emitted_t": 2.2, "value": 0.1, "threshold": 0.2}
 
-Documents are single JSON objects carrying FORMAT_VERSION, and
-write_document is their one writer (sorted keys, two-space indent, final
-newline). A profile's or a script's keys are the fields of its dataclass
-(CalibrationProfile plus "created_at"; SessionScript with nested
-DriverParams and ScriptEvent objects), so the dataclass is the schema: every
-float field is read as a finite number. The eval and compare reports use
-the same writer. Unknown keys are ignored on read and never emitted on
-write. A third coordinate in frame points (mesh depth) is accepted on read
-and dropped.
+Documents are single JSON objects, and write_document is their one
+writer: it adds FORMAT_VERSION as "format_version", then writes sorted
+keys, two-space indent and a final newline. A profile's or a script's keys
+are the fields of its dataclass (CalibrationProfile plus "created_at";
+SessionScript with nested DriverParams and ScriptEvent objects), so the
+dataclass is the schema: every float field is read as a finite number. The
+eval and compare reports use the same writer; a report's channel entry
+holds the fields of eval.ChannelEval. Unknown keys are ignored on read and
+never emitted on write, and a missing one reads "missing field 'name'". A
+third coordinate in frame points (mesh depth) is accepted on read and
+dropped.
 
 A state line's text after its timestamp is one of 13 tails: one per
 face-present (eye, mouth, head) combination, plus the faceless one. One
@@ -127,9 +129,16 @@ def _lines(source: Iterable[str]) -> Iterator[tuple[int, str]]:
     return enumerate(map(str.strip, source), 1)
 
 
+def _message(exc: Exception) -> str:
+    """The text of a reader's error; a KeyError is a field the object lacks."""
+    if isinstance(exc, KeyError):
+        return f"missing field {exc.args[0]!r}"
+    return str(exc)
+
+
 def _line_error(exc: Exception, line: str, line_no: int) -> ParseError:
     """The ParseError for a line a reader rejected: a blank line fails to decode."""
-    return ParseError(str(exc) if line else "blank line", line_no)
+    return ParseError(_message(exc) if line else "blank line", line_no)
 
 
 # --- landmark frame streams -------------------------------------------------
@@ -386,8 +395,8 @@ def read_events(source: Iterable[str]) -> Iterator[AlertEvent]:
 # --- documents: calibration profiles and session scripts -----------------------
 
 def write_document(sink: IO[str], doc: dict) -> None:
-    """Write doc as canonical document bytes: sorted keys, two-space indent, newline."""
-    sink.write(json.dumps(doc, sort_keys=True, indent=2))
+    """Write doc and its FORMAT_VERSION canonically: sorted keys, two-space indent, newline."""
+    sink.write(json.dumps({**doc, "format_version": FORMAT_VERSION}, sort_keys=True, indent=2))
     sink.write("\n")
 
 
@@ -425,8 +434,7 @@ def default_created_at() -> str:
 
 
 def write_profile(sink: IO[str], profile: CalibrationProfile) -> None:
-    doc = {"format_version": FORMAT_VERSION, "created_at": default_created_at(), **asdict(profile)}
-    write_document(sink, doc)
+    write_document(sink, {"created_at": default_created_at(), **asdict(profile)})
 
 
 def read_profile(source: IO[str]) -> CalibrationProfile:
@@ -438,12 +446,12 @@ def read_profile(source: IO[str]) -> CalibrationProfile:
             raise ValueError("frames_used must be a non-negative integer")
         personalized = _boolean(doc, "personalized")
     except (ValueError, KeyError, TypeError) as exc:
-        raise ParseError(f"profile: {exc}") from None
+        raise ParseError(f"profile: {_message(exc)}") from None
     return CalibrationProfile(frames_used=frames_used, personalized=personalized, **floats)
 
 
 def write_script(sink: IO[str], script: SessionScript) -> None:
-    write_document(sink, {"format_version": FORMAT_VERSION, **asdict(script)})
+    write_document(sink, asdict(script))
 
 
 def read_script(source: IO[str]) -> SessionScript:
@@ -470,4 +478,4 @@ def read_script(source: IO[str]) -> SessionScript:
             driver=driver, events=tuple(events), seed=seed, **_floats(SessionScript, doc)
         )
     except (ValueError, KeyError, TypeError) as exc:
-        raise ParseError(f"script: {exc}") from None
+        raise ParseError(f"script: {_message(exc)}") from None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import ConfigError, GeometryError
+from .errors import ConfigError
 
 Point = tuple[float, float]
 
@@ -194,14 +194,11 @@ def to_semantic(frame: LandmarkFrame) -> SemanticPoints | None:
     """Select the named semantic points out of a frame; None when no face.
 
     The frame is read through the builtin map of its own scheme. A pure
-    selection: output coordinates are exactly input coordinates.
+    selection: output coordinates are exactly input coordinates, and no
+    geometry is checked (the metrics refuse the degenerate cases).
     """
     if not frame.face_present:
         return None
     pts = frame.points
     left_of, right_of, mouth_of, nose_i = _SELECTORS[frame.scheme]
-    left_eye = left_of(pts)
-    right_eye = right_of(pts)
-    if left_eye[0] == right_eye[3]:
-        raise GeometryError(f"degenerate frame at t={frame.t:.3f}: eye corners coincide")
-    return SemanticPoints(left_eye, right_eye, mouth_of(pts), pts[nose_i])
+    return SemanticPoints(left_of(pts), right_of(pts), mouth_of(pts), pts[nose_i])

@@ -62,6 +62,7 @@ def compute_head_drop(sp: SemanticPoints) -> float:
 
     Positive when the nose sits below eye level (y grows downward); dividing
     by the outer-corner distance makes the ratio camera-distance independent.
+    This is the one check that the outer eye corners are distinct.
     """
     c0 = sp.left_eye[0]
     c1 = sp.right_eye[3]

@@ -245,24 +245,38 @@ class Pipeline:
         )
 
     def step(self, frame: LandmarkFrame) -> tuple[FrameRecord, tuple[AlertEvent, ...]]:
+        """Feed one frame; returns its record and the alerts it fired.
+
+        The order check and the raw metrics run before any state changes, so
+        a frame they refuse leaves the pipeline as it was. Two faults come
+        later and are not atomic: a smoothing mean that overflows (the raw
+        values are already buffered) and a missing external state.
+        """
         t = frame.t
         t_ms = quantize_ms(t)
         if self._last_t_ms is not None and t_ms <= self._last_t_ms:
             raise StreamOrderError(
                 f"frame at t={t:.3f} does not advance past t={self._last_t_ms / 1000.0:.3f}"
             )
+        face = frame.face_present
+        if face:
+            sp = to_semantic(frame)
+            try:
+                ear = compute_binocular_ear(sp)
+                mar = compute_mar(sp.mouth)
+                head = compute_head_drop(sp)
+            except GeometryError as exc:
+                raise GeometryError(f"frame at t={t:.3f}: {exc}") from None
         self._last_t_ms = t_ms
         self.frames += 1
         profile = self.profile
         events: list[AlertEvent] = []
 
-        face = frame.face_present
         if face:
-            sp = to_semantic(frame)
+            self._ear_buf.push(ear)
+            self._mar_buf.push(mar)
+            self._head_buf.push(head)
             try:
-                self._ear_buf.push(compute_binocular_ear(sp))
-                self._mar_buf.push(compute_mar(sp.mouth))
-                self._head_buf.push(compute_head_drop(sp))
                 s_ear = self._ear_buf.smoothed()
                 s_mar = self._mar_buf.smoothed()
                 s_head = self._head_buf.smoothed()

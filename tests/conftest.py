@@ -2,7 +2,7 @@
 
 import pytest
 
-from drowsy.landmarks import SEMANTIC, LandmarkFrame
+from drowsy.landmarks import POINT_COUNTS, SEMANTIC, LandmarkFrame
 
 
 def hexagon(width: float, opening: float, x0: float = 0.0, y0: float = 0.0):
@@ -35,6 +35,28 @@ def semantic_frame(t=0.0, ear=0.32, mar=0.40, head_drop=0.55, inter_ocular=100.0
         points=left + right + mouth + (nose,),
         face_present=True,
     )
+
+
+def semantic_roles(scheme_map):
+    """The indices of scheme_map's points in semantic order: eyes, mouth, nose tip."""
+    m = scheme_map
+    return m.eye_left_indices + m.eye_right_indices + m.mouth_indices + (m.nose_tip_index,)
+
+
+def coincident_corner_frame(scheme_map, t=2.5):
+    """A face under scheme_map whose right outer eye corner lies on the left one.
+
+    A semantic face embedded at the map's indices, other points filled in,
+    then p4 of the right eye moved onto p1 of the left eye. Every eye and
+    mouth hexagon keeps a nonzero width, so only the head-drop ratio, which
+    divides by the outer-corner distance, is degenerate.
+    """
+    pts = [(float(i), float(-i)) for i in range(POINT_COUNTS[scheme_map.scheme])]
+    for i, p in zip(semantic_roles(scheme_map), semantic_frame().points):
+        pts[i] = p
+    left, right = scheme_map.eye_corner_indices
+    pts[right] = pts[left]
+    return LandmarkFrame(t=t, scheme=scheme_map.scheme, points=tuple(pts), face_present=True)
 
 
 @pytest.fixture

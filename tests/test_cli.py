@@ -18,8 +18,11 @@ from hypothesis import strategies as st
 from drowsy import cli
 from drowsy import io as dio
 from drowsy.calibration import CalibrationConfig, generalized_profile
+from drowsy.landmarks import DLIB68_MAP, MESH468_MAP, SEMANTIC_MAP
 from drowsy.pipeline import PipelineConfig
 from drowsy.synth import DriverParams, ScriptEvent, SessionScript
+
+from conftest import coincident_corner_frame
 
 DRIVER = DriverParams(0.32, 0.40, 0.55, 200.0)
 
@@ -552,6 +555,21 @@ def test_overflowing_metrics_are_input_errors(workspace, capsys, kind, command, 
     assert not list(tmp_path.glob(".drowsy-*"))
 
 
+@pytest.mark.parametrize("m", [SEMANTIC_MAP, DLIB68_MAP, MESH468_MAP], ids=lambda m: m.scheme)
+def test_coincident_eye_corners_are_an_input_error(workspace, capsys, m):
+    tmp_path, paths = workspace
+    frames = tmp_path / "corners.frames.jsonl"
+    with open(frames, "w") as sink:
+        dio.write_frames(sink, [coincident_corner_frame(m)])
+    out = tmp_path / "out.jsonl"
+    capsys.readouterr()
+    assert cli.main(["run", "--input", str(frames), "--profile", str(paths["profile"]),
+                     "--out", str(out)]) == 1
+    message = "drowsy: frame at t=2.500: degenerate face: eye corners coincide\n"
+    assert capsys.readouterr() == ("", message)
+    assert not out.exists()
+
+
 KEYLESS = "timestamp must be finite and in [0, 1.7976931348623156e+305] s, got 1e+306"
 
 
@@ -692,6 +710,13 @@ PATH_CONFLICTS = [
      "--input and --json name the same file: {pop}/d.labels.jsonl"),
     (["compare", "--input", "{pop}", "--json", "{pop}/d.profile.json"],
      "--input and --json name the same file: {pop}/d.profile.json"),
+    # a driver's optional files are inputs even where absent: e has no profile
+    (["compare", "--input", "{pop}", "--json", "{pop}/e.profile.json"],
+     "--input and --json name the same file: {pop}/e.profile.json"),
+    (["compare", "--input", "{pop}", "--json", "{pop}/d.external.jsonl"],
+     "--input and --json name the same file: {pop}/d.external.jsonl"),
+    (["compare", "--input", "{pop}", "--json", "{pop}/z.frames.jsonl"],
+     "--json names a frame stream in the --input directory: {pop}/z.frames.jsonl"),
     # "-" is one stream per direction
     (COMPARE[:3] + ["--labels", "-", "--profile", "{profile}", "--external", "-"],
      "--labels and --external both read standard input"),
@@ -722,6 +747,8 @@ class TestPathRules:
         for suffix, source in ((".frames.jsonl", "frames"), (".labels.jsonl", "labels"),
                                (".profile.json", "profile")):
             (pop / f"d{suffix}").write_bytes(paths[source].read_bytes())
+        for suffix, source in ((".frames.jsonl", "frames"), (".labels.jsonl", "labels")):
+            (pop / f"e{suffix}").write_bytes(paths[source].read_bytes())
         (tmp_path / "link.jsonl").symlink_to(paths["frames"])
         os.link(paths["frames"], tmp_path / "hard_link.jsonl")
         return tmp_path, {
@@ -781,6 +808,9 @@ class TestPathRules:
         assert "external" in capsys.readouterr().out
         assert cli.main(["compare", "--input", names["pop"],
                          "--json", names["pop"] + "/report.json"]) == 0
+        # a frame-stream name outside the directory is an ordinary output
+        assert cli.main(["compare", "--input", names["pop"],
+                         "--json", str(tmp_path / "report.frames.jsonl")]) == 0
 
 
 class TestDeterminism:

@@ -1,3 +1,5 @@
+import io as stdio
+import json
 import random
 
 import pytest
@@ -13,6 +15,7 @@ from drowsy.eval import (
     ConfusionMatrix,
     accuracy,
     aggregate,
+    channel_eval_doc,
     compare,
     confusion,
     evaluate_channel,
@@ -21,6 +24,7 @@ from drowsy.eval import (
     render_report,
     report_doc,
 )
+from drowsy import io as dio
 from drowsy.io import quantize_ms
 from drowsy.metrics import samples_from_frames
 from drowsy.pipeline import PipelineConfig, run_session
@@ -372,3 +376,66 @@ def test_evaluate_channel_recalls():
     ev = evaluate_channel(preds, labels, CHANNEL_EYE)
     assert ev.recall_positive == 75.0
     assert ev.recall_negative == 100.0
+
+
+def small_report():
+    labels = [lab(i * 0.1, eye=i % 3 == 0, mouth=i % 4 == 0) for i in range(30)]
+    preds = [lab(i * 0.1, eye=i % 2 == 0) for i in range(30)]
+    evals = {ch: evaluate_channel(preds, labels, ch) for ch in CHANNELS}
+    return ComparisonReport(methods={"generalized": evals, "personalized": evals}, frames=30)
+
+
+def test_channel_document_keys_are_pinned():
+    # a new ChannelEval field changes every report: make it a deliberate format change
+    report = small_report()
+    doc = report_doc(report)
+    pooled = population_doc(aggregate([report, report]))["pooled"]
+    entries = [
+        *(doc["methods"][m]["channels"][ch] for m in report.methods for ch in CHANNELS),
+        *(pooled[m][ch] for m in report.methods for ch in CHANNELS),
+    ]
+    for ch in CHANNELS:
+        single = channel_eval_doc(ch, report.methods["generalized"][ch])
+        assert single.pop("channel") == ch
+        entries.append(single)
+    for entry in entries:
+        assert sorted(entry) == ["accuracy", "excluded", "matrix", "recall_negative",
+                                 "recall_positive"]
+        assert sorted(entry["matrix"]) == ["fn", "fp", "tn", "tp"]
+    eye = doc["methods"]["generalized"]["channels"][CHANNEL_EYE]
+    ev = report.methods["generalized"][CHANNEL_EYE]
+    assert eye["matrix"] == {"tp": ev.matrix.tp, "tn": ev.matrix.tn, "fp": ev.matrix.fp,
+                             "fn": ev.matrix.fn}
+    assert (eye["accuracy"], eye["excluded"]) == (ev.accuracy, ev.excluded)
+
+
+def _written(write, value):
+    sink = stdio.StringIO()
+    write(sink, value)
+    return sink.getvalue()
+
+
+DOCUMENTS = {
+    "profile": lambda: _written(dio.write_profile, generalized_profile()),
+    "script": lambda: _written(dio.write_script, SessionScript(
+        fps=30.0, duration_s=4.0, driver=DriverParams(0.32, 0.40, 0.55, 200.0),
+        events=(ScriptEvent("yawn", 1.0, 1.0, 1.0),),
+    )),
+    "eval": lambda: _written(dio.write_document, channel_eval_doc(
+        CHANNEL_EYE, small_report().methods["generalized"][CHANNEL_EYE]
+    )),
+    "compare-single": lambda: _written(dio.write_document, report_doc(small_report())),
+    "compare-population": lambda: _written(
+        dio.write_document, population_doc(aggregate([small_report(), small_report()]))
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", DOCUMENTS)
+def test_every_document_is_written_with_format_version_1_once(kind):
+    text = DOCUMENTS[kind]()
+    assert text.count('"format_version"') == 1
+    doc = json.loads(text)
+    assert doc["format_version"] == 1
+    # write_document owns the envelope: a version passed in is overwritten
+    assert _written(dio.write_document, {**doc, "format_version": 99}) == text

@@ -340,6 +340,37 @@ class TestRecords:
             assert state.face_present == rec.face_present
 
 
+def _document_without(write, value, key):
+    sink = stdio.StringIO()
+    write(sink, value)
+    doc = json.loads(sink.getvalue())
+    del doc[key]
+    return stdio.StringIO(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "read, source, message",
+    [
+        (dio.read_frames, ['{"t": 0.000, "face": false, "points": []}'],
+         "line 1: missing field 'scheme'"),
+        (dio.read_states, ['{"t": 0.000, "eye": "open"}'], "line 1: missing field 'face'"),
+        (dio.read_events, ['{"kind": "eyes_closed", "emitted_t": 2.000, "value": 0.100000, '
+                           '"threshold": 0.200000}'], "line 1: missing field 'onset_t'"),
+        (dio.read_profile, lambda: _document_without(
+            dio.write_profile, generalized_profile(), "baseline_ear"),
+         "profile: missing field 'baseline_ear'"),
+        (dio.read_script, lambda: _document_without(dio.write_script, sample_script(), "driver"),
+         "script: missing field 'driver'"),
+    ],
+    ids=["frames", "states", "events", "profile", "script"],
+)
+def test_a_missing_field_is_named(read, source, message):
+    with pytest.raises(ParseError) as err:
+        result = read(source() if callable(source) else source)
+        list(result)  # the stream readers are lazy
+    assert str(err.value) == message
+
+
 class TestScriptFile:
     def test_round_trip_byte_identical(self):
         sink = stdio.StringIO()
@@ -433,6 +464,12 @@ def _reference_lines(source):
         yield line_no, line
 
 
+def _reference_error(exc, line_no):
+    # a field the line lacks is named as such
+    message = f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
+    return ParseError(message, line_no)
+
+
 def _reference_number(obj, key):
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -477,7 +514,7 @@ def reference_read_frames(source):
                 points.append((float(x), float(y)))
             frame = LandmarkFrame(t=t, scheme=scheme, points=tuple(points), face_present=face)
         except (ValueError, KeyError, TypeError, OverflowError) as exc:
-            raise ParseError(str(exc), line_no) from None
+            raise _reference_error(exc, line_no) from None
         t_ms = dio.quantize_ms(frame.t)
         if last_ms is not None and t_ms <= last_ms:
             raise StreamOrderError(
@@ -517,7 +554,7 @@ def reference_read_states(source):
                 t=t, face_present=face, eye_closed=eye, mouth_yawn=mouth, head_down=head
             )
         except (ValueError, KeyError, TypeError) as exc:
-            raise ParseError(str(exc), line_no) from None
+            raise _reference_error(exc, line_no) from None
 
 
 def reference_load_external_states(source):

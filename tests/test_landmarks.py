@@ -2,10 +2,10 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
-from drowsy.errors import ConfigError, GeometryError
+from drowsy.errors import ConfigError
 from drowsy.landmarks import (
     DLIB68,
     DLIB68_MAP,
@@ -23,7 +23,7 @@ from drowsy.landmarks import (
     to_semantic,
 )
 
-from conftest import semantic_frame
+from conftest import coincident_corner_frame, semantic_frame, semantic_roles
 
 
 def faceless(t=0.0, scheme=SEMANTIC):
@@ -152,18 +152,13 @@ class TestToSemantic:
         assert sp.left_eye == sentinels
 
     @pytest.mark.parametrize("m", [SEMANTIC_MAP, DLIB68_MAP, MESH468_MAP], ids=lambda m: m.scheme)
-    def test_coincident_eye_corners_rejected(self, m):
-        # embed a semantic face, then collapse the right outer corner onto the left one
-        roles = m.eye_left_indices + m.eye_right_indices + m.mouth_indices + (m.nose_tip_index,)
-        pts = [(float(i), float(-i)) for i in range(POINT_COUNTS[m.scheme])]
-        for i, p in zip(roles, semantic_frame().points):
-            pts[i] = p
-        left, right = m.eye_corner_indices
-        pts[right] = pts[left]
-        frame = LandmarkFrame(t=2.5, scheme=m.scheme, points=tuple(pts), face_present=True)
-        with pytest.raises(GeometryError) as err:
-            to_semantic(frame)
-        assert str(err.value) == "degenerate frame at t=2.500: eye corners coincide"
+    def test_coincident_eye_corners_are_selected_unchanged(self, m):
+        # the head-drop metric refuses such a face; selection checks no geometry
+        frame = coincident_corner_frame(m)
+        sp = to_semantic(frame)
+        selected = sp.left_eye + sp.right_eye + sp.mouth + (sp.nose_tip,)
+        assert selected == tuple(frame.points[i] for i in semantic_roles(m))
+        assert sp.left_eye[0] == sp.right_eye[3]
 
 
 coordinate = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -172,7 +167,6 @@ point = st.tuples(coordinate, coordinate)
 
 @given(st.tuples(*([point] * 19)))
 def test_to_semantic_is_pure_selection(points):
-    assume(points[0] != points[9])  # outer eye corners must be distinct
     frame = LandmarkFrame(t=0.0, scheme=SEMANTIC, points=points, face_present=True)
     sp = to_semantic(frame)
     selected = sp.left_eye + sp.right_eye + sp.mouth + (sp.nose_tip,)
@@ -183,7 +177,6 @@ def test_to_semantic_is_pure_selection(points):
 @given(points=st.tuples(*([point] * 19)), seed=st.integers(min_value=0))
 def test_scheme_routes_to_builtin_map(scheme, points, seed):
     # semantic point i goes to the index its role has in the scheme's builtin map
-    assume(points[0] != points[9])  # outer eye corners must be distinct
     semantic = LandmarkFrame(t=0.0, scheme=SEMANTIC, points=points, face_present=True)
     m = builtin_scheme_map(scheme)
     roles = m.eye_left_indices + m.eye_right_indices + m.mouth_indices + (m.nose_tip_index,)

@@ -91,6 +91,54 @@ def test_no_unused_private_names(path):
     assert unused_private_names(path.read_text(encoding="utf-8")) == []
 
 
+def envelope_uses(source: str) -> list[int]:
+    """Lines that name FORMAT_VERSION or use "format_version" as a dict key."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            named = node.id == "FORMAT_VERSION"
+        elif isinstance(node, ast.Attribute):
+            named = node.attr == "FORMAT_VERSION"
+        elif isinstance(node, ast.alias):
+            named = "FORMAT_VERSION" in (node.name, node.asname)
+        elif isinstance(node, ast.Dict):
+            named = any(isinstance(k, ast.Constant) and k.value == "format_version"
+                        for k in node.keys)
+        elif isinstance(node, ast.Subscript):
+            named = isinstance(node.slice, ast.Constant) and node.slice.value == "format_version"
+        elif isinstance(node, ast.keyword):
+            named = node.arg == "format_version"
+        else:
+            continue
+        if named:
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_envelope_scan_flags_every_form():
+    source = (
+        "from .io import FORMAT_VERSION\n"
+        "from . import io as dio\n"
+        "a = {'mode': 'format_version', **b}\n"
+        "c = {'format_version': 1}\n"
+        "d = dio.FORMAT_VERSION\n"
+        "e['format_version'] = 1\n"
+        "f = dict(format_version=1)\n"
+        "g = {'FORMAT_VERSION': 1}\n"
+    )
+    assert envelope_uses(source) == [1, 4, 5, 6, 7]
+
+
+PACKAGE = sorted((ROOT / "src" / "drowsy").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_io_writes_the_document_envelope(path):
+    # io.write_document adds format_version to every document it writes
+    uses = envelope_uses(path.read_text(encoding="utf-8"))
+    assert (uses != []) == (path.name == "io.py"), uses
+
+
 # the interpreter floor pyproject.toml declares, as a feature_version for ast.parse
 FLOOR = tuple(
     int(part)

@@ -9,19 +9,21 @@ from hypothesis import strategies as st
 from drowsy.calibration import generalized_profile
 from drowsy.errors import ConfigError, GeometryError, MissingLabelError, NoDataError
 from drowsy.errors import StreamOrderError
+from drowsy.landmarks import DLIB68_MAP, MESH468_MAP, SEMANTIC_MAP
 from drowsy.landmarks import MAX_SECONDS, LandmarkFrame, SEMANTIC, quantize_ms, to_semantic
-from drowsy.metrics import compute_binocular_ear, compute_head_drop, compute_mar
+from drowsy.metrics import compute_binocular_ear, compute_head_drop, compute_mar, metric_sample
 from drowsy.pipeline import (
     ALL_EVENT_KINDS,
     ChannelState,
     FrameRecord,
     Pipeline,
     PipelineConfig,
+    SessionSummary,
     SmoothingBuffer,
     run_session,
 )
 
-from conftest import semantic_frame
+from conftest import coincident_corner_frame, semantic_frame
 
 FPS = 30.0
 
@@ -101,6 +103,61 @@ def test_step_names_the_frame_whose_smoothed_mean_overflows():
     with pytest.raises(GeometryError) as err:
         pipe.step(huge_ear_frame(0.067))  # three of them sum past float max
     assert str(err.value) == "frame at t=0.067: smoothed mean overflows"
+
+
+CORNERS = "frame at t=2.500: degenerate face: eye corners coincide"
+
+
+@pytest.mark.parametrize("m", [SEMANTIC_MAP, DLIB68_MAP, MESH468_MAP], ids=lambda m: m.scheme)
+def test_coincident_eye_corners_are_refused_per_frame(m):
+    frame = coincident_corner_frame(m)
+    with pytest.raises(GeometryError) as err:
+        Pipeline(profile()).step(frame)
+    assert str(err.value) == CORNERS
+    with pytest.raises(GeometryError) as err:
+        metric_sample(frame)
+    assert str(err.value) == CORNERS
+
+
+def refused_frame(t, fault):
+    """A face at t with one raw metric degenerate; its EAR would differ from the session's."""
+    pts = list(semantic_frame(t=t, ear=0.45, mar=0.80).points)
+    if fault == "eye":
+        pts[3] = pts[0]  # the left eye's horizontal corners
+    elif fault == "mouth":
+        pts[15] = pts[12]  # the mouth's horizontal corners
+    else:
+        pts[9] = pts[0]  # the outer eye corners
+    return LandmarkFrame(t, SEMANTIC, tuple(pts), True)
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("eye", "degenerate eye: horizontal corner points coincide"),
+        ("mouth", "degenerate mouth: horizontal corner points coincide"),
+        ("head", "degenerate face: eye corners coincide"),
+    ],
+)
+def test_a_refused_frame_leaves_the_pipeline_unchanged(fault, message):
+    frames = metric_frames([0.32] * 100 + [0.0] * 60 + [0.32] * 140)
+    expected = run_session(frames, profile())
+    pipe = Pipeline(profile())
+    records, events = [], []
+    for i, frame in enumerate(frames):
+        if i == 150:  # between t=4.967 and t=5.000, inside the closure
+            with pytest.raises(GeometryError) as err:
+                pipe.step(refused_frame(4.98, fault))
+            assert str(err.value) == f"frame at t=4.980: {message}"
+        record, new_events = pipe.step(frame)
+        records.append(record)
+        events.extend(new_events)
+    assert records == expected.records
+    assert events == expected.events and events
+    summary = SessionSummary(
+        pipe.frames, pipe.faceless_frames, dict(pipe.alert_counts), records[-1].perclos
+    )
+    assert summary == expected.summary
 
 
 class TestChannelState:
