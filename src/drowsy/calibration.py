@@ -13,18 +13,20 @@ import math
 from dataclasses import asdict, dataclass
 from typing import Iterable, Mapping
 
-from .errors import CalibrationError, ConfigError, GeometryError
+from .errors import CalibrationError, ConfigError, DrowsyError, GeometryError
 from .landmarks import MAX_SECONDS, quantize_ms
 from .metrics import MetricSample
 
 TRIM_FRACTION = 0.10
 
 
-def require_finite(values: Mapping[str, object]) -> None:
-    """Raise ConfigError naming the first float value that is nan or infinite."""
+def require_finite(
+    values: Mapping[str, object], error: type[DrowsyError] = ConfigError
+) -> None:
+    """Raise `error` naming the first float value that is nan or infinite."""
     for name, value in values.items():
         if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"{name} must be finite, got {value!r}")
+            raise error(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True, slots=True)

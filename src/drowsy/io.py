@@ -14,6 +14,9 @@ Line formats (field order as written):
   records  labels plus "ear", "mar", "head_drop", "perclos" (null when absent)
   events   {"kind": "...", "onset_t": 1.2, "emitted_t": 2.2, "value": 0.1, "threshold": 0.2}
 
+A face frame's points are written with one "%" operation, from a table
+holding one format string per scheme (built from POINT_COUNTS).
+
 Documents are single JSON objects, and write_document is their one
 writer: it adds FORMAT_VERSION as "format_version", then writes sorted
 keys, two-space indent and a final newline. A profile's or a script's keys
@@ -48,7 +51,7 @@ import os
 import re
 import time as _time
 from dataclasses import asdict, fields
-from itertools import starmap
+from itertools import chain, starmap
 from typing import IO, Iterable, Iterator
 
 from .calibration import CalibrationProfile
@@ -226,10 +229,23 @@ def read_frames(source: Iterable[str]) -> Iterator[LandmarkFrame]:
         yield frame
 
 
+# The written points of a face frame under each scheme, one "%" away from
+# the frame's coordinates flattened x, y, x, y, ... (a LandmarkFrame holds
+# exactly its scheme's point count); "%.6f" writes the same text as
+# f"{v:.6f}" for float, int and bool coordinates.
+_POINT_FORMATS = {
+    scheme: ", ".join(["[%.6f, %.6f]"] * count) for scheme, count in POINT_COUNTS.items()
+}
+
+
 def write_frames(sink: IO[str], frames: Iterable[LandmarkFrame]) -> None:
     for frame in frames:
-        pts = ", ".join(f"[{x:.6f}, {y:.6f}]" for x, y in frame.points)
-        face = "true" if frame.face_present else "false"
+        if frame.face_present:
+            pts = _POINT_FORMATS[frame.scheme] % tuple(chain.from_iterable(frame.points))
+            face = "true"
+        else:
+            pts = ""
+            face = "false"
         sink.write(
             f'{{"t": {frame.t:.3f}, "scheme": "{frame.scheme}", "face": {face}, "points": [{pts}]}}\n'
         )

@@ -247,10 +247,12 @@ class Pipeline:
     def step(self, frame: LandmarkFrame) -> tuple[FrameRecord, tuple[AlertEvent, ...]]:
         """Feed one frame; returns its record and the alerts it fired.
 
-        The order check and the raw metrics run before any state changes, so
-        a frame they refuse leaves the pipeline as it was. Two faults come
-        later and are not atomic: a smoothing mean that overflows (the raw
-        values are already buffered) and a missing external state.
+        The order check, the raw metrics and, with external states, the
+        frame's state lookup run in that order before any state changes, so
+        a frame they refuse leaves the pipeline as it was. One fault comes
+        later and is not atomic: a smoothing mean that overflows (the raw
+        values are already buffered). A frame that both lacks its external
+        state and would overflow the mean reports the missing state.
         """
         t = frame.t
         t_ms = quantize_ms(t)
@@ -267,6 +269,8 @@ class Pipeline:
                 head = compute_head_drop(sp)
             except GeometryError as exc:
                 raise GeometryError(f"frame at t={t:.3f}: {exc}") from None
+            if self.external is not None:
+                eye_closed, mouth_yawn = external_state(self.external, t)
         self._last_t_ms = t_ms
         self.frames += 1
         profile = self.profile
@@ -284,8 +288,6 @@ class Pipeline:
                 raise GeometryError(f"frame at t={t:.3f}: {exc}") from None
             if self.external is None:
                 eye_closed, mouth_yawn = threshold_states(profile, s_ear, s_mar)
-            else:
-                eye_closed, mouth_yawn = external_state(self.external, t)
             head_down = s_head > profile.head_drop_limit
         else:
             self.faceless_frames += 1

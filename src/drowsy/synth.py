@@ -15,15 +15,26 @@ talk events, which oscillate the mouth ratio below the yawn range:
   dropout                    face_present = False, no points
 Talk tops out below the 1.4x personalized mouth threshold by construction,
 so talk frames are labeled (and should be classified) as not yawning.
+Events are swept in start order: a frame combines the events whose
+interval holds its time, with min/max on the ratios and or on the labels,
+so the order of the script's events changes nothing.
+
+Noise is N(0, noise_sigma) added to x and then y of each point, frame
+after frame, and equals successive Random(seed).gauss(0.0, noise_sigma)
+draws bit for bit: each point takes one Box-Muller pair (Box & Muller
+1958) by Random.gauss's own formula, the cosine half on x and the sine
+half on y, which leaves the generator in the same state as the two calls.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from dataclasses import dataclass, fields
+from math import cos, log, sin, sqrt
+from typing import Callable, Iterable, Iterator
 
+from .calibration import require_finite
 from .errors import ScriptError
 from .landmarks import MAX_SECONDS, SEMANTIC, LandmarkFrame, Point, check_timestamp
 
@@ -78,6 +89,12 @@ class SessionScript:
     seed: int = 0
 
     def __post_init__(self):
+        parts = [("", self), ("driver.", self.driver)]
+        parts += [(f"events[{i}].", ev) for i, ev in enumerate(self.events)]
+        require_finite(
+            {prefix + f.name: getattr(obj, f.name) for prefix, obj in parts for f in fields(obj)},
+            ScriptError,
+        )
         if self.fps <= 0.0 or self.duration_s <= 0.0:
             raise ScriptError("fps and duration must be positive")
         if not math.isfinite(self.fps * self.duration_s):
@@ -173,24 +190,52 @@ def _semantic_points(
     return left_eye + right_eye + mouth + (nose,)
 
 
+_TWOPI = 2.0 * math.pi
+
+
+def _add_noise(
+    points: tuple[Point, ...], rand: Callable[[], float], sigma: float
+) -> tuple[Point, ...]:
+    """points plus N(0, sigma) on x and then y of each point.
+
+    One Box-Muller pair per point, computed exactly as Random.gauss
+    computes it, so the values and rand's generator state equal those of
+    two successive gauss(0.0, sigma) calls per point.
+    """
+    noisy = []
+    append = noisy.append
+    for x, y in points:
+        x2pi = rand() * _TWOPI
+        g2rad = sqrt(-2.0 * log(1.0 - rand()))
+        append((x + (0.0 + cos(x2pi) * g2rad * sigma), y + (0.0 + sin(x2pi) * g2rad * sigma)))
+    return tuple(noisy)
+
+
 def iter_session(script: SessionScript) -> Iterator[tuple[LandmarkFrame, FrameLabel]]:
-    """Yield (frame, ground-truth label) pairs one at a time, in order."""
-    rng = random.Random(script.seed)
-    gauss = rng.gauss
+    """Yield (frame, ground-truth label) pairs one at a time, in order.
+
+    Raises ScriptError naming the frame whose coordinates leave float range.
+    """
+    rand = random.Random(script.seed).random
     sigma = script.noise_sigma
     driver = script.driver
-    events = script.events
+    # frame times never decrease, so an event joins `active` once its start
+    # is reached and leaves it for good once its end is passed
+    pending = sorted(script.events, key=lambda ev: ev.start_t, reverse=True)
+    active: list[ScriptEvent] = []
     for i in range(script.frame_count):
         t = _frame_t(i, script.fps)
+        while pending and pending[-1].start_t <= t:
+            active.append(pending.pop())
+        if active:
+            active = [ev for ev in active if t < ev.start_t + ev.length_s]
 
         eye_mult = 1.0
         mouth_mult = 1.0
         head_mult = 1.0
         face = True
         eye_closed = mouth_yawn = head_down = False
-        for ev in events:
-            if not (ev.start_t <= t < ev.start_t + ev.length_s):
-                continue
+        for ev in active:
             if ev.kind in _EYE_EVENTS:
                 eye_mult = min(eye_mult, 1.0 - ev.intensity)
                 eye_closed = True
@@ -222,8 +267,11 @@ def iter_session(script: SessionScript) -> Iterator[tuple[LandmarkFrame, FrameLa
             inter_ocular=driver.inter_ocular_px,
         )
         if sigma > 0.0:
-            points = tuple((x + gauss(0.0, sigma), y + gauss(0.0, sigma)) for x, y in points)
-        frame = LandmarkFrame(t=t, scheme=SEMANTIC, points=points, face_present=True)
+            points = _add_noise(points, rand, sigma)
+        try:
+            frame = LandmarkFrame(t=t, scheme=SEMANTIC, points=points, face_present=True)
+        except ValueError as exc:
+            raise ScriptError(f"frame at t={t:.3f}: {exc}") from None
         label = FrameLabel(
             t=t,
             face_present=True,

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import gc
+import hashlib
 import inspect
 import io as stdio
 import json
@@ -444,6 +445,19 @@ class TestExitCodes:
         assert "frame count" in err
         assert not out.exists() and not labels.exists()
 
+    def test_script_coordinate_overflow_is_input_error(self, tmp_path, capsys):
+        source = tmp_path / "loud.script.json"
+        write_script_file(source, duration=2.0, noise=1e308)
+        out = tmp_path / "out.jsonl"
+        labels = tmp_path / "out.labels.jsonl"
+        argv = ["synth", "--script", str(source), "--out", str(out), "--labels", str(labels)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == (
+            "", "drowsy: frame at t=0.000: landmark coordinates must be finite\n"
+        )
+        assert not out.exists() and not labels.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["loud.script.json"]
+
     @pytest.mark.parametrize("epoch", ["abc", "", "1e9", "99999999999999999999"])
     def test_malformed_source_date_epoch_is_input_error(self, workspace, capsys, epoch,
                                                          monkeypatch):
@@ -826,6 +840,38 @@ class TestDeterminism:
                              "--labels", str(labels)]) == 0
             outs.append((frames.read_bytes(), labels.read_bytes()))
         assert outs[0] == outs[1]
+
+    def test_synth_output_matches_golden_digest(self, tmp_path):
+        # one script with every event kind, overlapping events and noise; the
+        # digests pin the exact bytes that `drowsy synth` writes for it
+        script_path = tmp_path / "golden.script.json"
+        with open(script_path, "w") as fp:
+            dio.write_script(fp, SessionScript(
+                fps=30.0,
+                duration_s=12.0,
+                driver=DriverParams(0.31, 0.42, 0.55, 190.0),
+                events=(
+                    ScriptEvent("talk", 1.0, 3.0, 0.8),
+                    ScriptEvent("blink", 2.0, 0.1, 1.0),
+                    ScriptEvent("yawn", 2.5, 2.0, 0.9),
+                    ScriptEvent("sustained_closure", 5.0, 2.0, 0.7),
+                    ScriptEvent("blink", 5.5, 0.2, 0.5),
+                    ScriptEvent("head_nod", 6.0, 2.0, 1.0),
+                    ScriptEvent("dropout", 8.0, 1.0, 1.0),
+                ),
+                noise_sigma=0.5,
+                seed=2026,
+            ))
+        frames = tmp_path / "golden.frames.jsonl"
+        labels = tmp_path / "golden.labels.jsonl"
+        assert cli.main(["synth", "--script", str(script_path), "--out", str(frames),
+                         "--labels", str(labels)]) == 0
+        assert hashlib.sha256(frames.read_bytes()).hexdigest() == (
+            "0e1816d320206a69100578ae6fd1a7d3d6572bf05c5f1216bc389c669af916cb"
+        )
+        assert hashlib.sha256(labels.read_bytes()).hexdigest() == (
+            "bfe7860104a4b1634787d33b243136876cbee9daf5ff93a6830184ed35d000b1"
+        )
 
     def test_seed_override_changes_noise(self, tmp_path):
         script_path = tmp_path / "s.json"

@@ -116,6 +116,71 @@ class TestFrameStream:
             list(dio.read_frames(["", '{"t": 0.0}']))
 
 
+def reference_write_frames(sink, frames):
+    """The frame writer with one f-string per point; write_frames must equal it."""
+    for frame in frames:
+        pts = ", ".join(f"[{x:.6f}, {y:.6f}]" for x, y in frame.points)
+        face = "true" if frame.face_present else "false"
+        sink.write(
+            f'{{"t": {frame.t:.3f}, "scheme": "{frame.scheme}", "face": {face}, "points": [{pts}]}}\n'
+        )
+
+
+# -0.0, values that round to -0.000000, the float extremes, ints and bools
+WRITER_EDGE_COORDINATES = [
+    -0.0, 0.0, -1e-7, -4.9e-7, -5e-7, 5e-324, -5e-324, 1.7976931348623157e308,
+    -1.7976931348623157e308, 1e22, 0.5e-6, 2.5e-6, 0, -3, 10**15, True, False,
+]
+WRITER_COORDINATES = st.one_of(
+    st.sampled_from(WRITER_EDGE_COORDINATES),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e4, 1e4),
+    st.integers(-(10**300), 10**300),
+)
+
+
+@st.composite
+def frames_to_write(draw, scheme):
+    """Frames whose coordinates a seeded rng picks from a drawn pool of values."""
+    pool = draw(st.lists(WRITER_COORDINATES, min_size=1, max_size=12))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    frames = []
+    for _ in range(draw(st.integers(1, 4))):
+        t = draw(st.floats(0.0, 1e9))
+        if rng.random() < 0.2:
+            frames.append(LandmarkFrame(t, scheme, (), False))
+            continue
+        points = tuple(
+            (rng.choice(pool), rng.choice(pool)) for _ in range(POINT_COUNTS[scheme])
+        )
+        frames.append(LandmarkFrame(t, scheme, points, True))
+    return frames
+
+
+@pytest.mark.parametrize("scheme", sorted(POINT_COUNTS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_write_frames_equals_per_point_writer(scheme, data):
+    frames = data.draw(frames_to_write(scheme))
+    expected = stdio.StringIO()
+    reference_write_frames(expected, frames)
+    assert dump_frames(frames) == expected.getvalue()
+
+
+def test_write_frames_edge_coordinates_equal_per_point_writer():
+    count = POINT_COUNTS["semantic"]
+    values = WRITER_EDGE_COORDINATES * 3
+    frames = [
+        LandmarkFrame(i / 10.0, "semantic", tuple(zip(values[i:i + count], values[i + 1:])), True)
+        for i in range(len(WRITER_EDGE_COORDINATES))
+    ]
+    expected = stdio.StringIO()
+    reference_write_frames(expected, frames)
+    written = dump_frames(frames)
+    assert written == expected.getvalue()
+    assert "[-0.000000, 0.000000]" in written and "[-0.000000, -0.000000]" in written
+
+
 class TestProfileFile:
     def make_profile(self):
         samples = [

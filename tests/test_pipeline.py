@@ -160,6 +160,35 @@ def test_a_refused_frame_leaves_the_pipeline_unchanged(fault, message):
     assert summary == expected.summary
 
 
+def test_a_frame_without_its_external_state_leaves_the_pipeline_unchanged():
+    frames = metric_frames([0.32] * 100 + [0.0] * 60 + [0.32] * 140)
+    external = {quantize_ms(f.t): (60 <= i < 200, False) for i, f in enumerate(frames)}
+    expected = run_session(frames, profile(), external=external)
+    pipe = Pipeline(profile(), external=external)
+    records, events = [], []
+    for i, frame in enumerate(frames):
+        if i == 150:  # between t=4.967 and t=5.000, with metrics unlike the session's
+            with pytest.raises(MissingLabelError) as err:
+                pipe.step(semantic_frame(t=4.98, ear=0.45, mar=0.80))
+            assert str(err.value) == "no external state for frame at t=4.980"
+        record, new_events = pipe.step(frame)
+        records.append(record)
+        events.extend(new_events)
+    assert records == expected.records
+    assert events == expected.events and events
+    assert (pipe.frames, pipe.faceless_frames) == (300, 0)
+
+
+def test_a_missing_external_state_is_reported_before_a_smoothing_overflow():
+    pipe = Pipeline(profile(), external={0: (False, False), 33: (False, False)})
+    pipe.step(huge_ear_frame(0.0))
+    pipe.step(huge_ear_frame(0.033))
+    # this frame's mean would overflow, and it has no external state either
+    with pytest.raises(MissingLabelError):
+        pipe.step(huge_ear_frame(0.067))
+    assert pipe.frames == 2
+
+
 class TestChannelState:
     def run_machine(self, conditions, sustain_frames=30, rearm=15, fps=FPS):
         sustain_ms = round(sustain_frames * 1000.0 / fps)

@@ -1,17 +1,25 @@
+import math
+import random
+import struct
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from drowsy import synth
 from drowsy.errors import ScriptError
-from drowsy.landmarks import quantize_ms, to_semantic
+from drowsy.landmarks import SEMANTIC, LandmarkFrame, quantize_ms, to_semantic
 from drowsy.metrics import compute_binocular_ear, compute_head_drop, compute_mar
 from drowsy.synth import (
+    EVENT_KINDS,
     DriverParams,
+    FrameLabel,
     ScriptEvent,
     SessionScript,
     generate,
     generate_population,
     iter_frames,
+    iter_session,
 )
 
 DRIVER = DriverParams(
@@ -171,6 +179,152 @@ class TestScriptValidation:
     def test_negative_noise(self):
         with pytest.raises(ScriptError, match="noise_sigma cannot be negative"):
             script(noise=-0.1)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (dict(fps=math.nan), "fps must be finite, got nan"),
+            (dict(duration=math.inf), "duration_s must be finite, got inf"),
+            (dict(noise=math.nan), "noise_sigma must be finite, got nan"),
+            (dict(driver=DriverParams(math.nan, 0.4, 0.5)), "driver.baseline_ear must be finite"),
+            (dict(driver=DriverParams(0.3, 0.4, 0.5, -math.inf)),
+             "driver.inter_ocular_px must be finite, got -inf"),
+            (dict(events=[ScriptEvent("blink", math.nan, 0.1)]),
+             r"events\[0\]\.start_t must be finite, got nan"),
+            (dict(events=[ScriptEvent("yawn", 1.0, 1.0), ScriptEvent("talk", 2.0, math.nan)]),
+             r"events\[1\]\.length_s must be finite, got nan"),
+            (dict(events=[ScriptEvent("head_nod", 1.0, 1.0, math.nan)]),
+             r"events\[0\]\.intensity must be finite, got nan"),
+        ],
+        ids=["fps", "duration", "noise", "baseline", "inter-ocular", "start", "length",
+             "intensity"],
+    )
+    def test_non_finite_number_names_its_field(self, change, message):
+        with pytest.raises(ScriptError, match=message):
+            script(**change)
+
+    def test_non_finite_check_runs_first(self):
+        # fps 0 and an unknown kind would each be refused later on their own
+        with pytest.raises(ScriptError, match=r"events\[0\]\.start_t must be finite"):
+            script(fps=0.0, events=[ScriptEvent("sneeze", math.nan, 1.0)])
+
+    def test_overflowing_coordinates_name_the_frame(self):
+        s = script(noise=1e308)
+        with pytest.raises(ScriptError) as err:
+            next(iter_session(s))
+        assert str(err.value) == "frame at t=0.000: landmark coordinates must be finite"
+
+
+def bits(points):
+    """The exact bits of each coordinate, so -0.0 and 0.0 differ."""
+    return [struct.pack("<dd", x, y) for x, y in points]
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**64),
+    sigma=st.one_of(st.sampled_from([0.0, 5e-324, 1.0, 1e300]), st.floats(0.0, 1e3)),
+    points=st.lists(st.tuples(FINITE, FINITE), max_size=25),
+)
+@example(seed=0, sigma=0.0, points=[(-0.0, -0.0)] * 4)
+def test_noise_equals_successive_gauss_draws(seed, sigma, points):
+    expected_rng = random.Random(seed)
+    gauss = expected_rng.gauss
+    expected = tuple((x + gauss(0.0, sigma), y + gauss(0.0, sigma)) for x, y in points)
+    rng = random.Random(seed)
+    assert bits(synth._add_noise(tuple(points), rng.random, sigma)) == bits(expected)
+    assert rng.getstate() == expected_rng.getstate()
+
+
+def reference_iter_session(s):
+    """The generator as it tested every event on every frame and drew noise from gauss."""
+    rng = random.Random(s.seed)
+    gauss = rng.gauss
+    sigma = s.noise_sigma
+    driver = s.driver
+    for i in range(s.frame_count):
+        t = synth._frame_t(i, s.fps)
+        eye_mult = mouth_mult = head_mult = 1.0
+        face = True
+        eye_closed = mouth_yawn = head_down = False
+        for ev in s.events:
+            if not (ev.start_t <= t < ev.start_t + ev.length_s):
+                continue
+            if ev.kind in ("blink", "sustained_closure"):
+                eye_mult = min(eye_mult, 1.0 - ev.intensity)
+                eye_closed = True
+            elif ev.kind == "yawn":
+                mouth_mult = max(mouth_mult, 1.0 + ev.intensity)
+                mouth_yawn = True
+            elif ev.kind == "talk":
+                phase = 2.0 * math.pi * synth._TALK_HZ * (t - ev.start_t)
+                wobble = 1.0 + ev.intensity * (
+                    synth._TALK_MID - synth._TALK_AMP * math.cos(phase)
+                )
+                mouth_mult = max(mouth_mult, wobble)
+            elif ev.kind == "head_nod":
+                head_mult = max(head_mult, 1.0 + 0.5 * ev.intensity)
+                head_down = True
+            else:
+                face = False
+        if not face:
+            yield (
+                LandmarkFrame(t=t, scheme=SEMANTIC, points=(), face_present=False),
+                FrameLabel(t, False, None, None, None),
+            )
+            continue
+        points = synth._semantic_points(
+            ear=driver.baseline_ear * eye_mult,
+            mar=driver.baseline_mar * mouth_mult,
+            head_drop=driver.baseline_head_drop * head_mult,
+            inter_ocular=driver.inter_ocular_px,
+        )
+        if sigma > 0.0:
+            points = tuple((x + gauss(0.0, sigma), y + gauss(0.0, sigma)) for x, y in points)
+        yield (
+            LandmarkFrame(t=t, scheme=SEMANTIC, points=points, face_present=True),
+            FrameLabel(t, True, eye_closed, mouth_yawn, head_down),
+        )
+
+
+@st.composite
+def event_scripts(draw):
+    """Scripts whose unsorted events overlap, share starts and touch ends and frame times."""
+    fps = draw(st.one_of(st.sampled_from([1.0, 30.0, 1000.0]), st.floats(1.0, 1000.0)))
+    frames = draw(st.integers(1, 150))
+    duration = frames / fps
+    anchors = [0.0, duration]
+    events = []
+    for _ in range(draw(st.integers(0, 8))):
+        frame_time = st.integers(0, frames).map(lambda i: synth._frame_t(i, fps))
+        start = draw(st.one_of(st.sampled_from(anchors), frame_time, st.floats(0.0, duration)))
+        if start >= duration:
+            continue
+        end = draw(st.one_of(st.sampled_from(anchors), frame_time, st.floats(start, duration)))
+        length = end - start
+        if length <= 0.0 or start + length > duration:
+            continue
+        kind = draw(st.sampled_from(EVENT_KINDS))
+        intensity = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+        events.append(ScriptEvent(kind, start, length, intensity))
+        anchors += [start, end]
+    sigma = draw(st.one_of(st.just(0.0), st.floats(1e-3, 5.0)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return script(duration=duration, events=events, noise=sigma, seed=seed, fps=fps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(event_scripts())
+def test_iter_session_equals_full_scan_generator(s):
+    got = list(iter_session(s))
+    expected = list(reference_iter_session(s))
+    assert [label for _, label in got] == [label for _, label in expected]
+    assert [(f.t, f.face_present, bits(f.points)) for f, _ in got] == [
+        (f.t, f.face_present, bits(f.points)) for f, _ in expected
+    ]
 
 
 @settings(max_examples=150, deadline=None)
