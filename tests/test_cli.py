@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import stat
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
@@ -638,7 +639,84 @@ def test_threshold_beyond_float_range_is_input_error(tmp_path, capsys, command):
     assert cli.main([*argv, "--head-factor", "1.4e308"]) == 0 and out.exists()
 
 
+@pytest.fixture
+def umask_027():
+    previous = os.umask(0o027)
+    yield
+    os.umask(previous)
+
+
+@pytest.fixture
+def long_frames(workspace):
+    """A 5,010-frame session, whose records outgrow the 256 KiB output buffer."""
+    tmp_path, paths = workspace
+    script = tmp_path / "long.script.json"
+    write_script_file(script, duration=167.0, events=SESSION_EVENTS)
+    frames = tmp_path / "long.frames.jsonl"
+    assert cli.main(["synth", "--script", str(script), "--out", str(frames),
+                     "--labels", str(tmp_path / "long.labels.jsonl")]) == 0
+    return frames
+
+
+def write_syscalls() -> int:
+    """The write system calls this process has made so far, from /proc/self/io."""
+    try:
+        with open("/proc/self/io") as fp:
+            fields = dict(line.split(":") for line in fp)
+    except OSError:
+        pytest.skip("/proc/self/io cannot be read")
+    return int(fields["syscw"])
+
+
 class TestOutputHygiene:
+    def test_record_stream_takes_few_write_calls(self, workspace, long_frames, capsys):
+        # about 95 write calls with a 4 KiB buffer, one per ~53 records
+        tmp_path, paths = workspace
+        records = tmp_path / "long.records.jsonl"
+        argv = ["run", "--input", str(long_frames), "--profile", str(paths["profile"]),
+                "--out", str(tmp_path / "long.events.jsonl"), "--records", str(records)]
+        before = write_syscalls()
+        assert cli.main(argv) == 0
+        writes = write_syscalls() - before
+        assert records.stat().st_size > 2 * cli._OUT_BUFFER
+        assert writes <= 10, writes
+
+    def test_failure_after_a_flush_keeps_existing_outputs(self, workspace, long_frames):
+        tmp_path, paths = workspace
+        good = ["run", "--input", str(long_frames), "--profile", str(paths["profile"])]
+        records = tmp_path / "long.records.jsonl"
+        assert cli.main([*good, "--out", str(tmp_path / "e.jsonl"), "--records", str(records)]) == 0
+        # the records before the bad line fill the buffer, which reaches the temp file
+        assert records.stat().st_size > cli._OUT_BUFFER
+        bad = tmp_path / "bad.frames.jsonl"
+        bad.write_text(long_frames.read_text() + '{"t": broken\n')
+        events = tmp_path / "events.jsonl"
+        events.write_bytes(b"earlier events\n")
+        before = records.read_bytes()
+        rc = cli.main(["run", "--input", str(bad), "--profile", str(paths["profile"]),
+                       "--out", str(events), "--records", str(records)])
+        assert rc == 1
+        assert events.read_bytes() == b"earlier events\n"
+        assert records.read_bytes() == before
+        assert not list(tmp_path.glob(".drowsy-*"))
+
+    def test_new_output_mode_follows_the_umask(self, workspace, umask_027):
+        tmp_path, paths = workspace
+        out = tmp_path / "new.profile.json"
+        assert cli.main(["calibrate", "--input", str(paths["calib_frames"]),
+                         "--out", str(out)]) == 0
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+
+    def test_overwritten_output_keeps_its_mode(self, workspace, umask_027):
+        tmp_path, paths = workspace
+        out = tmp_path / "old.profile.json"
+        out.write_text("old\n")
+        out.chmod(0o644)
+        assert cli.main(["calibrate", "--input", str(paths["calib_frames"]),
+                         "--out", str(out)]) == 0
+        assert out.read_text() != "old\n"
+        assert stat.S_IMODE(out.stat().st_mode) == 0o644
+
     def test_no_partial_output_on_failure(self, workspace, tmp_path):
         _, paths = workspace
         truncated = tmp_path / "truncated.jsonl"

@@ -139,6 +139,67 @@ def test_only_io_writes_the_document_envelope(path):
     assert (uses != []) == (path.name == "io.py"), uses
 
 
+_WRITE_MODE = re.compile(r"[rbt]*[wax+][rwaxbt+]*")
+
+
+def opens_for_writing(call: ast.Call) -> bool:
+    """open with a write mode, or with one the scan cannot read; any fdopen or mkstemp."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("fdopen", "mkstemp"):
+        return True
+    if name != "open":
+        return False
+    # open(path, mode), a path's .open(mode), and os.open(path, flags)
+    modes = call.args[1:2] if isinstance(func, ast.Name) else call.args[:2]
+    modes = [*modes, *(kw.value for kw in call.keywords if kw.arg == "mode")]
+    return any(
+        not (isinstance(mode, ast.Constant) and isinstance(mode.value, str))
+        or _WRITE_MODE.fullmatch(mode.value)
+        for mode in modes
+    )
+
+
+def output_openers(source: str) -> list[str]:
+    """The functions (or "<module>") that open a file for writing, each by its innermost def."""
+    found = set()
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and opens_for_writing(child):
+                found.add(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_output_opener_scan_flags_every_form():
+    source = (
+        "open('a', 'w')\n"
+        "def f(p, m):\n    return open(p, m)\n"
+        "def g(p):\n    return open(p, encoding='utf-8'), open(p, 'rb'), p.open(), p.open('r')\n"
+        "def h(p):\n    return p.open('a')\n"
+        "def i(p):\n    return open(p, mode='x')\n"
+        "def j():\n    return os.fdopen(3)\n"
+        "def k():\n    return tempfile.mkstemp()\n"
+        "def l():\n    from tempfile import mkstemp\n    return lambda: mkstemp()\n"
+        "def m(p):\n    return os.open(p, os.O_WRONLY)\n"
+        "class N:\n    def o(self, p):\n        return open(p, 'r+')\n"
+    )
+    assert output_openers(source) == ["<module>", "f", "h", "i", "j", "k", "l", "m", "o"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_open_out_opens_outputs(path):
+    # cli._open_out gives every output its buffer, its atomic rename and its mode
+    openers = output_openers(path.read_text(encoding="utf-8"))
+    assert openers == (["_open_out"] if path.name == "cli.py" else []), openers
+
+
 # the interpreter floor pyproject.toml declares, as a feature_version for ast.parse
 FLOOR = tuple(
     int(part)
