@@ -2,18 +2,17 @@
 
 Exit codes: 0 success, 1 input or format error (including usage errors),
 2 domain failure such as a failed calibration. Alerts are data, never
-failures: cmd_run exits 0 however many warnings fired. Every file argument
-accepts "-" for standard input/output, at most one input and one output
-per command (eval's and compare's text report already writes stdout), no
-output may name an input or another output (in a directory compare, every
-driver's four files, present or not, and any new <stem>.frames.jsonl
-there), and no path may be empty; these rules are checked before any file
-is opened. Inputs are read as UTF-8. Output files are written as UTF-8
-through one 256 KiB buffer, so a record stream costs a write system call
-per ~1,700 lines, not per frame; they are written atomically (temp file +
-rename), so a failing run leaves no partial outputs behind, however much
-it had written; and a new output gets the mode the umask allows, while an
-existing regular file keeps its own.
+failures: cmd_run exits 0 however many warnings fired. build_parser marks
+each file argument read or written, and the path rules follow from those
+marks and are checked before any file is opened: no path is empty; "-" is
+stdin or stdout for at most one input and one output per command (eval's
+and compare's text report already writes stdout); no output names an
+input or another output (in a directory compare, every driver's four
+files, present or not, and any new <stem>.frames.jsonl there). Inputs are
+read as UTF-8. Outputs are written as UTF-8 through one 256 KiB buffer (a
+write system call per ~1,700 record lines, not per frame), atomically (a
+failing run leaves no partial output) and through any symlink; a new one
+gets the mode the umask allows, an existing regular file keeps its own.
 
 Data outputs (stdout and files) are byte-reproducible given identical
 inputs, flags, and seed; diagnostics on stderr may include timing and are
@@ -177,9 +176,9 @@ def _open_out(path: str):
     if path == "-":
         yield sys.stdout
         return
-    directory = os.path.dirname(os.path.abspath(path)) or "."
+    path = os.path.realpath(path)  # write through a symlink, as open(path, "w") would
     mode = _out_mode(path)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".drowsy-", suffix=".part")
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".drowsy-", suffix=".part")
     try:
         # mkstemp makes the file 0600 whatever the umask
         with os.fdopen(fd, "w", encoding="utf-8", buffering=_OUT_BUFFER) as fp:
@@ -200,17 +199,30 @@ def _same_file(a: str, b: str) -> bool:
     return os.path.realpath(a) == os.path.realpath(b)
 
 
-_REPORT = ("the text report", "-")  # eval and compare print theirs on stdout
+class _In(str):
+    """A path a command reads; build_parser gives each input argument this type."""
 
 
-def _check_paths(inputs, outputs) -> None:
+class _Out(str):
+    """A path a command writes; build_parser gives each output argument this type."""
+
+
+def _files(args: argparse.Namespace, mark: type) -> list:
+    """(name, path) of each given argument marked mark, in parser order."""
+    marked = [(dest, path) for dest, path in vars(args).items() if isinstance(path, mark)]
+    return [("the text report" if dest == "report" else f"--{dest}", path) for dest, path in marked]
+
+
+def _check_paths(args: argparse.Namespace, drivers=None) -> None:
     """Refuse file arguments that would lose or garble data, before any file is opened.
 
-    inputs and outputs are (flag, path) pairs; a None path is a flag not
-    given, and an empty one is refused. At most one input may read "-"
-    (stdin) and one output may write "-" (stdout), and an output may name
-    no input and no other output.
+    Inputs and outputs are the given arguments marked _In and _Out, with a
+    directory compare's driver files in place of --input. No path may be
+    empty, at most one input may read "-" (stdin) and one output write "-"
+    (stdout), and an output may name no input and no other output.
     """
+    inputs = _files(args, _In) if drivers is None else [("--input", p) for p in drivers]
+    outputs = _files(args, _Out)
     for flag, path in (*inputs, *outputs):
         if path == "":
             raise ConfigError(f"{flag} names an empty path")
@@ -218,9 +230,9 @@ def _check_paths(inputs, outputs) -> None:
         dashes = [flag for flag, path in pairs if path == "-"]
         if len(dashes) > 1:
             raise ConfigError(f"{dashes[0]} and {dashes[1]} both {verb}")
-    files = [(flag, path) for flag, path in inputs if path not in (None, "-")]
+    files = [(flag, path) for flag, path in inputs if path != "-"]
     for flag, path in outputs:
-        if path in (None, "-"):
+        if path == "-":
             continue
         for other, other_path in files:
             if _same_file(path, other_path):
@@ -228,22 +240,12 @@ def _check_paths(inputs, outputs) -> None:
         files.append((flag, path))
 
 
-def _check_directory_flags(flags) -> None:
-    """Refuse single-stream (flag, value) pairs in directory mode, before any file is opened.
-
-    The directory names every driver's files, so a given flag would be ignored.
-    """
-    for flag, value in flags:
-        if value is not None:
-            raise ConfigError(f"{flag} does not apply to a directory --input")
-
-
 # --- subcommands ---------------------------------------------------------------
 
 def cmd_calibrate(args: argparse.Namespace) -> int:
     config = _build(CalibrationConfig, args)
     dio.default_created_at()  # a malformed SOURCE_DATE_EPOCH fails before any file is opened
-    _check_paths([("--input", args.input)], [("--out", args.out)])
+    _check_paths(args)
     with _open_in(args.input) as src:
         samples = list(samples_from_frames(dio.read_frames(src)))
     profile = calibrate(samples, config)
@@ -262,10 +264,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = _build(PipelineConfig, args)
-    _check_paths(
-        [("--input", args.input), ("--profile", args.profile), ("--external", args.external)],
-        [("--out", args.out), ("--records", args.records)],
-    )
+    _check_paths(args)
     with _open_in(args.profile) as src:
         profile = dio.read_profile(src)
     external = None
@@ -309,7 +308,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    _check_paths([("--script", args.script)], [("--out", args.out), ("--labels", args.labels)])
+    _check_paths(args)
     with _open_in(args.script) as src:
         script = dio.read_script(src)
     if args.seed is not None:
@@ -325,9 +324,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    _check_paths(
-        [("--pred", args.pred), ("--labels", args.labels)], [("--json", args.json), _REPORT]
-    )
+    _check_paths(args)
     with _open_in(args.pred) as src:
         predictions = list(dio.read_states(src))
     with _open_in(args.labels) as src:
@@ -407,12 +404,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         _build(CalibrationConfig, args),
         _build(generalized_profile, args),
     )
-    outputs = [("--json", args.json), _REPORT]
-    single = [
-        ("--labels", args.labels), ("--profile", args.profile), ("--external", args.external)
-    ]
     if os.path.isdir(args.input):
-        _check_directory_flags(single)
+        for flag, _ in _files(args, _In)[1:]:  # the directory names every driver's files
+            raise ConfigError(f"{flag} does not apply to a directory --input")
         suffix = ".frames.jsonl"
         stems = sorted(
             name[: -len(suffix)]
@@ -425,7 +419,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         # pass for a driver's frames: the next run over DIR would read it
         names = (suffix, ".labels.jsonl", ".profile.json", ".external.jsonl")
         drivers = [[os.path.join(args.input, stem + name) for name in names] for stem in stems]
-        _check_paths([("--input", path) for driver in drivers for path in driver], outputs)
+        _check_paths(args, [path for driver in drivers for path in driver])
         if args.json and args.json.endswith(suffix) and _same_file(
             os.path.dirname(os.path.abspath(args.json)), args.input
         ):
@@ -445,7 +439,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     else:
         if args.labels is None or args.profile is None:
             raise ConfigError("single-stream compare requires --labels and --profile")
-        _check_paths([("--input", args.input), *single], outputs)
+        _check_paths(args)
         report = _compare_one(args.input, args.labels, args.profile, args.external, configs)
         sys.stdout.write(render_report(report))
         doc = report_doc(report)
@@ -461,34 +455,38 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
     p = sub.add_parser("calibrate", help="derive a personalized profile from a neutral recording")
-    p.add_argument("--input", required=True, help="landmark frame stream (JSONL, or -)")
-    p.add_argument("--out", default="-", help="profile destination (default stdout)")
+    p.add_argument("--input", type=_In, required=True, help="landmark frame stream (JSONL, or -)")
+    p.add_argument("--out", type=_Out, default="-", help="profile destination (default stdout)")
     _add_flags(p, CalibrationConfig, _CALIBRATE_FLAGS)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("run", help="stream frames through the monitoring pipeline")
-    p.add_argument("--input", required=True, help="landmark frame stream (JSONL, or -)")
-    p.add_argument("--profile", required=True, help="calibration profile (JSON, or -)")
-    p.add_argument("--external", help="external per-frame classifier states (JSONL)")
-    p.add_argument("--out", default="-", help="alert event log destination (default stdout)")
-    p.add_argument("--records", help="per-frame record log destination")
+    p.add_argument("--input", type=_In, required=True, help="landmark frame stream (JSONL, or -)")
+    p.add_argument("--profile", type=_In, required=True, help="calibration profile (JSON, or -)")
+    p.add_argument("--external", type=_In, help="external per-frame classifier states (JSONL)")
+    p.add_argument(
+        "--out", type=_Out, default="-", help="alert event log destination (default stdout)"
+    )
+    p.add_argument("--records", type=_Out, help="per-frame record log destination")
     p.add_argument("--bell", action="store_true", help="ring the terminal bell on each alert")
     _add_flags(p, PipelineConfig, _PIPELINE_FLAGS)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("synth", help="generate a labeled synthetic session from a script")
-    p.add_argument("--script", required=True, help="session script (JSON, or -)")
-    p.add_argument("--out", required=True, help="frame stream destination")
-    p.add_argument("--labels", required=True, help="ground-truth label destination")
+    p.add_argument("--script", type=_In, required=True, help="session script (JSON, or -)")
+    p.add_argument("--out", type=_Out, required=True, help="frame stream destination")
+    p.add_argument("--labels", type=_Out, required=True, help="ground-truth label destination")
     p.add_argument("--seed", type=int, default=None, help="override the script seed")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("eval", help="score per-frame predictions against labels")
-    p.add_argument("--pred", required=True, help="prediction stream (records or labels JSONL)")
-    p.add_argument("--labels", required=True, help="ground-truth labels (JSONL)")
+    p.add_argument(
+        "--pred", type=_In, required=True, help="prediction stream (records or labels JSONL)"
+    )
+    p.add_argument("--labels", type=_In, required=True, help="ground-truth labels (JSONL)")
     p.add_argument("--channel", required=True, choices=CHANNELS)
-    p.add_argument("--json", help="also write the report as JSON to this path")
-    p.set_defaults(func=cmd_eval)
+    p.add_argument("--json", type=_Out, help="also write the report as JSON to this path")
+    p.set_defaults(func=cmd_eval, report=_Out("-"))  # the text report
 
     p = sub.add_parser(
         "compare",
@@ -496,19 +494,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--input",
+        type=_In,
         required=True,
         help="frame stream, or a directory of <stem>.frames.jsonl / .labels.jsonl "
         "[/ .profile.json / .external.jsonl] per driver",
     )
-    p.add_argument("--labels", help="label stream (single-stream mode)")
-    p.add_argument("--profile", help="personalized profile (single-stream mode)")
-    p.add_argument("--external", help="external classifier states (single-stream mode)")
-    p.add_argument("--json", help="also write the report as JSON to this path")
+    p.add_argument("--labels", type=_In, help="label stream (single-stream mode)")
+    p.add_argument("--profile", type=_In, help="personalized profile (single-stream mode)")
+    p.add_argument("--external", type=_In, help="external classifier states (single-stream mode)")
+    p.add_argument("--json", type=_Out, help="also write the report as JSON to this path")
     _add_flags(p, CalibrationConfig, _AUTO_CALIBRATE_FLAGS)
     _add_flags(p, PipelineConfig, _PIPELINE_FLAGS)
     _add_flags(p, CalibrationConfig, _FACTOR_FLAGS)
     _add_flags(p, generalized_profile, _GENERALIZED_FLAGS)
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, report=_Out("-"))  # the text report
 
     return parser
 

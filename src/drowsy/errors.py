@@ -29,12 +29,16 @@ class CalibrationError(DrowsyError):
     """Calibration failed: insufficient samples, insufficient duration, or no face."""
 
 
-class StreamOrderError(DrowsyError):
-    """Frame timestamps are not strictly increasing."""
+class _LineError(DrowsyError):
+    """An error a reader may tie to an input line, whose number prefixes the message."""
 
     def __init__(self, message: str, line_no: int | None = None):
         super().__init__(message if line_no is None else f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+class StreamOrderError(_LineError):
+    """Frame timestamps are not strictly increasing."""
 
 
 class MissingLabelError(DrowsyError):
@@ -45,12 +49,8 @@ class MissingLabelError(DrowsyError):
         self.t = t
 
 
-class ParseError(DrowsyError):
+class ParseError(_LineError):
     """A serialized line or document could not be parsed."""
-
-    def __init__(self, message: str, line_no: int | None = None):
-        super().__init__(message if line_no is None else f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 class VersionError(ParseError):

@@ -4,6 +4,7 @@ import gc
 import hashlib
 import inspect
 import io as stdio
+import itertools
 import json
 import math
 import os
@@ -647,6 +648,13 @@ def umask_027():
 
 
 @pytest.fixture
+def umask_077():
+    previous = os.umask(0o077)
+    yield
+    os.umask(previous)
+
+
+@pytest.fixture
 def long_frames(workspace):
     """A 5,010-frame session, whose records outgrow the 256 KiB output buffer."""
     tmp_path, paths = workspace
@@ -716,6 +724,31 @@ class TestOutputHygiene:
                          "--out", str(out)]) == 0
         assert out.read_text() != "old\n"
         assert stat.S_IMODE(out.stat().st_mode) == 0o644
+
+    def test_symlinked_output_writes_its_target(self, workspace, umask_077):
+        tmp_path, paths = workspace
+        target = tmp_path / "target.json"
+        target.write_text("old\n")
+        target.chmod(0o640)
+        link = tmp_path / "link.json"
+        link.symlink_to("target.json")
+        assert cli.main(["calibrate", "--input", str(paths["calib_frames"]),
+                         "--out", str(link)]) == 0
+        assert link.is_symlink() and os.readlink(link) == "target.json"
+        assert json.loads(target.read_text())["personalized"] is True
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert not list(tmp_path.glob(".drowsy-*"))
+
+    def test_dangling_symlinked_output_creates_its_target(self, workspace):
+        tmp_path, paths = workspace
+        (tmp_path / "sub").mkdir()
+        link = tmp_path / "link.json"
+        link.symlink_to("sub/target.json")
+        assert cli.main(["calibrate", "--input", str(paths["calib_frames"]),
+                         "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert json.loads((tmp_path / "sub" / "target.json").read_text())["personalized"] is True
+        assert not list(tmp_path.rglob(".drowsy-*"))
 
     def test_no_partial_output_on_failure(self, workspace, tmp_path):
         _, paths = workspace
@@ -905,6 +938,99 @@ class TestPathRules:
                          "--json", str(tmp_path / "report.frames.jsonl")]) == 0
 
 
+def subcommands() -> dict:
+    """Each command's subparser, by command name."""
+    return next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+
+
+def path_rule_cases():
+    """(command, {flag: path}, message) for every pair of file arguments the rules refuse.
+
+    Read from the parser's marks: each input and output naming one file,
+    two outputs naming one file, and two "-" in one direction, the text
+    report of eval and compare counting as an output that writes "-".
+    """
+    for command, parser in subcommands().items():
+        marked = [action for action in parser._actions if action.type in (cli._In, cli._Out)]
+        inputs = [a.option_strings[0] for a in marked if a.type is cli._In]
+        outputs = [a.option_strings[0] for a in marked if a.type is cli._Out]
+        report = ["the text report"] if isinstance(parser.get_default("report"), cli._Out) else []
+        for a, b in [*itertools.product(inputs, outputs), *itertools.combinations(outputs, 2)]:
+            yield command, {a: "{same}", b: "{same}"}, f"{a} and {b} name the same file: {{same}}"
+        for names, verb in ((inputs, "read standard input"),
+                            (outputs + report, "write standard output")):
+            for a, b in itertools.combinations(names, 2):
+                given = {flag: "-" for flag in (a, b) if flag.startswith("--")}
+                yield command, given, f"{a} and {b} both {verb}"
+
+
+PATH_RULE_CASES = list(path_rule_cases())
+
+
+@pytest.mark.parametrize(
+    "command, given, message",
+    PATH_RULE_CASES,
+    ids=[f"{command} " + " ".join(f"{flag}={path}" for flag, path in given.items())
+         for command, given, _ in PATH_RULE_CASES],
+)
+def test_every_pair_of_file_arguments_follows_the_rules(
+    command, given, message, tmp_path, monkeypatch, capsys
+):
+    # every other file argument names a distinct file that does not exist
+    monkeypatch.delenv("SOURCE_DATE_EPOCH", raising=False)
+    same = str(tmp_path / "same")
+    argv = [command]
+    for action in subcommands()[command]._actions:
+        flag = action.option_strings[0] if action.option_strings else None
+        if action.type in (cli._In, cli._Out):
+            argv += [flag, given.get(flag, str(tmp_path / flag[2:])).format(same=same)]
+        elif action.required:
+            argv += [flag, action.choices[0]]
+
+    def refuse(path):
+        raise AssertionError(f"opened {path}")
+
+    monkeypatch.setattr(cli, "_open_in", refuse)
+    monkeypatch.setattr(cli, "_open_out", refuse)
+    stdin = stdio.StringIO("{}\n")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"drowsy: {message.format(same=same)}\n")
+    assert stdin.tell() == 0 and not list(tmp_path.iterdir())
+
+
+def test_path_rule_cases_cover_the_unlisted_pairs():
+    cases = {(command, tuple(given)) for command, given, _ in PATH_RULE_CASES}
+    assert {("synth", ("--script", "--labels")), ("run", ("--input", "--records")),
+            ("run", ("--external", "--records")), ("compare", ("--profile", "--json")),
+            ("eval", ("--json",)), ("compare", ("--json",))} <= cases
+
+
+def unmarked_string_flags(parsers: dict) -> list:
+    """Flags that take a string but are neither a marked file argument nor a choice."""
+    return [
+        (command, action.option_strings)
+        for command, parser in parsers.items()
+        for action in parser._actions
+        if action.nargs != 0 and action.type in (None, str) and action.choices is None
+    ]
+
+
+def test_every_file_argument_is_marked():
+    # an unmarked file flag would skip every path rule
+    parsers = subcommands()
+    assert unmarked_string_flags(parsers) == []
+    for parser in parsers.values():
+        for action in parser._actions:
+            if action.type in (cli._In, cli._Out):
+                assert action.option_strings == [f"--{action.dest}"], action.option_strings
+    parsers["run"].add_argument("--stats", help="a file flag added without its mark")
+    assert unmarked_string_flags(parsers) == [("run", ["--stats"])]
+
+
 class TestDeterminism:
     def test_synth_reproducible(self, tmp_path):
         script_path = tmp_path / "s.json"
@@ -1086,14 +1212,11 @@ def test_config_flag_default_and_validation(
     commands, flag, config, name, bad, message, tmp_path, monkeypatch, capsys
 ):
     monkeypatch.chdir(tmp_path)
-    subcommands = next(
-        action for action in cli.build_parser()._actions
-        if isinstance(action, argparse._SubParsersAction)
-    )
+    parsers = subcommands()
     expected = _config_default(config, name)
     for command in commands:
         option = next(
-            action for action in subcommands.choices[command]._actions
+            action for action in parsers[command]._actions
             if flag in action.option_strings
         )
         assert option.default == expected and type(option.default) is type(expected)

@@ -81,6 +81,14 @@ class TestFrameStream:
             list(dio.read_frames(lines))
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize("cls", [ParseError, StreamOrderError])
+    def test_line_errors_share_one_prefix(self, cls):
+        assert (str(cls("bad", 7)), cls("bad", 7).line_no) == ("line 7: bad", 7)
+        assert (str(cls("bad")), cls("bad").line_no) == ("bad", None)
+        assert ParseError.__init__ is StreamOrderError.__init__
+        # an order fault is not a parse fault: a caller can tell them apart
+        assert not issubclass(StreamOrderError, ParseError)
+
     def test_depth_component_parsed_and_dropped(self):
         pts = json.dumps([[float(i), 1.0, 9.9] for i in range(19)])
         line = f'{{"t": 0.0, "scheme": "semantic", "face": true, "points": {pts}}}'
