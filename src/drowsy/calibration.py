@@ -74,6 +74,22 @@ class CalibrationProfile:
     personalized: bool = True
 
 
+def _profile(
+    baselines: tuple[float, float, float],
+    factors: tuple[float, float, float],
+    frames_used: int,
+    duration_s: float,
+    personalized: bool,
+) -> CalibrationProfile:
+    """The profile whose EAR, MAR and head-drop thresholds are factor * baseline."""
+    names = ("ear_threshold", "mar_threshold", "head_drop_limit")
+    thresholds = {name: f * b for name, f, b in zip(names, factors, baselines)}
+    require_finite(thresholds)  # a finite factor times a finite baseline can overflow
+    return CalibrationProfile(
+        *baselines, *thresholds.values(), *factors, frames_used, duration_s, personalized
+    )
+
+
 def trimmed_mean(values: list[float]) -> float:
     """Mean after discarding the lowest and highest TRIM_FRACTION of values."""
     if not values:
@@ -128,20 +144,9 @@ def calibrate(samples: Iterable[MetricSample], config: CalibrationConfig | None 
     except GeometryError as exc:
         ts = [s.t for s in face]
         raise GeometryError(f"frames t={min(ts):.3f}..{max(ts):.3f}: {exc}") from None
-    thresholds = {
-        "ear_threshold": config.ear_factor * baseline_ear,
-        "mar_threshold": config.mar_factor * baseline_mar,
-        "head_drop_limit": config.head_factor * baseline_head,
-    }
-    require_finite(thresholds)  # a finite factor times a finite baseline can overflow
-    return CalibrationProfile(
-        baseline_ear=baseline_ear,
-        baseline_mar=baseline_mar,
-        baseline_head_drop=baseline_head,
-        **thresholds,
-        ear_factor=config.ear_factor,
-        mar_factor=config.mar_factor,
-        head_factor=config.head_factor,
+    return _profile(
+        (baseline_ear, baseline_mar, baseline_head),
+        (config.ear_factor, config.mar_factor, config.head_factor),
         frames_used=len(face),
         duration_s=covered / 1000.0,
         personalized=True,
@@ -162,17 +167,5 @@ def generalized_profile(
     require_finite(locals())  # exactly the three parameters at this point
     if min(ear_threshold, mar_threshold, head_drop_limit) <= 0.0:
         raise ConfigError("generalized thresholds must be positive")
-    return CalibrationProfile(
-        baseline_ear=ear_threshold,
-        baseline_mar=mar_threshold,
-        baseline_head_drop=head_drop_limit,
-        ear_threshold=ear_threshold,
-        mar_threshold=mar_threshold,
-        head_drop_limit=head_drop_limit,
-        ear_factor=1.0,
-        mar_factor=1.0,
-        head_factor=1.0,
-        frames_used=0,
-        duration_s=0.0,
-        personalized=False,
-    )
+    thresholds = (ear_threshold, mar_threshold, head_drop_limit)
+    return _profile(thresholds, (1.0, 1.0, 1.0), frames_used=0, duration_s=0.0, personalized=False)

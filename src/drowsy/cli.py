@@ -31,6 +31,7 @@ import tempfile
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
+from itertools import takewhile
 
 from . import io as dio
 from .calibration import CalibrationConfig, calibrate, generalized_profile
@@ -46,6 +47,7 @@ from .eval import (
     render_report,
     report_doc,
 )
+from .landmarks import quantize_ms
 from .metrics import samples_from_frames
 from .pipeline import PipelineConfig, run_session
 from .synth import iter_session
@@ -57,8 +59,10 @@ def _defaults(config) -> dict:
 
 
 # (flag, field or parameter, help); each flag takes its type and default from there
-_PIPELINE_FLAGS = (
-    ("--buffer-capacity", "buffer_capacity", "smoothing buffer length in frames"),
+_BUFFER_FLAGS = (("--buffer-capacity", "buffer_capacity", "smoothing buffer length in frames"),)
+
+# only run raises alerts, so only run takes the alarm and PERCLOS settings
+_ALARM_FLAGS = (
     ("--sustain-eyes", "sustain_eyes_s", "seconds eyes must stay closed before alerting"),
     ("--sustain-mouth", "sustain_mouth_s", "seconds a yawn must last before alerting"),
     ("--sustain-head", "sustain_head_s", "seconds of head-down before alerting"),
@@ -69,16 +73,18 @@ _PIPELINE_FLAGS = (
     ("--perclos-limit", "perclos_limit", "PERCLOS alarm threshold in percent"),
 )
 
-_FACTOR_FLAGS = (
+# compare scores eye and mouth decisions only, so only calibrate takes --head-factor
+_RATIO_FACTOR_FLAGS = (
     ("--ear-factor", "ear_factor", "eye threshold as a fraction of baseline EAR"),
     ("--mar-factor", "mar_factor", "mouth threshold as a multiple of baseline MAR"),
-    ("--head-factor", "head_factor", "head limit as a multiple of baseline head drop"),
 )
 
 _CALIBRATE_FLAGS = (
     ("--duration", "duration_s", "required recording coverage in seconds"),
     ("--min-samples", "min_samples", "minimum face-present frames"),
-) + _FACTOR_FLAGS
+    *_RATIO_FACTOR_FLAGS,
+    ("--head-factor", "head_factor", "head limit as a multiple of baseline head drop"),
+)
 
 _AUTO_CALIBRATE_FLAGS = (
     (
@@ -87,12 +93,12 @@ _AUTO_CALIBRATE_FLAGS = (
         "seconds of leading frames used to auto-calibrate drivers without a profile",
     ),
     ("--min-samples", "min_samples", "minimum face-present frames for auto-calibration"),
+    *_RATIO_FACTOR_FLAGS,
 )
 
 _GENERALIZED_FLAGS = (
     ("--gen-ear", "ear_threshold", "generalized EAR threshold"),
     ("--gen-mar", "mar_threshold", "generalized MAR threshold"),
-    ("--gen-head", "head_drop_limit", "generalized head-drop limit"),
 )
 
 
@@ -385,7 +391,10 @@ def _score_driver(frames_path, labels_path, profile_path, external_path, configs
         with _open_in(external_path) as src:
             external = dio.load_external_states(src)
     if profile is None:
-        head = [f for f in frames if f.t <= calibration_config.duration_s]
+        # the lead-in is every frame within the calibration duration of the
+        # first, on millisecond keys; read_frames keeps time order, so it is a prefix
+        end = quantize_ms(frames[0].t) + quantize_ms(calibration_config.duration_s) if frames else 0
+        head = takewhile(lambda f: quantize_ms(f.t) <= end, frames)
         profile = calibrate(samples_from_frames(head), calibration_config)
     return compare(
         frames,
@@ -469,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--records", type=_Out, help="per-frame record log destination")
     p.add_argument("--bell", action="store_true", help="ring the terminal bell on each alert")
-    _add_flags(p, PipelineConfig, _PIPELINE_FLAGS)
+    _add_flags(p, PipelineConfig, _BUFFER_FLAGS + _ALARM_FLAGS)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("synth", help="generate a labeled synthetic session from a script")
@@ -504,8 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--external", type=_In, help="external classifier states (single-stream mode)")
     p.add_argument("--json", type=_Out, help="also write the report as JSON to this path")
     _add_flags(p, CalibrationConfig, _AUTO_CALIBRATE_FLAGS)
-    _add_flags(p, PipelineConfig, _PIPELINE_FLAGS)
-    _add_flags(p, CalibrationConfig, _FACTOR_FLAGS)
+    _add_flags(p, PipelineConfig, _BUFFER_FLAGS)
     _add_flags(p, generalized_profile, _GENERALIZED_FLAGS)
     p.set_defaults(func=cmd_compare, report=_Out("-"))  # the text report
 
@@ -517,15 +525,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CalibrationError as exc:
+    except (DrowsyError, OSError) as exc:
         print(f"drowsy: {exc}", file=sys.stderr)
-        return 2
-    except DrowsyError as exc:
-        print(f"drowsy: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"drowsy: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, CalibrationError) else 1
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from math import dist, inf, isfinite
 from typing import Iterable, Iterator
 
 from .errors import GeometryError, PerclosUndefinedError, StreamOrderError
-from .landmarks import LandmarkFrame, Point, SemanticPoints, quantize_ms, to_semantic
+from .landmarks import MAX_SECONDS, LandmarkFrame, Point, SemanticPoints, quantize_ms, to_semantic
 
 
 def _aspect_ratio(pts: tuple[Point, ...], what: str) -> float:
@@ -120,8 +120,12 @@ class PerclosWindow:
     __slots__ = ("duration_ms", "_samples", "_closed_ms", "_monitored_ms")
 
     def __init__(self, duration_s: float):
-        if duration_s <= 0.0 or quantize_ms(duration_s) == 0:
-            raise ValueError("window duration must be positive on the millisecond grid")
+        # checked before quantize_ms, which overflows beyond MAX_SECONDS and fails on nan
+        if not 0.0 < duration_s <= MAX_SECONDS or quantize_ms(duration_s) == 0:
+            raise ValueError(
+                f"window duration must be positive and at most {MAX_SECONDS!r} s "
+                "on the millisecond grid"
+            )
         self.duration_ms = quantize_ms(duration_s)
         self._samples: deque[tuple[int, bool, bool]] = deque()
         self._closed_ms = 0

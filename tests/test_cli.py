@@ -191,6 +191,33 @@ class TestWorkflow:
         assert with_profile[2] != doc["per_driver"][2]
         assert with_profile[:2] == doc["per_driver"][:2]
 
+    @pytest.mark.parametrize("shift", [100.0, 1.7e9])
+    def test_compare_auto_calibrates_from_each_drivers_first_frame(self, tmp_path, capsys, shift):
+        # streams on a camera clock, in epoch seconds or cut from a longer drive
+        base, moved = tmp_path / "base", tmp_path / "moved"
+        base.mkdir()
+        moved.mkdir()
+        for i, ear in enumerate((0.24, 0.36)):
+            script = tmp_path / f"d{i}.script.json"
+            write_script_file(script, events=SESSION_EVENTS, noise=0.5, seed=10 + i, ear=ear)
+            labels = base / f"d{i}.labels.jsonl"
+            assert cli.main(["synth", "--script", str(script),
+                             "--out", str(base / f"d{i}.frames.jsonl"),
+                             "--labels", str(labels)]) == 0
+            (base / f"d{i}.external.jsonl").write_bytes(labels.read_bytes())
+            for kind, read, write in (("frames", dio.read_frames, dio.write_frames),
+                                      ("labels", dio.read_states, dio.write_labels),
+                                      ("external", dio.read_states, dio.write_labels)):
+                name = f"d{i}.{kind}.jsonl"
+                with open(base / name) as src, open(moved / name, "w") as dst:
+                    write(dst, [dataclasses.replace(x, t=x.t + shift) for x in read(src)])
+        reports = []
+        for directory in (base, moved):
+            json_out = tmp_path / f"{directory.name}.json"
+            assert cli.main(["compare", "--input", str(directory), "--json", str(json_out)]) == 0
+            reports.append((capsys.readouterr().out, json_out.read_bytes()))
+        assert reports[0] == reports[1]
+
     @pytest.mark.parametrize("external_stem", ["driver00", "driver01"])
     def test_compare_population_mixed_methods_is_input_error(
         self, tmp_path, capsys, external_stem
@@ -615,11 +642,21 @@ def test_timestamp_without_millisecond_key_is_input_error(workspace, capsys, com
     assert not list(tmp_path.glob(".drowsy-*"))
 
 
-@pytest.mark.parametrize("command", ["calibrate", "compare"])
-def test_threshold_beyond_float_range_is_input_error(tmp_path, capsys, command):
-    # a head-drop baseline of 1.2 times --head-factor 1.7e308 overflows
-    script = SessionScript(fps=30.0, duration_s=6.0, driver=DriverParams(0.32, 0.40, 1.2, 200.0))
-    script_path = tmp_path / "head.script.json"
+@pytest.mark.parametrize(
+    "command, driver, flag, threshold",
+    [
+        # a head-drop baseline of 1.2 times --head-factor 1.7e308 overflows
+        ("calibrate", DriverParams(0.32, 0.40, 1.2, 200.0), "--head-factor", "head_drop_limit"),
+        # compare scores no head drop, so it takes no --head-factor; a MAR baseline overflows
+        ("compare", DriverParams(0.32, 1.2, 0.55, 200.0), "--mar-factor", "mar_threshold"),
+    ],
+    ids=["calibrate", "compare"],
+)
+def test_threshold_beyond_float_range_is_input_error(
+    tmp_path, capsys, command, driver, flag, threshold
+):
+    script = SessionScript(fps=30.0, duration_s=6.0, driver=driver)
+    script_path = tmp_path / "d1.script.json"
     with open(script_path, "w") as fp:
         dio.write_script(fp, script)
     drivers = tmp_path / "drivers"
@@ -633,11 +670,11 @@ def test_threshold_beyond_float_range_is_input_error(tmp_path, capsys, command):
     else:
         argv = ["compare", "--input", str(drivers), "--json", str(out)]
     capsys.readouterr()
-    assert cli.main([*argv, "--head-factor", "1.7e308"]) == 1
-    driver = "d1: " if command == "compare" else ""  # directory mode names the driver
-    assert capsys.readouterr() == ("", f"drowsy: {driver}head_drop_limit must be finite, got inf\n")
+    assert cli.main([*argv, flag, "1.7e308"]) == 1
+    stem = "d1: " if command == "compare" else ""  # directory mode names the driver
+    assert capsys.readouterr() == ("", f"drowsy: {stem}{threshold} must be finite, got inf\n")
     assert not out.exists()
-    assert cli.main([*argv, "--head-factor", "1.4e308"]) == 0 and out.exists()
+    assert cli.main([*argv, flag, "1.4e308"]) == 0 and out.exists()
 
 
 @pytest.fixture
@@ -1094,23 +1131,23 @@ class TestDeterminism:
 CONFIG_FLAGS = [
     (("run", "compare"), "--buffer-capacity", PipelineConfig, "buffer_capacity", "0",
      "buffer capacity"),
-    (("run", "compare"), "--sustain-eyes", PipelineConfig, "sustain_eyes_s", "-1",
+    (("run",), "--sustain-eyes", PipelineConfig, "sustain_eyes_s", "-1",
      "sustain durations"),
-    (("run", "compare"), "--sustain-mouth", PipelineConfig, "sustain_mouth_s", "-1",
+    (("run",), "--sustain-mouth", PipelineConfig, "sustain_mouth_s", "-1",
      "sustain durations"),
-    (("run", "compare"), "--sustain-head", PipelineConfig, "sustain_head_s", "-1",
+    (("run",), "--sustain-head", PipelineConfig, "sustain_head_s", "-1",
      "sustain durations"),
-    (("run", "compare"), "--sustain-presence", PipelineConfig, "sustain_presence_s", "-1",
+    (("run",), "--sustain-presence", PipelineConfig, "sustain_presence_s", "-1",
      "sustain durations"),
-    (("run", "compare"), "--sustain-perclos", PipelineConfig, "sustain_perclos_s", "-1",
+    (("run",), "--sustain-perclos", PipelineConfig, "sustain_perclos_s", "-1",
      "sustain durations"),
-    (("run", "compare"), "--rearm-frames", PipelineConfig, "rearm_frames", "-1", "re-arm"),
-    (("run", "compare"), "--perclos-window", PipelineConfig, "perclos_window_s", "0",
+    (("run",), "--rearm-frames", PipelineConfig, "rearm_frames", "-1", "re-arm"),
+    (("run",), "--perclos-window", PipelineConfig, "perclos_window_s", "0",
      "PERCLOS window"),
-    (("run", "compare"), "--perclos-limit", PipelineConfig, "perclos_limit", "101",
+    (("run",), "--perclos-limit", PipelineConfig, "perclos_limit", "101",
      "PERCLOS limit"),
     # positive, but 0 ms on the millisecond grid
-    (("run", "compare"), "--perclos-window", PipelineConfig, "perclos_window_s", "0.0004",
+    (("run",), "--perclos-window", PipelineConfig, "perclos_window_s", "0.0004",
      "PERCLOS window must be positive"),
     (("calibrate",), "--duration", CalibrationConfig, "duration_s", "0", "calibration duration"),
     (("compare",), "--calib-duration", CalibrationConfig, "duration_s", "0",
@@ -1125,28 +1162,26 @@ CONFIG_FLAGS = [
      "threshold factors"),
     (("calibrate", "compare"), "--mar-factor", CalibrationConfig, "mar_factor", "0",
      "threshold factors"),
-    (("calibrate", "compare"), "--head-factor", CalibrationConfig, "head_factor", "0",
+    (("calibrate",), "--head-factor", CalibrationConfig, "head_factor", "0",
      "threshold factors"),
     (("compare",), "--gen-ear", generalized_profile, "ear_threshold", "0",
      "generalized thresholds"),
     (("compare",), "--gen-mar", generalized_profile, "mar_threshold", "0",
      "generalized thresholds"),
-    (("compare",), "--gen-head", generalized_profile, "head_drop_limit", "0",
-     "generalized thresholds"),
     # non-finite values pass every comparison with nan; each float flag rejects them
-    (("run", "compare"), "--sustain-eyes", PipelineConfig, "sustain_eyes_s", "inf",
+    (("run",), "--sustain-eyes", PipelineConfig, "sustain_eyes_s", "inf",
      "sustain_eyes_s must be finite"),
-    (("run", "compare"), "--sustain-mouth", PipelineConfig, "sustain_mouth_s", "nan",
+    (("run",), "--sustain-mouth", PipelineConfig, "sustain_mouth_s", "nan",
      "sustain_mouth_s must be finite"),
-    (("run", "compare"), "--sustain-head", PipelineConfig, "sustain_head_s", "inf",
+    (("run",), "--sustain-head", PipelineConfig, "sustain_head_s", "inf",
      "sustain_head_s must be finite"),
-    (("run", "compare"), "--sustain-presence", PipelineConfig, "sustain_presence_s", "nan",
+    (("run",), "--sustain-presence", PipelineConfig, "sustain_presence_s", "nan",
      "sustain_presence_s must be finite"),
-    (("run", "compare"), "--sustain-perclos", PipelineConfig, "sustain_perclos_s", "inf",
+    (("run",), "--sustain-perclos", PipelineConfig, "sustain_perclos_s", "inf",
      "sustain_perclos_s must be finite"),
-    (("run", "compare"), "--perclos-window", PipelineConfig, "perclos_window_s", "nan",
+    (("run",), "--perclos-window", PipelineConfig, "perclos_window_s", "nan",
      "perclos_window_s must be finite"),
-    (("run", "compare"), "--perclos-limit", PipelineConfig, "perclos_limit", "nan",
+    (("run",), "--perclos-limit", PipelineConfig, "perclos_limit", "nan",
      "perclos_limit must be finite"),
     (("calibrate",), "--duration", CalibrationConfig, "duration_s", "inf",
      "duration_s must be finite"),
@@ -1156,22 +1191,20 @@ CONFIG_FLAGS = [
      "ear_factor must be finite"),
     (("calibrate", "compare"), "--mar-factor", CalibrationConfig, "mar_factor", "inf",
      "mar_factor must be finite"),
-    (("calibrate", "compare"), "--head-factor", CalibrationConfig, "head_factor", "nan",
+    (("calibrate",), "--head-factor", CalibrationConfig, "head_factor", "nan",
      "head_factor must be finite"),
     (("compare",), "--gen-ear", generalized_profile, "ear_threshold", "nan",
      "ear_threshold must be finite"),
     (("compare",), "--gen-mar", generalized_profile, "mar_threshold", "inf",
      "mar_threshold must be finite"),
-    (("compare",), "--gen-head", generalized_profile, "head_drop_limit", "inf",
-     "head_drop_limit must be finite"),
     # finite durations whose millisecond key (seconds * 1000) overflows
-    (("run", "compare"), "--sustain-eyes", PipelineConfig, "sustain_eyes_s", "1e308",
+    (("run",), "--sustain-eyes", PipelineConfig, "sustain_eyes_s", "1e308",
      "sustain durations must be at most 1.7976931348623156e+305 s"),
-    (("run", "compare"), "--sustain-head", PipelineConfig, "sustain_head_s", "1e308",
+    (("run",), "--sustain-head", PipelineConfig, "sustain_head_s", "1e308",
      "sustain durations must be at most"),
-    (("run", "compare"), "--sustain-perclos", PipelineConfig, "sustain_perclos_s", "1e306",
+    (("run",), "--sustain-perclos", PipelineConfig, "sustain_perclos_s", "1e306",
      "sustain durations must be at most"),
-    (("run", "compare"), "--perclos-window", PipelineConfig, "perclos_window_s", "1e308",
+    (("run",), "--perclos-window", PipelineConfig, "perclos_window_s", "1e308",
      "PERCLOS window must be positive and at most"),
     (("calibrate",), "--duration", CalibrationConfig, "duration_s", "1e308",
      "calibration duration must be at most"),
@@ -1229,6 +1262,127 @@ def test_config_flag_default_and_validation(
         assert rc == 1
         assert message in err, err
         assert "No such file" not in err
+
+
+# compare scores per-frame eye and mouth decisions only: it raises no
+# alerts, keeps no PERCLOS and scores no head drop, so it takes none of these
+REMOVED_COMPARE_FLAGS = [
+    "--sustain-eyes", "--sustain-mouth", "--sustain-head", "--sustain-presence",
+    "--sustain-perclos", "--rearm-frames", "--perclos-window", "--perclos-limit",
+    "--head-factor", "--gen-head",
+]
+
+
+@pytest.mark.parametrize("flag", REMOVED_COMPARE_FLAGS)
+def test_compare_refuses_the_settings_it_cannot_use(workspace, capsys, flag):
+    tmp_path, paths = workspace
+    report = tmp_path / "compare.json"
+    with pytest.raises(SystemExit) as err:
+        cli.main(["compare", "--input", str(paths["frames"]), "--labels", str(paths["labels"]),
+                  "--profile", str(paths["profile"]), "--json", str(report), flag, "1"])
+    assert err.value.code == 1
+    assert capsys.readouterr() == (
+        "", f"usage: drowsy [-h] command ...\ndrowsy: error: unrecognized arguments: {flag} 1\n"
+    )
+    assert not report.exists() and not list(tmp_path.glob(".drowsy-*"))
+
+
+def added_flags() -> list:
+    """(command, flag) for every flag that build_parser adds through cli._add_flags."""
+    added = []
+    add_flags = cli._add_flags
+
+    def record(parser, config, specs):
+        added.extend((parser.prog.split()[-1], flag) for flag, _, _ in specs)
+        add_flags(parser, config, specs)
+
+    with mock.patch.object(cli, "_add_flags", record):
+        cli.build_parser()
+    return added
+
+
+# A valid non-default value of each config flag, one that changes the
+# result of every command that takes the flag on the GUARD_EVENTS inputs.
+GUARD_VALUES = {
+    "--buffer-capacity": "1",
+    "--sustain-eyes": "0.5",
+    "--sustain-mouth": "0.5",
+    "--sustain-head": "0.5",
+    "--sustain-presence": "0.5",
+    "--sustain-perclos": "5",
+    "--rearm-frames": "1000",  # the second closure comes before the eye channel re-arms
+    "--perclos-window": "5",
+    "--perclos-limit": "90",
+    "--duration": "100",  # longer than the recording
+    "--calib-duration": "10",  # the lead-in takes in part of the first closure
+    "--min-samples": "5000",
+    "--ear-factor": "0.5",
+    "--mar-factor": "2",
+    "--head-factor": "2",
+    "--gen-ear": "0.1",
+    "--gen-mar": "0.9",
+}
+
+# A closure long enough to lift PERCLOS over 20 %, a second closure, a
+# yawn, a head nod and a dropout, after a 5 s neutral lead-in.
+GUARD_EVENTS = (
+    ScriptEvent("sustained_closure", 8.0, 8.0, 1.0),
+    ScriptEvent("sustained_closure", 20.0, 2.0, 1.0),
+    ScriptEvent("yawn", 25.0, 3.0, 1.0),
+    ScriptEvent("head_nod", 29.0, 3.0, 1.0),
+    ScriptEvent("dropout", 34.0, 4.0, 1.0),
+)
+
+
+@pytest.fixture(scope="module")
+def guard_inputs(tmp_path_factory):
+    """A neutral calibration recording, its profile, and a one-driver directory."""
+    root = tmp_path_factory.mktemp("guard")
+    drivers = root / "drivers"
+    drivers.mkdir()
+    for name, duration, events, out in (
+        ("calib", 6.0, (), root / "calib.frames.jsonl"),
+        ("session", 40.0, GUARD_EVENTS, drivers / "d0.frames.jsonl"),
+    ):
+        write_script_file(root / f"{name}.script.json", duration, events, noise=0.5)
+        labels = out.with_name(out.name.replace(".frames.", ".labels."))
+        assert cli.main(["synth", "--script", str(root / f"{name}.script.json"),
+                         "--out", str(out), "--labels", str(labels)]) == 0
+    with redirect_stderr(stdio.StringIO()):
+        assert cli.main(["calibrate", "--input", str(root / "calib.frames.jsonl"),
+                         "--out", str(root / "profile.json")]) == 0
+    return root
+
+
+def command_result(root, command, extra, out_dir) -> tuple:
+    """Exit status, stdout and output file bytes of one command over the guard inputs."""
+    out_dir.mkdir()
+    argv = {
+        "run": ["run", "--input", str(root / "drivers" / "d0.frames.jsonl"),
+                "--profile", str(root / "profile.json"), "--out", str(out_dir / "events.jsonl"),
+                "--records", str(out_dir / "records.jsonl")],
+        "calibrate": ["calibrate", "--input", str(root / "calib.frames.jsonl"),
+                      "--out", str(out_dir / "profile.json")],
+        "compare": ["compare", "--input", str(root / "drivers"),
+                    "--json", str(out_dir / "report.json")],
+    }[command]
+    stdout = stdio.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stdio.StringIO()):
+        rc = cli.main([*argv, *extra])
+    return rc, stdout.getvalue(), {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+ADDED_FLAGS = added_flags()
+
+
+@pytest.mark.parametrize("command, flag", ADDED_FLAGS,
+                         ids=[f"{command} {flag}" for command, flag in ADDED_FLAGS])
+def test_every_config_flag_can_change_its_command_result(guard_inputs, tmp_path, command, flag):
+    # a flag that no value can change is a setting the command parses and ignores
+    default = command_result(guard_inputs, command, [], tmp_path / "default")
+    assert default[0] == 0
+    changed = command_result(guard_inputs, command, [flag, GUARD_VALUES[flag]], tmp_path / "set")
+    assert changed != default
 
 
 def test_invalid_flag_value_is_input_error(workspace, capsys):

@@ -1,12 +1,13 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from drowsy.errors import GeometryError, PerclosUndefinedError, StreamOrderError
-from drowsy.landmarks import SEMANTIC, LandmarkFrame, SemanticPoints, to_semantic
+from drowsy.landmarks import MAX_SECONDS, SEMANTIC, LandmarkFrame, SemanticPoints, to_semantic
 from drowsy.metrics import (
     PerclosWindow,
     compute_binocular_ear,
@@ -332,6 +333,12 @@ class TestPerclos:
     @pytest.mark.parametrize("duration_s", [0.0, -1.0, 0.0004, 0.0005])
     def test_window_duration_must_be_positive(self, duration_s):
         with pytest.raises(ValueError, match="must be positive"):
+            PerclosWindow(duration_s)
+
+    @pytest.mark.parametrize("duration_s", [1e306, math.inf, math.nan])
+    def test_window_duration_must_have_a_millisecond_key(self, duration_s):
+        # checked before the key is taken: 1e306 s and inf have none, nan compares false
+        with pytest.raises(ValueError, match=re.escape(f"positive and at most {MAX_SECONDS!r} s")):
             PerclosWindow(duration_s)
 
     def test_closed_requires_monitored(self):
