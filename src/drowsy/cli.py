@@ -86,6 +86,8 @@ _CALIBRATE_FLAGS = (
     ("--head-factor", "head_factor", "head limit as a multiple of baseline head drop"),
 )
 
+# only a directory compare auto-calibrates (drivers without a profile);
+# single-stream mode requires --profile and refuses these when given
 _AUTO_CALIBRATE_FLAGS = (
     (
         "--calib-duration",
@@ -110,6 +112,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_flags(parser: argparse.ArgumentParser, config, specs) -> None:
+    """Add one flag per spec, typed from its field or parameter, whose default the help shows.
+
+    args holds a flag's value only when the flag is given: _build leaves
+    the default to the config itself, and a command can tell a given flag
+    from its default.
+    """
     defaults = _defaults(config)
     for flag, name, help_text in specs:
         default = defaults[name]
@@ -117,7 +125,7 @@ def _add_flags(parser: argparse.ArgumentParser, config, specs) -> None:
             flag,
             dest=name,
             type=type(default),
-            default=default,
+            default=argparse.SUPPRESS,
             help=f"{help_text} (default {default})",
         )
 
@@ -448,6 +456,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     else:
         if args.labels is None or args.profile is None:
             raise ConfigError("single-stream compare requires --labels and --profile")
+        for flag, name, _ in _AUTO_CALIBRATE_FLAGS:  # the --profile sets the thresholds
+            if hasattr(args, name):
+                raise ConfigError(f"{flag} does not apply to a single-stream --input")
         _check_paths(args)
         report = _compare_one(args.input, args.labels, args.profile, args.external, configs)
         sys.stdout.write(render_report(report))

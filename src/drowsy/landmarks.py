@@ -97,7 +97,9 @@ class SemanticPoints(NamedTuple):
     A named tuple, built once per face frame: immutable, compared and
     hashed by its fields, and several times cheaper to construct than a
     frozen dataclass, whose __init__ sets each field through
-    object.__setattr__.
+    object.__setattr__. to_semantic builds it with tuple.__new__ from the
+    four fields in order, which skips the Python-level __new__ the named
+    tuple defines; the result equals SemanticPoints(*fields).
     """
 
     left_eye: tuple[Point, ...]
@@ -201,4 +203,5 @@ def to_semantic(frame: LandmarkFrame) -> SemanticPoints | None:
         return None
     pts = frame.points
     left_of, right_of, mouth_of, nose_i = _SELECTORS[frame.scheme]
-    return SemanticPoints(left_of(pts), right_of(pts), mouth_of(pts), pts[nose_i])
+    fields = (left_of(pts), right_of(pts), mouth_of(pts), pts[nose_i])
+    return tuple.__new__(SemanticPoints, fields)

@@ -53,8 +53,10 @@ def compute_binocular_ear(sp: SemanticPoints) -> float:
     Each ratio is halved before the sum, so two finite ratios cannot
     overflow their mean. Halving a normal float is exact, so the result is
     bit-equal to (left + right) / 2 wherever that is normal and finite.
+    Each eye goes straight to _aspect_ratio, as compute_ear does, without
+    a Python call in between on the per-frame path.
     """
-    return compute_ear(sp.left_eye) / 2.0 + compute_ear(sp.right_eye) / 2.0
+    return _aspect_ratio(sp.left_eye, "eye") / 2.0 + _aspect_ratio(sp.right_eye, "eye") / 2.0
 
 
 def compute_head_drop(sp: SemanticPoints) -> float:

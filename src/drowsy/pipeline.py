@@ -191,6 +191,9 @@ class FrameRecord(NamedTuple):
     A named tuple, built once per frame: immutable, compared and hashed by
     its fields, and several times cheaper to construct than a frozen
     dataclass, whose __init__ sets each field through object.__setattr__.
+    Pipeline.step builds it with tuple.__new__ from the nine fields in
+    order, which skips the Python-level __new__ the named tuple defines;
+    the result equals FrameRecord(*fields).
     """
 
     t: float
@@ -294,7 +297,7 @@ class Pipeline:
             s_ear = s_mar = s_head = None
             eye_closed = mouth_yawn = head_down = None
 
-        self._window.append(t, closed=bool(eye_closed) if face else False, monitored=face)
+        self._window.append(t, bool(eye_closed) if face else False, face)
         try:
             perclos_value = self._window.perclos()
         except PerclosUndefinedError:
@@ -322,8 +325,9 @@ class Pipeline:
                 self._emit("perclos_high", t_ms, perclos_value, self.config.perclos_limit)
             )
 
-        record = FrameRecord(
-            t, face, s_ear, s_mar, s_head, eye_closed, mouth_yawn, head_down, perclos_value
+        record = tuple.__new__(
+            FrameRecord,
+            (t, face, s_ear, s_mar, s_head, eye_closed, mouth_yawn, head_down, perclos_value),
         )
         return record, tuple(events)
 

@@ -1252,7 +1252,8 @@ def test_config_flag_default_and_validation(
             action for action in parsers[command]._actions
             if flag in action.option_strings
         )
-        assert option.default == expected and type(option.default) is type(expected)
+        # args holds the value only when given; the config supplies the default
+        assert option.default is argparse.SUPPRESS
         assert option.type is type(expected)
         assert f"(default {expected})" in option.help
 
@@ -1365,6 +1366,10 @@ def command_result(root, command, extra, out_dir) -> tuple:
                       "--out", str(out_dir / "profile.json")],
         "compare": ["compare", "--input", str(root / "drivers"),
                     "--json", str(out_dir / "report.json")],
+        "compare-single": ["compare", "--input", str(root / "drivers" / "d0.frames.jsonl"),
+                           "--labels", str(root / "drivers" / "d0.labels.jsonl"),
+                           "--profile", str(root / "profile.json"),
+                           "--json", str(out_dir / "report.json")],
     }[command]
     stdout = stdio.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stdio.StringIO()):
@@ -1383,6 +1388,41 @@ def test_every_config_flag_can_change_its_command_result(guard_inputs, tmp_path,
     assert default[0] == 0
     changed = command_result(guard_inputs, command, [flag, GUARD_VALUES[flag]], tmp_path / "set")
     assert changed != default
+
+
+# compare's flags that only auto-calibration reads; a single-stream compare
+# requires --profile, so it refuses them
+SINGLE_STREAM_REFUSED = ["--calib-duration", "--min-samples", "--ear-factor", "--mar-factor"]
+SINGLE_STREAM_FLAGS = [
+    flag for command, flag in ADDED_FLAGS
+    if command == "compare" and flag not in SINGLE_STREAM_REFUSED
+]
+
+
+@pytest.mark.parametrize("flag", SINGLE_STREAM_FLAGS)
+def test_every_single_stream_compare_flag_can_change_its_report(guard_inputs, tmp_path, flag):
+    default = command_result(guard_inputs, "compare-single", [], tmp_path / "default")
+    assert default[0] == 0
+    changed = command_result(
+        guard_inputs, "compare-single", [flag, GUARD_VALUES[flag]], tmp_path / "set"
+    )
+    assert changed != default
+
+
+@pytest.mark.parametrize("flag", SINGLE_STREAM_REFUSED)
+def test_single_stream_compare_refuses_auto_calibration_flags(
+    guard_inputs, tmp_path, capsys, flag
+):
+    assert ("compare", flag) in ADDED_FLAGS
+    report = tmp_path / "report.json"
+    drivers = guard_inputs / "drivers"
+    rc = cli.main(["compare", "--input", str(drivers / "d0.frames.jsonl"),
+                   "--labels", str(drivers / "d0.labels.jsonl"),
+                   "--profile", str(guard_inputs / "profile.json"),
+                   "--json", str(report), flag, GUARD_VALUES[flag]])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"drowsy: {flag} does not apply to a single-stream --input\n")
+    assert not report.exists() and not list(tmp_path.glob(".drowsy-*"))
 
 
 def test_invalid_flag_value_is_input_error(workspace, capsys):

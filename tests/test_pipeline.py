@@ -1,17 +1,23 @@
+import inspect
 import itertools
 import math
 import random
+import re
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
+from drowsy import landmarks, metrics, pipeline
 from drowsy.calibration import generalized_profile
 from drowsy.errors import ConfigError, GeometryError, MissingLabelError, NoDataError
 from drowsy.errors import StreamOrderError
-from drowsy.landmarks import DLIB68_MAP, MESH468_MAP, SEMANTIC_MAP
-from drowsy.landmarks import MAX_SECONDS, LandmarkFrame, SEMANTIC, quantize_ms, to_semantic
-from drowsy.metrics import compute_binocular_ear, compute_head_drop, compute_mar, metric_sample
+from drowsy.landmarks import DLIB68_MAP, MESH468_MAP, POINT_COUNTS, SEMANTIC_MAP
+from drowsy.landmarks import MAX_SECONDS, LandmarkFrame, SEMANTIC, SemanticPoints
+from drowsy.landmarks import quantize_ms, to_semantic
+from drowsy.metrics import compute_binocular_ear, compute_ear, compute_head_drop, compute_mar
+from drowsy.metrics import metric_sample
 from drowsy.pipeline import (
     ALL_EVENT_KINDS,
     ChannelState,
@@ -23,7 +29,7 @@ from drowsy.pipeline import (
     run_session,
 )
 
-from conftest import coincident_corner_frame, semantic_frame
+from conftest import coincident_corner_frame, semantic_frame, semantic_roles
 
 FPS = 30.0
 
@@ -619,3 +625,145 @@ def test_frame_record_is_an_immutable_record_in_field_order():
         with pytest.raises(AttributeError):
             setattr(record, name, None)
     assert record == FrameRecord(*record) and hash(record) == hash(FrameRecord(*record))
+
+
+def code_names() -> dict:
+    """module.[Class.]name of each function and method defined in the decision-path modules."""
+    names = {}
+    for module in (landmarks, metrics, pipeline):
+        prefix = module.__name__.rpartition(".")[2]
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                names[obj.__code__] = f"{prefix}.{name}"
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    # a named tuple's __new__ is a staticmethod, a property wraps fget
+                    fn = getattr(member, "__func__", getattr(member, "fget", member))
+                    if inspect.isfunction(fn):
+                        names[fn.__code__] = f"{prefix}.{obj.__name__}.{attr}"
+    return names
+
+
+def python_calls(fn, *args) -> list:
+    """The Python functions entered while fn(*args) runs, in call order."""
+    names = code_names()
+    entered = []
+
+    def profile_hook(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            entered.append(names.get(code, f"{code.co_filename}:{code.co_name}"))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile_hook)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(previous)
+    return entered
+
+
+# Every Python call of one face frame's decision step, in order. The bench
+# tracer wraps the public ones; the rest carry the rules they own. A call
+# that holds no rule (compute_ear between compute_binocular_ear and
+# _aspect_ratio, a named tuple's __new__) costs each frame ~0.15 us.
+FACE_STEP_CALLS = [
+    "pipeline.Pipeline.step",
+    "landmarks.quantize_ms",
+    "landmarks.to_semantic",
+    "metrics.compute_binocular_ear",
+    "metrics._aspect_ratio",
+    "metrics._aspect_ratio",
+    "metrics.compute_mar",
+    "metrics._aspect_ratio",
+    "metrics.compute_head_drop",
+    *["pipeline.SmoothingBuffer.push"] * 3,
+    *["pipeline.SmoothingBuffer.smoothed"] * 3,
+    "pipeline.threshold_states",
+    "metrics.PerclosWindow.append",
+    "landmarks.quantize_ms",
+    "metrics.PerclosWindow.perclos",
+    *["pipeline.ChannelState.advance"] * 5,
+]
+
+METRIC_SAMPLE_CALLS = [
+    "metrics.metric_sample",
+    "landmarks.to_semantic",
+    "metrics.compute_binocular_ear",
+    "metrics._aspect_ratio",
+    "metrics._aspect_ratio",
+    "metrics.compute_mar",
+    "metrics._aspect_ratio",
+    "metrics.compute_head_drop",
+    "metrics.MetricSample.__init__",
+]
+
+
+def test_face_step_makes_only_the_calls_that_hold_a_rule():
+    pipe = Pipeline(profile())
+    pipe.step(semantic_frame(t=0.0))  # the PERCLOS window needs a sample before this one
+    assert python_calls(pipe.step, semantic_frame(t=0.033)) == FACE_STEP_CALLS
+
+
+def test_metric_sample_makes_only_the_calls_that_hold_a_rule():
+    assert python_calls(metric_sample, semantic_frame(t=0.0)) == METRIC_SAMPLE_CALLS
+
+
+def test_call_names_cover_the_hops_a_test_must_catch():
+    names = set(code_names().values())
+    assert {"metrics.compute_ear", "landmarks.SemanticPoints.__new__",
+            "pipeline.FrameRecord.__new__"} <= names
+
+
+SCHEME_MAPS = {m.scheme: m for m in (SEMANTIC_MAP, DLIB68_MAP, MESH468_MAP)}
+
+# full-range finite coordinates, plus values that make corners coincide or distances overflow
+coordinate = st.one_of(
+    st.sampled_from([0.0, 1.0, -1e308, 1e308]),
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+semantic_points = st.lists(st.tuples(coordinate, coordinate), min_size=19, max_size=19)
+OVERFLOWING_EYE = [(0.0, 0.0), (1.0, -1.7e308), (2.0, -1.0), (3.0, 0.0), (2.0, 1.0), (1.0, 1.7e308)]
+
+
+def outcome(compute):
+    """A metric's exact bits, or the text of the GeometryError it raises."""
+    try:
+        return compute().hex()
+    except GeometryError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("scheme", list(SCHEME_MAPS))
+@given(points=semantic_points, seed=st.integers(min_value=0))
+@example(points=[(0.0, 0.0)] * 19, seed=0)  # every eye degenerate
+@example(points=OVERFLOWING_EYE + [(float(i), 0.0) for i in range(13)], seed=0)
+def test_hot_path_builds_the_same_values_as_the_reference_forms(scheme, points, seed):
+    filler = random.Random(seed).uniform
+    embedded = [(filler(-1e3, 1e3), filler(-1e3, 1e3)) for _ in range(POINT_COUNTS[scheme])]
+    for i, p in zip(semantic_roles(SCHEME_MAPS[scheme]), points):
+        embedded[i] = p
+    frame = LandmarkFrame(t=0.5, scheme=scheme, points=tuple(embedded), face_present=True)
+
+    sp = to_semantic(frame)
+    assert type(sp) is SemanticPoints
+    assert sp == SemanticPoints(*sp) and hash(sp) == hash(SemanticPoints(*sp))
+    assert outcome(lambda: compute_binocular_ear(sp)) == outcome(
+        lambda: compute_ear(sp.left_eye) / 2.0 + compute_ear(sp.right_eye) / 2.0
+    )
+
+    faceless = LandmarkFrame(t=1.0, scheme=scheme, points=(), face_present=False)
+    pipe = Pipeline(profile())
+    try:
+        records = [pipe.step(frame)[0]]
+    except GeometryError as exc:  # the step refuses a frame as metric_sample does
+        with pytest.raises(GeometryError, match=f"^{re.escape(str(exc))}$"):
+            metric_sample(frame)
+        records = []
+    records.append(pipe.step(faceless)[0])
+    for record in records:
+        assert type(record) is FrameRecord
+        assert record == FrameRecord(*record) and hash(record) == hash(FrameRecord(*record))
