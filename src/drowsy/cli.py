@@ -6,13 +6,11 @@ failures: cmd_run exits 0 however many warnings fired. build_parser marks
 each file argument read or written, and the path rules follow from those
 marks and are checked before any file is opened: no path is empty; "-" is
 stdin or stdout for at most one input and one output per command (eval's
-and compare's text report already writes stdout); no output names an
-input or another output (in a directory compare, every driver's four
-files, present or not, and any new <stem>.frames.jsonl there). Inputs are
-read as UTF-8. Outputs are written as UTF-8 through one 256 KiB buffer (a
-write system call per ~1,700 record lines, not per frame), atomically (a
-failing run leaves no partial output) and through any symlink; a new one
-gets the mode the umask allows, an existing regular file keeps its own.
+and compare's text report already writes stdout; so does /dev/stdout);
+no output names an input or another output (in a directory compare, every
+driver's four files, present or not, and any new <stem>.frames.jsonl
+there). Inputs are read as UTF-8; outputs are written as _open_out says,
+through one 256 KiB buffer (a write system call per ~1,700 record lines).
 
 Data outputs (stdout and files) are byte-reproducible given identical
 inputs, flags, and seed; diagnostics on stderr may include timing and are
@@ -42,6 +40,7 @@ from .eval import (
     channel_eval_doc,
     compare,
     evaluate_channel,
+    format_pct,
     population_doc,
     render_population,
     render_report,
@@ -168,30 +167,30 @@ def _open_in(path: str):
 _OUT_BUFFER = 1 << 18
 
 
-def _out_mode(path: str) -> int:
-    """The permissions open(path, "w") would leave.
+@contextmanager
+def _open_out(path: str):
+    """Write an output as UTF-8 text; the one place a drowsy command opens a file for writing.
 
-    An existing regular file keeps its own; a new file gets 0o666 & ~umask.
+    A path whose stat (which follows symlinks, as open does) finds a pipe,
+    terminal or device is written in place, so a failing run may leave
+    partial output there. A regular file or a new path is written through
+    any symlink, atomically, with the permissions open(path, "w") leaves.
     """
+    if path == "-":
+        yield sys.stdout
+        return
     try:
         st = os.stat(path)
     except OSError:
         st = None
-    if st is not None and stat.S_ISREG(st.st_mode):
-        return st.st_mode & 0o777
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        with open(path, "w", encoding="utf-8", buffering=_OUT_BUFFER) as fp:
+            yield fp
+        return
     umask = os.umask(0)
     os.umask(umask)
-    return 0o666 & ~umask
-
-
-@contextmanager
-def _open_out(path: str):
-    """Write an output as UTF-8 text; the one place a drowsy command opens a file for writing."""
-    if path == "-":
-        yield sys.stdout
-        return
-    path = os.path.realpath(path)  # write through a symlink, as open(path, "w") would
-    mode = _out_mode(path)
+    mode = 0o666 & ~umask if st is None else st.st_mode & 0o777
+    path = os.path.realpath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".drowsy-", suffix=".part")
     try:
         # mkstemp makes the file 0600 whatever the umask
@@ -227,16 +226,26 @@ def _files(args: argparse.Namespace, mark: type) -> list:
     return [("the text report" if dest == "report" else f"--{dest}", path) for dest, path in marked]
 
 
+def _as_dash(path: str) -> str:
+    """An output path, or "-" when it is the file stdout writes, such as /dev/stdout."""
+    try:
+        same = os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
+    except (AttributeError, OSError, ValueError):  # no such file, or stdout has no descriptor
+        return path
+    return "-" if same else path
+
+
 def _check_paths(args: argparse.Namespace, drivers=None) -> None:
     """Refuse file arguments that would lose or garble data, before any file is opened.
 
     Inputs and outputs are the given arguments marked _In and _Out, with a
     directory compare's driver files in place of --input. No path may be
     empty, at most one input may read "-" (stdin) and one output write "-"
-    (stdout), and an output may name no input and no other output.
+    (stdout; _as_dash reads /dev/stdout and the like as "-"), and an output
+    may name no input and no other output.
     """
     inputs = _files(args, _In) if drivers is None else [("--input", p) for p in drivers]
-    outputs = _files(args, _Out)
+    outputs = [(flag, _as_dash(path)) for flag, path in _files(args, _Out)]
     for flag, path in (*inputs, *outputs):
         if path == "":
             raise ConfigError(f"{flag} names an empty path")
@@ -312,10 +321,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     s = result.summary
     throughput = s.frames / elapsed if elapsed > 0 else 0.0
     alerts = " ".join(f"{kind}={count}" for kind, count in sorted(s.alerts.items()))
-    final = "n/a" if s.final_perclos is None else f"{s.final_perclos:.2f}%"
     print(
         f"frames={s.frames} faceless={s.faceless_frames} {alerts} "
-        f"final_perclos={final} throughput={throughput:.0f} fps",
+        f"final_perclos={format_pct(s.final_perclos)} throughput={throughput:.0f} fps",
         file=sys.stderr,
     )
     return 0
@@ -345,15 +353,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         labels = list(dio.read_states(src))
     result = evaluate_channel(predictions, labels, args.channel)
     m = result.matrix
-    rp = "n/a" if result.recall_positive is None else f"{result.recall_positive:.2f}%"
-    rn = "n/a" if result.recall_negative is None else f"{result.recall_negative:.2f}%"
     print(
         f"channel: {args.channel}\n"
         f"frames evaluated: {m.total} (excluded {result.excluded})\n"
         f"accuracy: {result.accuracy:.2f}%\n"
         f"confusion: tp={m.tp} tn={m.tn} fp={m.fp} fn={m.fn}\n"
-        f"recall positive: {rp}\n"
-        f"recall negative: {rn}"
+        f"recall positive: {format_pct(result.recall_positive)}\n"
+        f"recall negative: {format_pct(result.recall_negative)}"
     )
     if args.json:
         _write_doc(args.json, channel_eval_doc(args.channel, result))

@@ -250,8 +250,9 @@ def aggregate(
 _CHANNEL_TITLE = {CHANNEL_EYE: "Eye state detection", CHANNEL_MOUTH: "Yawning detection"}
 
 
-def _fmt_pct(value: float | None) -> str:
-    return "n/a" if value is None else f"{value:.2f}"
+def format_pct(value: float | None) -> str:
+    """A percentage that may be undefined, as text: "n/a" or "12.34%"."""
+    return "n/a" if value is None else f"{value:.2f}%"
 
 
 def _matrix_lines(method: str, channel: str, ev: ChannelEval) -> list[str]:
@@ -260,8 +261,8 @@ def _matrix_lines(method: str, channel: str, ev: ChannelEval) -> list[str]:
     pos, neg = name[True], name[False]
     return [
         f"  {method}/{channel}: tp={m.tp} tn={m.tn} fp={m.fp} fn={m.fn} excluded={ev.excluded}",
-        f"    recall[{pos}]={_fmt_pct(ev.recall_positive)}% "
-        f"recall[{neg}]={_fmt_pct(ev.recall_negative)}%",
+        f"    recall[{pos}]={format_pct(ev.recall_positive)} "
+        f"recall[{neg}]={format_pct(ev.recall_negative)}",
     ]
 
 

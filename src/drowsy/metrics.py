@@ -125,18 +125,13 @@ class PerclosWindow:
         # checked before quantize_ms, which overflows beyond MAX_SECONDS and fails on nan
         if not 0.0 < duration_s <= MAX_SECONDS or quantize_ms(duration_s) == 0:
             raise ValueError(
-                f"window duration must be positive and at most {MAX_SECONDS!r} s "
+                f"PERCLOS window must be positive and at most {MAX_SECONDS!r} s "
                 "on the millisecond grid"
             )
         self.duration_ms = quantize_ms(duration_s)
         self._samples: deque[tuple[int, bool, bool]] = deque()
         self._closed_ms = 0
         self._monitored_ms = 0
-
-    @property
-    def samples(self) -> list[tuple[float, bool, bool]]:
-        """Window contents as (t_seconds, closed, monitored), oldest first."""
-        return [(t / 1000.0, c, m) for t, c, m in self._samples]
 
     def append(self, t: float, closed: bool, monitored: bool) -> None:
         if closed and not monitored:

@@ -62,12 +62,10 @@ class PipelineConfig:
             raise ConfigError(f"sustain durations must be at most {MAX_SECONDS!r} s")
         if self.rearm_frames < 0:
             raise ConfigError("re-arm frame count cannot be negative")
-        window = self.perclos_window_s
-        if not 0.0 < window <= MAX_SECONDS or quantize_ms(window) == 0:
-            raise ConfigError(
-                f"PERCLOS window must be positive and at most {MAX_SECONDS!r} s "
-                "on the millisecond grid"
-            )
+        try:
+            PerclosWindow(self.perclos_window_s)  # the window owns its duration rule
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not 0.0 <= self.perclos_limit <= 100.0:
             raise ConfigError("PERCLOS limit is a percentage")
 
@@ -107,9 +105,6 @@ class SmoothingBuffer:
             return fsum(values) / len(values)
         except OverflowError:
             raise GeometryError("smoothed mean overflows") from None
-
-    def __len__(self) -> int:
-        return len(self._values)
 
 
 @dataclass(slots=True)

@@ -10,7 +10,10 @@ import math
 import os
 import re
 import stat
+import subprocess
+import sys
 import tempfile
+import threading
 from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
@@ -123,6 +126,32 @@ class TestWorkflow:
         doc = json.loads(json_out.read_text())
         assert doc["channel"] == "eye"
         assert doc["accuracy"] > 95.0
+
+    def test_undefined_recall_reads_n_a(self, workspace, capsys, tmp_path):
+        # the calibration recording has no yawn, so the yawn recall is undefined
+        _, paths = workspace
+        records = tmp_path / "calib.records.jsonl"
+        assert cli.main(["run", "--input", str(paths["calib_frames"]),
+                         "--profile", str(paths["profile"]),
+                         "--out", str(tmp_path / "calib.events.jsonl"),
+                         "--records", str(records)]) == 0
+        capsys.readouterr()
+        assert cli.main(["eval", "--pred", str(records), "--labels", str(paths["calib_labels"]),
+                         "--channel", "mouth"]) == 0
+        assert capsys.readouterr().out == (
+            "channel: mouth\n"
+            "frames evaluated: 180 (excluded 0)\n"
+            "accuracy: 100.00%\n"
+            "confusion: tp=0 tn=180 fp=0 fn=0\n"
+            "recall positive: n/a\n"
+            "recall negative: 100.00%\n"
+        )
+        assert cli.main(["compare", "--input", str(paths["calib_frames"]),
+                         "--labels", str(paths["calib_labels"]),
+                         "--profile", str(paths["profile"])]) == 0
+        out = capsys.readouterr().out
+        assert out.count("    recall[yawn]=n/a recall[normal]=100.00%\n") == 2
+        assert "n/a%" not in out
 
     def test_compare_single_stream(self, workspace, capsys, tmp_path):
         _, paths = workspace
@@ -545,6 +574,7 @@ class TestExitCodes:
                        "--profile", str(paths["profile"]), "--out", str(out)])
         assert rc == 0
         assert out.read_text() == ""
+        assert " final_perclos=n/a throughput=" in capsys.readouterr().err
 
 
 def overflow_stream(source, target, kind):
@@ -798,7 +828,7 @@ class TestOutputHygiene:
         assert rc == 1
         assert not out.exists()
         assert not list(tmp_path.glob(".drowsy-*"))
-        # the final rename fails when the destination is a directory
+        # a directory destination is not a regular file, so it is opened in place and refused
         out_dir = tmp_path / "events.dir"
         out_dir.mkdir()
         rc = cli.main(["run", "--input", str(paths["frames"]),
@@ -806,6 +836,89 @@ class TestOutputHygiene:
         assert rc == 1
         assert out_dir.is_dir() and not list(out_dir.iterdir())
         assert not list(tmp_path.glob(".drowsy-*"))
+
+    @staticmethod
+    def _read_all(fd, into):
+        """Start a thread that reads fd to end of file into the list `into`, then closes it."""
+        def read():
+            with os.fdopen(fd, "rb") as fp:
+                into.append(fp.read())
+
+        thread = threading.Thread(target=read, daemon=True)
+        thread.start()
+        return thread
+
+    def _records_of_a_regular_file(self, workspace):
+        tmp_path, paths = workspace
+        records = tmp_path / "regular.records.jsonl"
+        assert cli.main(["run", "--input", str(paths["frames"]), "--profile", str(paths["profile"]),
+                         "--out", str(tmp_path / "regular.events.jsonl"),
+                         "--records", str(records)]) == 0
+        return records.read_bytes()
+
+    def test_fifo_output_is_written_in_place(self, workspace):
+        tmp_path, paths = workspace
+        expected = self._records_of_a_regular_file(workspace)
+        fifo = tmp_path / "records.fifo"
+        os.mkfifo(fifo)
+        # neither open blocks; the kept write end lets the reader wait out the run
+        reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        keeper = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+        os.set_blocking(reader, True)
+        got = []
+        thread = self._read_all(reader, got)
+        try:
+            rc = cli.main(["run", "--input", str(paths["frames"]),
+                           "--profile", str(paths["profile"]),
+                           "--out", str(tmp_path / "events.jsonl"), "--records", str(fifo)])
+        finally:
+            os.close(keeper)
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert rc == 0
+        assert got == [expected]
+        assert stat.S_ISFIFO(fifo.lstat().st_mode)
+        assert not list(tmp_path.glob(".drowsy-*"))
+
+    def test_pipe_named_by_descriptor_is_written_in_place(self, workspace):
+        tmp_path, paths = workspace
+        if not os.path.isdir("/dev/fd"):
+            pytest.skip("no /dev/fd on this platform")
+        expected = self._records_of_a_regular_file(workspace)
+        reader, writer = os.pipe()
+        got = []
+        thread = self._read_all(reader, got)
+        try:
+            rc = cli.main(["run", "--input", str(paths["frames"]),
+                           "--profile", str(paths["profile"]),
+                           "--out", str(tmp_path / "events.jsonl"),
+                           "--records", f"/dev/fd/{writer}"])
+        finally:
+            os.close(writer)
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert rc == 0
+        assert got == [expected]
+        assert not list(tmp_path.glob(".drowsy-*"))
+
+    def test_dev_stdout_counts_as_standard_output(self, workspace):
+        tmp_path, paths = workspace
+        if not os.path.exists("/dev/stdout"):
+            pytest.skip("no /dev/stdout on this platform")
+        expected = self._records_of_a_regular_file(workspace)
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        run = [sys.executable, "-m", "drowsy.cli", "run", "--input", str(paths["frames"]),
+               "--profile", str(paths["profile"]), "--records", "/dev/stdout"]
+        refused = subprocess.run(run, capture_output=True, env=env, timeout=60)
+        assert refused.returncode == 1
+        assert refused.stdout == b""
+        assert refused.stderr == b"drowsy: --out and --records both write standard output\n"
+        events = tmp_path / "events.jsonl"
+        written = subprocess.run([*run, "--out", str(events)], capture_output=True, env=env,
+                                 timeout=60)
+        assert written.returncode == 0, written.stderr
+        assert written.stdout == expected
+        assert events.exists()
 
     def test_stdout_as_destination(self, workspace, capsys):
         _, paths = workspace

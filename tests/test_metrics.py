@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from drowsy.errors import GeometryError, PerclosUndefinedError, StreamOrderError
-from drowsy.landmarks import MAX_SECONDS, SEMANTIC, LandmarkFrame, SemanticPoints, to_semantic
+from drowsy.landmarks import MAX_SECONDS, SEMANTIC, LandmarkFrame, SemanticPoints, quantize_ms
+from drowsy.landmarks import to_semantic
 from drowsy.metrics import (
     PerclosWindow,
     compute_binocular_ear,
@@ -301,12 +302,16 @@ class TestPerclos:
         w = PerclosWindow(1.0)
         rng = random.Random(5)
         t = 0.0
+        triples = []
         for _ in range(500):
             t += rng.randrange(10, 100) / 1000.0
             monitored = rng.random() > 0.1
-            w.append(round(t, 3), monitored and rng.random() > 0.6, monitored)
-            assert w.samples[0][0] >= round(t, 3) - 1.0
-            expected = brute_force_perclos(w.samples)
+            triples.append((round(t, 3), monitored and rng.random() > 0.6, monitored))
+            w.append(*triples[-1])
+            # the window keeps each sample at most 1000 ms older than the newest
+            cutoff = quantize_ms(triples[-1][0]) - 1000
+            in_window = [s for s in triples if quantize_ms(s[0]) >= cutoff]
+            expected = brute_force_perclos(in_window)
             if expected is None:
                 with pytest.raises(PerclosUndefinedError):
                     w.perclos()

@@ -17,7 +17,7 @@ from drowsy.landmarks import DLIB68_MAP, MESH468_MAP, POINT_COUNTS, SEMANTIC_MAP
 from drowsy.landmarks import MAX_SECONDS, LandmarkFrame, SEMANTIC, SemanticPoints
 from drowsy.landmarks import quantize_ms, to_semantic
 from drowsy.metrics import compute_binocular_ear, compute_ear, compute_head_drop, compute_mar
-from drowsy.metrics import metric_sample
+from drowsy.metrics import PerclosWindow, metric_sample
 from drowsy.pipeline import (
     ALL_EVENT_KINDS,
     ChannelState,
@@ -68,7 +68,8 @@ class TestSmoothingBuffer:
         buf.push(0.2)
         buf.push(0.4)
         assert buf.smoothed() == pytest.approx(0.3, abs=1e-15)
-        assert len(buf) == 2
+        buf.push(0.9)
+        assert buf.smoothed() == pytest.approx(0.5, abs=1e-15)
 
     def test_eviction_oldest_first(self):
         buf = SmoothingBuffer(15)
@@ -77,7 +78,8 @@ class TestSmoothingBuffer:
             buf.push(v)
         tail = values[-15:]
         assert buf.smoothed() == pytest.approx(sum(tail) / 15.0, abs=1e-12)
-        assert len(buf) == 15
+        buf.push(2.0)
+        assert buf.smoothed() == pytest.approx((sum(tail[1:]) + 2.0) / 15.0, abs=1e-12)
 
     def test_empty_buffer_error(self):
         with pytest.raises(NoDataError):
@@ -599,6 +601,20 @@ def test_pipeline_config_validation():
         PipelineConfig(perclos_limit=150.0)
     with pytest.raises(ConfigError):
         PipelineConfig(rearm_frames=-1)
+
+
+@pytest.mark.parametrize(
+    "seconds", [0.0, -1.0, 0.0004, 0.0005, 0.001, 30.0, MAX_SECONDS, 1e306, math.inf, math.nan]
+)
+def test_perclos_window_rule_is_the_windows_own(seconds):
+    # PipelineConfig refuses exactly the durations PerclosWindow refuses
+    try:
+        PerclosWindow(seconds)
+    except ValueError:
+        with pytest.raises(ConfigError):
+            PipelineConfig(perclos_window_s=seconds)
+    else:
+        assert PipelineConfig(perclos_window_s=seconds).perclos_window_s == seconds
 
 
 @pytest.mark.parametrize(
