@@ -6,11 +6,14 @@ failures: cmd_run exits 0 however many warnings fired. build_parser marks
 each file argument read or written, and the path rules follow from those
 marks and are checked before any file is opened: no path is empty; "-" is
 stdin or stdout for at most one input and one output per command (eval's
-and compare's text report already writes stdout; so does /dev/stdout);
-no output names an input or another output (in a directory compare, every
-driver's four files, present or not, and any new <stem>.frames.jsonl
-there). Inputs are read as UTF-8; outputs are written as _open_out says,
-through one 256 KiB buffer (a write system call per ~1,700 record lines).
+and compare's text report already writes stdout). A path that names the
+file a standard stream reads or writes, such as /dev/stdin or /dev/stdout,
+counts as "-", except a regular file on stdin, which a second open reads
+from its own offset. No output names an input or another output (in a
+directory compare, every driver's four files, present or not, and any new
+<stem>.frames.jsonl there). Inputs are read as UTF-8; outputs are written
+as _open_out says, through one 256 KiB buffer (a write system call per
+~1,700 record lines).
 
 Data outputs (stdout and files) are byte-reproducible given identical
 inputs, flags, and seed; diagnostics on stderr may include timing and are
@@ -226,11 +229,18 @@ def _files(args: argparse.Namespace, mark: type) -> list:
     return [("the text report" if dest == "report" else f"--{dest}", path) for dest, path in marked]
 
 
-def _as_dash(path: str) -> str:
-    """An output path, or "-" when it is the file stdout writes, such as /dev/stdout."""
+def _as_dash(path: str, stream) -> str:
+    """path, or "-" when it names the file stream reads or writes, as /dev/stdin does.
+
+    A regular file on stdin stays a path: opened again, it reads from its
+    own offset, so both readers see all of it.
+    """
     try:
-        same = os.path.samestat(os.stat(path), os.fstat(sys.stdout.fileno()))
-    except (AttributeError, OSError, ValueError):  # no such file, or stdout has no descriptor
+        st = os.fstat(stream.fileno())
+        same = os.path.samestat(os.stat(path), st)
+    except (AttributeError, OSError, ValueError):  # no such file, or no descriptor
+        return path
+    if stream is sys.stdin and stat.S_ISREG(st.st_mode):
         return path
     return "-" if same else path
 
@@ -241,11 +251,12 @@ def _check_paths(args: argparse.Namespace, drivers=None) -> None:
     Inputs and outputs are the given arguments marked _In and _Out, with a
     directory compare's driver files in place of --input. No path may be
     empty, at most one input may read "-" (stdin) and one output write "-"
-    (stdout; _as_dash reads /dev/stdout and the like as "-"), and an output
-    may name no input and no other output.
+    (stdout; _as_dash reads /dev/stdin, /dev/stdout and the like as "-"),
+    and an output may name no input and no other output.
     """
     inputs = _files(args, _In) if drivers is None else [("--input", p) for p in drivers]
-    outputs = [(flag, _as_dash(path)) for flag, path in _files(args, _Out)]
+    inputs = [(flag, _as_dash(path, sys.stdin)) for flag, path in inputs]
+    outputs = [(flag, _as_dash(path, sys.stdout)) for flag, path in _files(args, _Out)]
     for flag, path in (*inputs, *outputs):
         if path == "":
             raise ConfigError(f"{flag} names an empty path")

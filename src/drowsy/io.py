@@ -50,6 +50,7 @@ import math
 import os
 import re
 import time as _time
+from contextlib import contextmanager
 from dataclasses import asdict, fields
 from itertools import chain, starmap
 from typing import IO, Iterable, Iterator
@@ -470,23 +471,34 @@ def write_script(sink: IO[str], script: SessionScript) -> None:
     write_document(sink, asdict(script))
 
 
+@contextmanager
+def _within(name: str):
+    """Prefix a fault raised while reading a nested object with its name, as events[1]."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{name}: {_message(exc)}") from None
+
+
 def read_script(source: IO[str]) -> SessionScript:
     doc = _read_document(source, "script")
     try:
         driver_doc = doc["driver"]
         if not isinstance(driver_doc, dict):
             raise ValueError("driver must be an object")
-        driver = DriverParams(**_floats(DriverParams, driver_doc))
+        with _within("driver"):
+            driver = DriverParams(**_floats(DriverParams, driver_doc))
         events_doc = doc["events"]
         if not isinstance(events_doc, list):
             raise ValueError("events must be an array")
         events = []
-        for ev in events_doc:
+        for i, ev in enumerate(events_doc):
             if not isinstance(ev, dict):
                 raise ValueError("each event must be an object")
-            if not isinstance(ev.get("kind"), str):
-                raise ValueError("event kind must be a string")
-            events.append(ScriptEvent(kind=ev["kind"], **_floats(ScriptEvent, ev)))
+            with _within(f"events[{i}]"):
+                if not isinstance(ev.get("kind"), str):
+                    raise ValueError("event kind must be a string")
+                events.append(ScriptEvent(kind=ev["kind"], **_floats(ScriptEvent, ev)))
         seed = doc["seed"]
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ValueError("seed must be an integer")

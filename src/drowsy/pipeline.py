@@ -18,8 +18,8 @@ Wall-clock time keeps running while a channel is frozen, so a condition
 that is pending when the face vanishes and still present when it returns
 counts the gap toward its sustain time.
 
-A pipeline instance is single-writer mutable state: serialize step() calls.
-Separate instances are fully independent.
+A pipeline holds decision state only; run_session derives the session
+totals. Serialize step() calls; separate instances are fully independent.
 """
 
 from __future__ import annotations
@@ -205,8 +205,10 @@ class FrameRecord(NamedTuple):
 class Pipeline:
     """Single-session streaming state machine; feed frames through step().
 
-    With `external` states, eye/mouth decisions come from external_state()
-    instead of threshold_states(); all other logic is the same either way.
+    It holds only what its decisions read (the buffers, the PERCLOS window,
+    the channels, the last timestamp), no totals. With `external` states,
+    eye/mouth decisions come from external_state() instead of
+    threshold_states(); all other logic is the same either way.
     """
 
     def __init__(
@@ -228,19 +230,10 @@ class Pipeline:
         rearm = self.config.rearm_frames
         self._channels = {kind: ChannelState(quantize_ms(s), rearm) for kind, s in sustains.items()}
         self._last_t_ms: int | None = None
-        self.frames = 0
-        self.faceless_frames = 0
-        self.alert_counts = dict.fromkeys(ALL_EVENT_KINDS, 0)
 
     def _emit(self, kind: str, t_ms: int, value: float, threshold: float) -> AlertEvent:
-        self.alert_counts[kind] += 1
-        return AlertEvent(
-            kind=kind,
-            onset_t=self._channels[kind].onset_ms / 1000.0,
-            emitted_t=t_ms / 1000.0,
-            value=value,
-            threshold=threshold,
-        )
+        onset_t = self._channels[kind].onset_ms / 1000.0
+        return AlertEvent(kind, onset_t, t_ms / 1000.0, value, threshold)
 
     def step(self, frame: LandmarkFrame) -> tuple[FrameRecord, tuple[AlertEvent, ...]]:
         """Feed one frame; returns its record and the alerts it fired.
@@ -270,7 +263,6 @@ class Pipeline:
             if self.external is not None:
                 eye_closed, mouth_yawn = external_state(self.external, t)
         self._last_t_ms = t_ms
-        self.frames += 1
         profile = self.profile
         events: list[AlertEvent] = []
 
@@ -288,7 +280,6 @@ class Pipeline:
                 eye_closed, mouth_yawn = threshold_states(profile, s_ear, s_mar)
             head_down = s_head > profile.head_drop_limit
         else:
-            self.faceless_frames += 1
             s_ear = s_mar = s_head = None
             eye_closed = mouth_yawn = head_down = None
 
@@ -351,33 +342,40 @@ def run_session(
     on_record: Callable[[FrameRecord], None] | None = None,
     collect: bool = True,
 ) -> SessionResult:
-    """Fold step() over a frame stream.
+    """Fold step() over a frame stream; the summary counts what step() returns.
 
-    Deterministic for a given stream and configuration: equal inputs give
-    equal records, events and summary. The summary holds no timing; a
-    caller that wants throughput times the call itself. With collect=False
-    nothing is accumulated (pass sinks instead), so memory stays bounded by
-    the smoothing buffers and the PERCLOS window regardless of stream length.
+    That is the frames stepped, the records without a face and the events
+    per kind, in ALL_EVENT_KINDS order; a frame step() refuses ends the run
+    uncounted. Deterministic: equal inputs give equal records, events and
+    summary. The summary holds no timing; a caller that wants throughput
+    times the call itself. With collect=False nothing is accumulated (pass
+    sinks instead), so memory stays bounded by the smoothing buffers and
+    the PERCLOS window regardless of stream length.
     """
     pipe = Pipeline(profile, config, external)
     events: list[AlertEvent] = []
     records: list[FrameRecord] = []
+    alerts = dict.fromkeys(ALL_EVENT_KINDS, 0)
+    stepped = faceless = 0
     record = None
-    for frame in frames:
+    for stepped, frame in enumerate(frames, 1):
         record, new_events = pipe.step(frame)
+        if not record.face_present:
+            faceless += 1
         if on_record is not None:
             on_record(record)
         if collect:
             records.append(record)
         for ev in new_events:
+            alerts[ev.kind] += 1
             if on_event is not None:
                 on_event(ev)
             if collect:
                 events.append(ev)
     summary = SessionSummary(
-        frames=pipe.frames,
-        faceless_frames=pipe.faceless_frames,
-        alerts=dict(pipe.alert_counts),
+        frames=stepped,
+        faceless_frames=faceless,
+        alerts=alerts,
         # the PERCLOS window is not touched after the last record is built
         final_perclos=None if record is None else record.perclos,
     )

@@ -147,6 +147,11 @@ def test_scaling_monotonicity(scale):
     assert p1.ear_threshold == pytest.approx(scale * p0.ear_threshold, rel=1e-12)
 
 
+def test_trimmed_mean_of_nothing_is_refused():
+    with pytest.raises(ValueError, match="trimmed_mean of empty sequence"):
+        trimmed_mean([])
+
+
 def test_trim_bound_property():
     rng = random.Random(9)
     for _ in range(50):

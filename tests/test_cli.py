@@ -471,6 +471,20 @@ class TestExitCodes:
         assert f"field '{field}' must be finite" in err
         assert not out.exists() and not labels.exists()
 
+    def test_non_finite_event_number_names_its_event(self, workspace, tmp_path, capsys):
+        source = tmp_path / "session.script.json"
+        doc = json.loads(source.read_text())
+        doc["events"][1]["start_t"] = math.inf
+        bad = tmp_path / "overflow.script.json"
+        bad.write_text(json.dumps(doc).replace("Infinity", "1e400"))
+        out, labels = tmp_path / "out.jsonl", tmp_path / "out.labels.jsonl"
+        assert cli.main(["synth", "--script", str(bad), "--out", str(out),
+                         "--labels", str(labels)]) == 1
+        assert capsys.readouterr().err == (
+            "drowsy: script: events[1]: field 'start_t' must be finite, got inf\n"
+        )
+        assert not out.exists() and not labels.exists()
+
     def test_script_frame_time_without_millisecond_key_is_input_error(self, tmp_path, capsys):
         # 100 frames, but 1000 * i / fps overflows from frame 2 on
         source = tmp_path / "keyless.script.json"
@@ -919,6 +933,47 @@ class TestOutputHygiene:
         assert written.returncode == 0, written.stderr
         assert written.stdout == expected
         assert events.exists()
+
+    @staticmethod
+    def _drowsy(argv, **kwargs):
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+        return subprocess.run([sys.executable, "-m", "drowsy.cli", *argv],
+                              capture_output=True, env=env, timeout=60, **kwargs)
+
+    @pytest.mark.parametrize("command", ["run", "eval"])
+    def test_dev_stdin_counts_as_standard_input_when_piped(self, workspace, command):
+        tmp_path, paths = workspace
+        if not os.path.exists("/dev/stdin"):
+            pytest.skip("no /dev/stdin on this platform")
+        out = tmp_path / "out.jsonl"
+        if command == "run":
+            argv = ["run", "--input", "/dev/stdin", "--profile", "-",
+                    "--out", str(out), "--records", str(tmp_path / "records.out.jsonl")]
+            piped = paths["profile"].read_bytes() + paths["frames"].read_bytes()
+            message = b"drowsy: --input and --profile both read standard input\n"
+        else:
+            argv = ["eval", "--pred", "/dev/stdin", "--labels", "-", "--channel", "eye",
+                    "--json", str(out)]
+            piped = paths["labels"].read_bytes()
+            message = b"drowsy: --pred and --labels both read standard input\n"
+        refused = self._drowsy(argv, input=piped)
+        assert (refused.returncode, refused.stdout, refused.stderr) == (1, b"", message)
+        assert not list(tmp_path.glob("*.out.jsonl")) and not out.exists()
+        assert not list(tmp_path.glob(".drowsy-*"))
+
+    def test_dev_stdin_on_a_regular_file_may_be_named_again(self, workspace):
+        _, paths = workspace
+        if not os.path.exists("/dev/stdin"):
+            pytest.skip("no /dev/stdin on this platform")
+        labels = str(paths["labels"])
+        expected = self._drowsy(["eval", "--pred", labels, "--labels", labels, "--channel", "eye"])
+        assert expected.returncode == 0, expected.stderr
+        assert len(expected.stdout.splitlines()) == 6
+        with open(labels, "rb") as stdin:  # each open reads the file from its own offset
+            got = self._drowsy(["eval", "--pred", "/dev/stdin", "--labels", "-",
+                                "--channel", "eye"], stdin=stdin)
+        assert got.returncode == 0, got.stderr
+        assert got.stdout == expected.stdout
 
     def test_stdout_as_destination(self, workspace, capsys):
         _, paths = workspace

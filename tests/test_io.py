@@ -392,6 +392,11 @@ class TestEventLog:
             list(dio.read_events([line]))
         assert f"field '{field}' must be finite" in str(err.value)
 
+    def test_line_that_is_no_object_rejected(self):
+        with pytest.raises(ParseError) as err:
+            list(dio.read_events(['["eyes_closed", 1.0, 2.0, 0.1, 0.2]']))
+        assert str(err.value) == "line 1: event line must be a JSON object"
+
     def test_order_violation_rejected(self):
         sink = stdio.StringIO()
         dio.write_events(sink, self.events()[::-1])
@@ -474,6 +479,28 @@ class TestScriptFile:
         doc["events"] = [7]
         with pytest.raises(ParseError, match="script: each event must be an object"):
             dio.read_script(stdio.StringIO(json.dumps(doc)))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["events"][1].update(start_t=math.inf),
+             "script: events[1]: field 'start_t' must be finite, got inf"),
+            (lambda doc: doc["driver"].update(baseline_mar=-math.inf),
+             "script: driver: field 'baseline_mar' must be finite, got -inf"),
+            (lambda doc: doc["driver"].pop("inter_ocular_px"),
+             "script: driver: missing field 'inter_ocular_px'"),
+        ],
+        ids=["event-field", "driver-field", "missing-key"],
+    )
+    def test_a_nested_fault_names_its_object(self, edit, message):
+        sink = stdio.StringIO()
+        dio.write_script(sink, sample_script())
+        doc = json.loads(sink.getvalue())
+        edit(doc)
+        text = json.dumps(doc).replace("Infinity", "1e400")  # out of float range, as JSON
+        with pytest.raises(ParseError) as err:
+            dio.read_script(stdio.StringIO(text))
+        assert str(err.value) == message
 
 
 def test_quick_fuzz_never_crashes():
@@ -1049,6 +1076,8 @@ HUGE = "1" + "0" * 400
         (_semantic_line(points=["[1.0, true]"] + ["[1.0, 2.0]"] * 18),
          "point coordinates must be numbers"),
         (_semantic_line(tail="   x"), "Extra data"),
+        ('{"t": 0.500, "scheme": "bogus", "face": false, "points": []}',
+         "line 1: unknown scheme 'bogus'"),
         (_semantic_line(points=["[1.0, 2.0, true]"] * 19), None),  # depth is dropped unchecked
         (_semantic_line(points=["[1, 2]"] * 19).replace(", ", " ,\t"), None),
     ],
