@@ -193,14 +193,17 @@ def _open_out(path: str):
     umask = os.umask(0)
     os.umask(umask)
     mode = 0o666 & ~umask if st is None else st.st_mode & 0o777
-    path = os.path.realpath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".drowsy-", suffix=".part")
+    real = os.path.realpath(path)
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(real), prefix=".drowsy-", suffix=".part")
+    except OSError as exc:  # name the path given, as open(path, "w") would, not the temp file
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         # mkstemp makes the file 0600 whatever the umask
         with os.fdopen(fd, "w", encoding="utf-8", buffering=_OUT_BUFFER) as fp:
             os.fchmod(fd, mode)
             yield fp
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except BaseException:
         try:
             os.unlink(tmp)

@@ -133,16 +133,20 @@ class PerclosWindow:
         self._closed_ms = 0
         self._monitored_ms = 0
 
-    def append(self, t: float, closed: bool, monitored: bool) -> None:
+    def append(self, t_ms: int, closed: bool, monitored: bool) -> None:
+        """Add one sample; older samples fall out of the window.
+
+        t_ms is the sample's int millisecond key, quantize_ms of its time in
+        seconds, as Pipeline.step holds it; the duration stays in seconds.
+        """
         if closed and not monitored:
             raise ValueError("a closed sample must be monitored")
-        t_ms = quantize_ms(t)
         samples = self._samples
         if samples:
             last_t, last_closed, last_monitored = samples[-1]
             if t_ms <= last_t:
                 raise StreamOrderError(
-                    f"sample at t={t:.3f} does not advance past t={last_t / 1000.0:.3f}"
+                    f"sample at t={t_ms / 1000.0:.3f} does not advance past t={last_t / 1000.0:.3f}"
                 )
             gap = t_ms - last_t
             if last_monitored:

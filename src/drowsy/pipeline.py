@@ -24,6 +24,7 @@ totals. Serialize step() calls; separate instances are fully independent.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from dataclasses import asdict, dataclass
 from math import fsum
@@ -53,8 +54,8 @@ class PipelineConfig:
 
     def __post_init__(self):
         require_finite(asdict(self))
-        if self.buffer_capacity < 1:
-            raise ConfigError("buffer capacity must be at least 1")
+        if not 1 <= self.buffer_capacity <= sys.maxsize:  # the largest deque maxlen
+            raise ConfigError(f"buffer capacity must be from 1 to {sys.maxsize}")
         sustains = self.sustains().values()
         if min(sustains) < 0.0:
             raise ConfigError("sustain durations cannot be negative")
@@ -244,6 +245,9 @@ class Pipeline:
         later and is not atomic: a smoothing mean that overflows (the raw
         values are already buffered). A frame that both lacks its external
         state and would overflow the mean reports the missing state.
+
+        The frame's int millisecond key, quantize_ms(frame.t), is taken once:
+        the order check, the PERCLOS window and every channel run on it.
         """
         t = frame.t
         t_ms = quantize_ms(t)
@@ -283,7 +287,7 @@ class Pipeline:
             s_ear = s_mar = s_head = None
             eye_closed = mouth_yawn = head_down = None
 
-        self._window.append(t, bool(eye_closed) if face else False, face)
+        self._window.append(t_ms, bool(eye_closed) if face else False, face)
         try:
             perclos_value = self._window.perclos()
         except PerclosUndefinedError:

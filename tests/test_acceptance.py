@@ -146,8 +146,8 @@ def test_criterion_2_invariance_suite():
                 closed = monitored and rng.random() > 0.5
                 triples.append((round(t, 3), closed, monitored))
             window = PerclosWindow(duration_s=1e6)
-            for triple in triples:
-                window.append(*triple)
+            for t, closed, monitored in triples:
+                window.append(dio.quantize_ms(t), closed, monitored)
             expected = brute_force_perclos(triples)
             if expected is None:
                 with pytest.raises(PerclosUndefinedError):

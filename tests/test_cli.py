@@ -851,6 +851,19 @@ class TestOutputHygiene:
         assert out_dir.is_dir() and not list(out_dir.iterdir())
         assert not list(tmp_path.glob(".drowsy-*"))
 
+    def test_output_in_a_missing_directory_is_named_as_given(self, tmp_path, capsys):
+        script = tmp_path / "s.script.json"
+        write_script_file(script, duration=1.0)
+        out = tmp_path / "missing" / "x.jsonl"
+        rc = cli.main(["synth", "--script", str(script), "--out", str(out),
+                       "--labels", str(tmp_path / "labels.jsonl")])
+        assert rc == 1
+        # the message open(path, "w") gives, not the name of the temp file beside it
+        assert capsys.readouterr().err == (
+            f"drowsy: [Errno 2] No such file or directory: {str(out)!r}\n"
+        )
+        assert [p.name for p in tmp_path.rglob("*")] == [script.name]
+
     @staticmethod
     def _read_all(fd, into):
         """Start a thread that reads fd to end of file into the list `into`, then closes it."""
@@ -1378,6 +1391,9 @@ CONFIG_FLAGS = [
      "calibration duration must be at most"),
     (("compare",), "--calib-duration", CalibrationConfig, "duration_s", "1e308",
      "calibration duration must be at most"),
+    # one past sys.maxsize, the largest maxlen a smoothing buffer's deque takes
+    (("run", "compare"), "--buffer-capacity", PipelineConfig, "buffer_capacity",
+     str(sys.maxsize + 1), f"buffer capacity must be from 1 to {sys.maxsize}"),
 ]
 
 # Config groups in the order commands validate them; a bad value in an

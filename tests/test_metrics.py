@@ -263,7 +263,7 @@ class TestPerclos:
     def build(self, triples, duration_s=1e6):
         w = PerclosWindow(duration_s)
         for t, closed, monitored in triples:
-            w.append(t, closed, monitored)
+            w.append(quantize_ms(t), closed, monitored)
         return w
 
     def test_all_closed_is_100(self):
@@ -307,7 +307,7 @@ class TestPerclos:
             t += rng.randrange(10, 100) / 1000.0
             monitored = rng.random() > 0.1
             triples.append((round(t, 3), monitored and rng.random() > 0.6, monitored))
-            w.append(*triples[-1])
+            w.append(quantize_ms(triples[-1][0]), *triples[-1][1:])
             # the window keeps each sample at most 1000 ms older than the newest
             cutoff = quantize_ms(triples[-1][0]) - 1000
             in_window = [s for s in triples if quantize_ms(s[0]) >= cutoff]
@@ -322,7 +322,7 @@ class TestPerclos:
         w = PerclosWindow(10.0)
         with pytest.raises(PerclosUndefinedError):
             w.perclos()
-        w.append(0.0, False, True)
+        w.append(quantize_ms(0.0), False, True)
         with pytest.raises(PerclosUndefinedError):
             w.perclos()
         # two samples, neither monitored: still undefined
@@ -333,7 +333,7 @@ class TestPerclos:
     def test_out_of_order_rejected(self):
         w = self.build([(0.0, False, True), (0.1, False, True)])
         with pytest.raises(StreamOrderError):
-            w.append(0.1, False, True)
+            w.append(quantize_ms(0.1), False, True)
 
     @pytest.mark.parametrize("duration_s", [0.0, -1.0, 0.0004, 0.0005])
     def test_window_duration_must_be_positive(self, duration_s):
@@ -349,4 +349,4 @@ class TestPerclos:
     def test_closed_requires_monitored(self):
         w = PerclosWindow(10.0)
         with pytest.raises(ValueError):
-            w.append(0.0, True, False)
+            w.append(quantize_ms(0.0), True, False)

@@ -612,6 +612,13 @@ def test_pipeline_config_validation():
         PipelineConfig(rearm_frames=-1)
 
 
+def test_buffer_capacity_is_bounded_by_the_largest_deque():
+    # deque(maxlen=...) takes at most sys.maxsize; one more is a ConfigError, not an OverflowError
+    Pipeline(profile(), PipelineConfig(buffer_capacity=sys.maxsize))
+    with pytest.raises(ConfigError, match=f"buffer capacity must be from 1 to {sys.maxsize}"):
+        PipelineConfig(buffer_capacity=sys.maxsize + 1)
+
+
 @pytest.mark.parametrize(
     "seconds", [0.0, -1.0, 0.0004, 0.0005, 0.001, 30.0, MAX_SECONDS, 1e306, math.inf, math.nan]
 )
@@ -708,7 +715,6 @@ FACE_STEP_CALLS = [
     *["pipeline.SmoothingBuffer.smoothed"] * 3,
     "pipeline.threshold_states",
     "metrics.PerclosWindow.append",
-    "landmarks.quantize_ms",
     "metrics.PerclosWindow.perclos",
     *["pipeline.ChannelState.advance"] * 5,
 ]
