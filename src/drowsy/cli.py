@@ -88,8 +88,8 @@ _CALIBRATE_FLAGS = (
     ("--head-factor", "head_factor", "head limit as a multiple of baseline head drop"),
 )
 
-# only a directory compare auto-calibrates (drivers without a profile);
-# single-stream mode requires --profile and refuses these when given
+# compare auto-calibrates only a driver without a profile; _refuse_auto_calibration
+# refuses these when every driver has one
 _AUTO_CALIBRATE_FLAGS = (
     (
         "--calib-duration",
@@ -434,6 +434,14 @@ def _score_driver(frames_path, labels_path, profile_path, external_path, configs
     )
 
 
+def _refuse_auto_calibration(args: argparse.Namespace, profiles) -> None:
+    """Refuse a given auto-calibration flag when every driver has a profile (path or None)."""
+    if all(profiles):
+        for flag, name, _ in _AUTO_CALIBRATE_FLAGS:
+            if hasattr(args, name):
+                raise ConfigError(f"{flag} does not apply: every driver has a profile")
+
+
 def cmd_compare(args: argparse.Namespace) -> int:
     # built in this order, so a bad pipeline flag is reported first
     configs = (
@@ -456,14 +464,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
         # pass for a driver's frames: the next run over DIR would read it
         names = (suffix, ".labels.jsonl", ".profile.json", ".external.jsonl")
         drivers = [[os.path.join(args.input, stem + name) for name in names] for stem in stems]
+        optional = [[p if os.path.exists(p) else None for p in driver[2:]] for driver in drivers]
+        _refuse_auto_calibration(args, [profile for profile, _ in optional])
         _check_paths(args, [path for driver in drivers for path in driver])
         if args.json and args.json.endswith(suffix) and _same_file(
             os.path.dirname(os.path.abspath(args.json)), args.input
         ):
             raise ConfigError(f"--json names a frame stream in the --input directory: {args.json}")
         reports = []
-        for stem, (frames, labels, *optional) in zip(stems, drivers):
-            profile, external = (path if os.path.exists(path) else None for path in optional)
+        for stem, (frames, labels, _, _), (profile, external) in zip(stems, drivers, optional):
             try:
                 reports.append(_compare_one(frames, labels, profile, external, configs))
             except (DrowsyError, OSError) as exc:
@@ -476,9 +485,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     else:
         if args.labels is None or args.profile is None:
             raise ConfigError("single-stream compare requires --labels and --profile")
-        for flag, name, _ in _AUTO_CALIBRATE_FLAGS:  # the --profile sets the thresholds
-            if hasattr(args, name):
-                raise ConfigError(f"{flag} does not apply to a single-stream --input")
+        _refuse_auto_calibration(args, [args.profile])
         _check_paths(args)
         report = _compare_one(args.input, args.labels, args.profile, args.external, configs)
         sys.stdout.write(render_report(report))

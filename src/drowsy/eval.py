@@ -182,7 +182,9 @@ def compare(
         METHOD_PERSONALIZED: attrgetter("eye_closed", "mouth_yawn"),  # the run's own decisions
     }
     if external_states is not None:
-        deciders[METHOD_EXTERNAL] = lambda r: external_state(external_states, r.t)
+        deciders[METHOD_EXTERNAL] = lambda r: external_state(
+            external_states, quantize_ms(r.t), r.t
+        )
     methods: dict[str, dict[str, ChannelEval]] = {}
     for method, decide in deciders.items():
         # (eye closed?, yawning?) per frame; faceless frames stay undecided

@@ -328,14 +328,18 @@ def read_states(source: Iterable[str]) -> Iterator[FrameLabel]:
 
 
 def load_external_states(source: Iterable[str]) -> dict[int, tuple[bool, bool]]:
-    """Build the per-frame external classifier map keyed by millisecond timestamp."""
+    """Build the per-frame external classifier map keyed by millisecond timestamp.
+
+    _states yields one tuple per line (a blank line raises), so counting
+    the tuples from 1 numbers the lines.
+    """
     states: dict[int, tuple[bool, bool]] = {}
-    for t, face, eye, mouth, _ in _states(source):
+    for line_no, (t, face, eye, mouth, _) in enumerate(_states(source), 1):
         if not face:
             continue
         key = quantize_ms(t)
         if key in states:
-            raise ParseError(f"duplicate external state at t={t:.3f}")
+            raise ParseError(f"duplicate external state at t={t:.3f}", line_no)
         states[key] = (eye, mouth)
     return states
 

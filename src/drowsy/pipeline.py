@@ -169,14 +169,17 @@ def threshold_states(profile: CalibrationProfile, ear: float, mar: float) -> tup
     return ear < profile.ear_threshold, mar > profile.mar_threshold
 
 
-def external_state(states: Mapping[int, tuple[bool, bool]], t: float) -> tuple[bool, bool]:
+def external_state(
+    states: Mapping[int, tuple[bool, bool]], t_ms: int, t: float
+) -> tuple[bool, bool]:
     """An external classifier's (eye closed?, yawning?) for the frame at t.
 
-    States are keyed by millisecond timestamp; every face-present frame
-    must have one.
+    States are keyed by millisecond timestamp; t_ms is the frame's int
+    key, quantize_ms(t), and t names the frame in the MissingLabelError.
+    Every face-present frame must have one.
     """
     try:
-        return states[quantize_ms(t)]
+        return states[t_ms]
     except KeyError:
         raise MissingLabelError(t) from None
 
@@ -247,7 +250,8 @@ class Pipeline:
         state and would overflow the mean reports the missing state.
 
         The frame's int millisecond key, quantize_ms(frame.t), is taken once:
-        the order check, the PERCLOS window and every channel run on it.
+        the order check, the external state lookup, the PERCLOS window and
+        every channel run on it.
         """
         t = frame.t
         t_ms = quantize_ms(t)
@@ -265,7 +269,7 @@ class Pipeline:
             except GeometryError as exc:
                 raise GeometryError(f"frame at t={t:.3f}: {exc}") from None
             if self.external is not None:
-                eye_closed, mouth_yawn = external_state(self.external, t)
+                eye_closed, mouth_yawn = external_state(self.external, t_ms, t)
         self._last_t_ms = t_ms
         profile = self.profile
         events: list[AlertEvent] = []

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Iterator
 
 from .calibration import require_finite
 from .errors import ScriptError
-from .landmarks import MAX_SECONDS, SEMANTIC, LandmarkFrame, Point, check_timestamp
+from .landmarks import MAX_SECONDS, SEMANTIC, LandmarkFrame, Point, check_timestamp, quantize_ms
 
 EVENT_BLINK = "blink"
 EVENT_CLOSURE = "sustained_closure"
@@ -117,7 +117,13 @@ class SessionScript:
                 raise ScriptError(f"unknown event kind {ev.kind!r}")
             if not 0.0 <= ev.intensity <= 1.0:
                 raise ScriptError(f"{ev.kind} intensity must lie in [0, 1]")
-            if ev.start_t < 0.0 or ev.length_s <= 0.0 or ev.start_t + ev.length_s > self.duration_s:
+            # compared on the millisecond grid, so 0.4 + 0.8 ends at 1.2; an end
+            # past MAX_SECONDS has no millisecond key (quantize_ms would overflow)
+            end = ev.start_t + ev.length_s
+            past_end = end > self.duration_s and (
+                end > MAX_SECONDS or quantize_ms(end) > quantize_ms(self.duration_s)
+            )
+            if ev.start_t < 0.0 or ev.length_s <= 0.0 or past_end:
                 raise ScriptError(
                     f"{ev.kind} at t={ev.start_t} (length {ev.length_s}) falls outside the session"
                 )

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import shutil
 import stat
 import subprocess
 import sys
@@ -411,6 +412,26 @@ class TestExitCodes:
         capsys.readouterr()
         assert cli.main(["compare", "--input", str(pop)]) == rc
         assert capsys.readouterr() == ("", f"drowsy: {message.format(dir=pop)}\n")
+
+    def test_duplicate_external_state_names_its_line(self, tmp_path, capsys):
+        # a 360-line label file written twice repeats t=0.000 at line 361
+        pop = tmp_path / "pop"
+        pop.mkdir()
+        frames, labels = pop / "d0.frames.jsonl", pop / "d0.labels.jsonl"
+        write_script_file(tmp_path / "d0.script.json", duration=12.0)
+        assert cli.main(["synth", "--script", str(tmp_path / "d0.script.json"),
+                         "--out", str(frames), "--labels", str(labels)]) == 0
+        assert cli.main(["calibrate", "--input", str(frames),
+                         "--out", str(tmp_path / "profile.json")]) == 0
+        external = pop / "d0.external.jsonl"
+        external.write_text(labels.read_text() * 2)
+        message = "line 361: duplicate external state at t=0.000"
+        capsys.readouterr()
+        assert cli.main(["run", "--input", str(frames), "--profile", str(tmp_path / "profile.json"),
+                         "--external", str(external), "--out", str(tmp_path / "events.jsonl")]) == 1
+        assert capsys.readouterr() == ("", f"drowsy: {message}\n")
+        assert cli.main(["compare", "--input", str(pop)]) == 1
+        assert capsys.readouterr() == ("", f"drowsy: d0: {message}\n")
 
     def test_parse_error_is_input_failure(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -1521,7 +1542,11 @@ GUARD_EVENTS = (
 
 @pytest.fixture(scope="module")
 def guard_inputs(tmp_path_factory):
-    """A neutral calibration recording, its profile, and a one-driver directory."""
+    """A neutral calibration recording, its profile, and three driver directories.
+
+    drivers holds one driver without a profile; profiled, two drivers with
+    one each; mixed, a driver without a profile and one with.
+    """
     root = tmp_path_factory.mktemp("guard")
     drivers = root / "drivers"
     drivers.mkdir()
@@ -1536,6 +1561,14 @@ def guard_inputs(tmp_path_factory):
     with redirect_stderr(stdio.StringIO()):
         assert cli.main(["calibrate", "--input", str(root / "calib.frames.jsonl"),
                          "--out", str(root / "profile.json")]) == 0
+    for name, profiled in (("profiled", ("d0", "d1")), ("mixed", ("d1",))):
+        directory = root / name
+        directory.mkdir()
+        for stem in ("d0", "d1"):
+            for kind in ("frames", "labels"):
+                shutil.copy(drivers / f"d0.{kind}.jsonl", directory / f"{stem}.{kind}.jsonl")
+            if stem in profiled:
+                shutil.copy(root / "profile.json", directory / f"{stem}.profile.json")
     return root
 
 
@@ -1550,6 +1583,8 @@ def command_result(root, command, extra, out_dir) -> tuple:
                       "--out", str(out_dir / "profile.json")],
         "compare": ["compare", "--input", str(root / "drivers"),
                     "--json", str(out_dir / "report.json")],
+        "compare-mixed": ["compare", "--input", str(root / "mixed"),
+                          "--json", str(out_dir / "report.json")],
         "compare-single": ["compare", "--input", str(root / "drivers" / "d0.frames.jsonl"),
                            "--labels", str(root / "drivers" / "d0.labels.jsonl"),
                            "--profile", str(root / "profile.json"),
@@ -1575,7 +1610,8 @@ def test_every_config_flag_can_change_its_command_result(guard_inputs, tmp_path,
 
 
 # compare's flags that only auto-calibration reads; a single-stream compare
-# requires --profile, so it refuses them
+# requires --profile, so it refuses them, as does a directory whose every
+# driver has a profile
 SINGLE_STREAM_REFUSED = ["--calib-duration", "--min-samples", "--ear-factor", "--mar-factor"]
 SINGLE_STREAM_FLAGS = [
     flag for command, flag in ADDED_FLAGS
@@ -1605,8 +1641,31 @@ def test_single_stream_compare_refuses_auto_calibration_flags(
                    "--profile", str(guard_inputs / "profile.json"),
                    "--json", str(report), flag, GUARD_VALUES[flag]])
     assert rc == 1
-    assert capsys.readouterr() == ("", f"drowsy: {flag} does not apply to a single-stream --input\n")
+    assert capsys.readouterr() == ("", f"drowsy: {flag} does not apply: every driver has a profile\n")
     assert not report.exists() and not list(tmp_path.glob(".drowsy-*"))
+
+
+@pytest.mark.parametrize("flag", SINGLE_STREAM_REFUSED)
+def test_profiled_directory_compare_refuses_auto_calibration_flags(
+    guard_inputs, tmp_path, capsys, flag
+):
+    report = tmp_path / "report.json"
+    rc = cli.main(["compare", "--input", str(guard_inputs / "profiled"),
+                   "--json", str(report), flag, GUARD_VALUES[flag]])
+    assert rc == 1
+    assert capsys.readouterr() == ("", f"drowsy: {flag} does not apply: every driver has a profile\n")
+    assert not report.exists() and not list(tmp_path.glob(".drowsy-*"))
+
+
+@pytest.mark.parametrize("flag", SINGLE_STREAM_REFUSED)
+def test_auto_calibration_flags_change_a_mixed_directory_report(guard_inputs, tmp_path, flag):
+    # one driver without a profile is auto-calibrated, so each flag applies
+    default = command_result(guard_inputs, "compare-mixed", [], tmp_path / "default")
+    assert default[0] == 0
+    changed = command_result(
+        guard_inputs, "compare-mixed", [flag, GUARD_VALUES[flag]], tmp_path / "set"
+    )
+    assert changed != default
 
 
 def test_invalid_flag_value_is_input_error(workspace, capsys):

@@ -659,12 +659,12 @@ def reference_read_states(source):
 
 def reference_load_external_states(source):
     states = {}
-    for rec in reference_read_states(source):
+    for line_no, rec in enumerate(reference_read_states(source), 1):
         if not rec.face_present:
             continue
         key = dio.quantize_ms(rec.t)
         if key in states:
-            raise ParseError(f"duplicate external state at t={rec.t:.3f}")
+            raise ParseError(f"duplicate external state at t={rec.t:.3f}", line_no)
         states[key] = (rec.eye_closed, rec.mouth_yawn)
     return states
 

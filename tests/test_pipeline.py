@@ -719,6 +719,26 @@ FACE_STEP_CALLS = [
     *["pipeline.ChannelState.advance"] * 5,
 ]
 
+# The same step with external states: one state lookup on the frame's key
+# takes the place of the threshold decision.
+EXTERNAL_FACE_STEP_CALLS = [
+    "pipeline.Pipeline.step",
+    "landmarks.quantize_ms",
+    "landmarks.to_semantic",
+    "metrics.compute_binocular_ear",
+    "metrics._aspect_ratio",
+    "metrics._aspect_ratio",
+    "metrics.compute_mar",
+    "metrics._aspect_ratio",
+    "metrics.compute_head_drop",
+    "pipeline.external_state",
+    *["pipeline.SmoothingBuffer.push"] * 3,
+    *["pipeline.SmoothingBuffer.smoothed"] * 3,
+    "metrics.PerclosWindow.append",
+    "metrics.PerclosWindow.perclos",
+    *["pipeline.ChannelState.advance"] * 5,
+]
+
 METRIC_SAMPLE_CALLS = [
     "metrics.metric_sample",
     "landmarks.to_semantic",
@@ -736,6 +756,12 @@ def test_face_step_makes_only_the_calls_that_hold_a_rule():
     pipe = Pipeline(profile())
     pipe.step(semantic_frame(t=0.0))  # the PERCLOS window needs a sample before this one
     assert python_calls(pipe.step, semantic_frame(t=0.033)) == FACE_STEP_CALLS
+
+
+def test_external_face_step_makes_only_the_calls_that_hold_a_rule():
+    pipe = Pipeline(profile(), external={0: (False, False), 33: (False, False)})
+    pipe.step(semantic_frame(t=0.0))
+    assert python_calls(pipe.step, semantic_frame(t=0.033)) == EXTERNAL_FACE_STEP_CALLS
 
 
 def test_metric_sample_makes_only_the_calls_that_hold_a_rule():

@@ -1,9 +1,10 @@
 import math
 import random
+import re
 import struct
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from drowsy import synth
@@ -138,6 +139,12 @@ class TestScriptValidation:
     def test_event_outside_duration(self):
         with pytest.raises(ScriptError):
             script(duration=5.0, events=[ScriptEvent("yawn", 4.5, 1.0, 1.0)])
+
+    @pytest.mark.parametrize("start", [1e306, 1e308], ids=["past-max-seconds", "sum-overflows"])
+    def test_event_end_without_a_millisecond_key_is_outside(self, start):
+        message = f"yawn at t={start} (length {start}) falls outside the session"
+        with pytest.raises(ScriptError, match=re.escape(message)):
+            script(duration=5.0, events=[ScriptEvent("yawn", start, start)])
 
     def test_unknown_kind(self):
         with pytest.raises(ScriptError):
@@ -336,6 +343,27 @@ def test_accepted_script_frame_keys_strictly_increase(fps, duration):
         return
     keys = [quantize_ms(frame.t) for frame in iter_frames(s)]
     assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    start_ms=st.integers(0, 10**7),
+    length_ms=st.integers(1, 10**7),
+    short_ms=st.integers(0, 10**7),
+)
+@example(start_ms=400, length_ms=800, short_ms=0)  # 0.4 + 0.8 > 1.2 in binary
+@example(start_ms=400, length_ms=800, short_ms=1)
+def test_event_end_is_checked_on_the_millisecond_grid(start_ms, length_ms, short_ms):
+    # the session ends short_ms whole milliseconds before the event does
+    assume(short_ms < start_ms + length_ms)
+    event = ScriptEvent("yawn", start_ms / 1000.0, length_ms / 1000.0)
+    duration = (start_ms + length_ms - short_ms) / 1000.0
+    if short_ms == 0:
+        assert script(duration=duration, events=[event]).events == (event,)
+    else:
+        message = f"yawn at t={event.start_t} (length {event.length_s}) falls outside the session"
+        with pytest.raises(ScriptError, match=re.escape(message)):
+            script(duration=duration, events=[event])
 
 
 class TestPopulation:
