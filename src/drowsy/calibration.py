@@ -107,7 +107,8 @@ def trimmed_mean(values: list[float]) -> float:
 def _covered_ms(samples: list[MetricSample]) -> int:
     # Zero-order-hold coverage: every sample holds until the next one, the
     # final sample for one repeat of its preceding gap. A 5 s recording at
-    # 30 fps therefore covers exactly 5000 ms.
+    # 30 fps (150 frames) spans 4967 ms on the millisecond grid and its last
+    # gap is 34 ms, so it covers 5001 ms.
     if len(samples) < 2:
         return 0
     ts = [quantize_ms(s.t) for s in samples]

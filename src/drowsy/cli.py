@@ -13,7 +13,8 @@ from its own offset. No output names an input or another output (in a
 directory compare, every driver's four files, present or not, and any new
 <stem>.frames.jsonl there). Inputs are read as UTF-8; outputs are written
 as _open_out says, through one 256 KiB buffer (a write system call per
-~1,700 record lines).
+~1,700 record lines). eval and compare create --json before they write
+their text report, so a --json that cannot be created leaves stdout empty.
 
 Data outputs (stdout and files) are byte-reproducible given identical
 inputs, flags, and seed; diagnostics on stderr may include timing and are
@@ -32,6 +33,7 @@ import tempfile
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
+from errno import ENOENT
 from itertools import takewhile
 
 from . import io as dio
@@ -88,8 +90,8 @@ _CALIBRATE_FLAGS = (
     ("--head-factor", "head_factor", "head limit as a multiple of baseline head drop"),
 )
 
-# compare auto-calibrates only a driver without a profile; _refuse_auto_calibration
-# refuses these when every driver has one
+# compare auto-calibrates only a driver without a profile; _drivers refuses
+# these when every driver has one
 _AUTO_CALIBRATE_FLAGS = (
     (
         "--calib-duration",
@@ -367,40 +369,24 @@ def cmd_eval(args: argparse.Namespace) -> int:
         labels = list(dio.read_states(src))
     result = evaluate_channel(predictions, labels, args.channel)
     m = result.matrix
-    print(
+    text = (
         f"channel: {args.channel}\n"
         f"frames evaluated: {m.total} (excluded {result.excluded})\n"
         f"accuracy: {result.accuracy:.2f}%\n"
         f"confusion: tp={m.tp} tn={m.tn} fp={m.fp} fn={m.fn}\n"
         f"recall positive: {format_pct(result.recall_positive)}\n"
-        f"recall negative: {format_pct(result.recall_negative)}"
+        f"recall negative: {format_pct(result.recall_negative)}\n"
     )
-    if args.json:
-        _write_doc(args.json, channel_eval_doc(args.channel, result))
+    _write_report(args, text, channel_eval_doc(args.channel, result))
     return 0
 
 
-def _write_doc(path: str, doc: dict) -> None:
-    with _open_out(path) as sink:
-        dio.write_document(sink, doc)
-
-
-def _compare_one(frames_path, labels_path, profile_path, external_path, configs):
-    """Score one driver with the cyclic garbage collector paused.
-
-    One driver's frames, labels and records are tens of thousands of
-    container objects per minute of stream, enough for dozens of
-    collections that find nothing: none of them forms a reference cycle,
-    and reference counting frees all of them when _score_driver returns,
-    before the caller's collector state is restored.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _score_driver(frames_path, labels_path, profile_path, external_path, configs)
-    finally:
-        if enabled:
-            gc.enable()
+def _write_report(args: argparse.Namespace, text: str, doc: dict) -> None:
+    """Write the text report to stdout and doc to --json, if given, which is opened first."""
+    with _open_out(args.json) if args.json else nullcontext() as sink:
+        sys.stdout.write(text)
+        if sink is not None:
+            dio.write_document(sink, doc)
 
 
 def _score_driver(frames_path, labels_path, profile_path, external_path, configs):
@@ -434,12 +420,56 @@ def _score_driver(frames_path, labels_path, profile_path, external_path, configs
     )
 
 
-def _refuse_auto_calibration(args: argparse.Namespace, profiles) -> None:
-    """Refuse a given auto-calibration flag when every driver has a profile (path or None)."""
-    if all(profiles):
+def _drivers(args: argparse.Namespace) -> list:
+    """(stem, frames, labels, profile, external) of each driver, every input rule checked.
+
+    A single stream is one driver with stem None. A directory has one per
+    <stem>.frames.jsonl, with None for an absent profile or external stream;
+    a dangling link is present, and fails as any missing file does when opened.
+    """
+    suffix = ".frames.jsonl"
+    inputs = None  # _check_paths reads the input flags
+    if os.path.isdir(args.input):
+        for flag, _ in _files(args, _In)[1:]:  # the directory names every driver's files
+            raise ConfigError(f"{flag} does not apply to a directory --input")
+        stems = sorted(
+            name[: -len(suffix)]
+            for name in os.listdir(args.input)
+            if name.endswith(suffix)
+        )
+        if not stems:
+            raise ConfigError(f"no *{suffix} files under {args.input}")
+        # every driver file is an input, present or not, as a new <stem>.frames.jsonl would be
+        names = (suffix, ".labels.jsonl", ".profile.json", ".external.jsonl")
+        listed = [[os.path.join(args.input, stem + name) for name in names] for stem in stems]
+        inputs = [path for paths in listed for path in paths]
+        drivers = [
+            (stem, frames, labels, *(p if os.path.lexists(p) else None for p in optional))
+            for stem, (frames, labels, *optional) in zip(stems, listed)
+        ]
+    elif args.labels is None or args.profile is None:
+        raise ConfigError("single-stream compare requires --labels and --profile")
+    else:
+        drivers = [(None, args.input, args.labels, args.profile, args.external)]
+    if all(profile for _, _, _, profile, _ in drivers):
         for flag, name, _ in _AUTO_CALIBRATE_FLAGS:
             if hasattr(args, name):
                 raise ConfigError(f"{flag} does not apply: every driver has a profile")
+    _check_paths(args, inputs)
+    if inputs is None:
+        return drivers
+    if args.json and args.json.endswith(suffix) and _same_file(
+        os.path.dirname(os.path.abspath(args.json)), args.input
+    ):
+        raise ConfigError(f"--json names a frame stream in the --input directory: {args.json}")
+    first, *_, first_external = drivers[0]
+    for stem, _, labels, _, external in drivers:
+        if not os.path.lexists(labels):
+            raise ConfigError(f"{stem}: {FileNotFoundError(ENOENT, os.strerror(ENOENT), labels)}")
+        if (external is None) != (first_external is None):
+            has = ("an external stream", "none") if external else ("no external stream", "one")
+            raise ConfigError(f"{stem} has {has[0]}, {first} has {has[1]}")
+    return drivers
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
@@ -449,49 +479,31 @@ def cmd_compare(args: argparse.Namespace) -> int:
         _build(CalibrationConfig, args),
         _build(generalized_profile, args),
     )
-    if os.path.isdir(args.input):
-        for flag, _ in _files(args, _In)[1:]:  # the directory names every driver's files
-            raise ConfigError(f"{flag} does not apply to a directory --input")
-        suffix = ".frames.jsonl"
-        stems = sorted(
-            name[: -len(suffix)]
-            for name in os.listdir(args.input)
-            if name.endswith(suffix)
-        )
-        if not stems:
-            raise ConfigError(f"no *{suffix} files under {args.input}")
-        # every driver file is an input, present or not, and no output may
-        # pass for a driver's frames: the next run over DIR would read it
-        names = (suffix, ".labels.jsonl", ".profile.json", ".external.jsonl")
-        drivers = [[os.path.join(args.input, stem + name) for name in names] for stem in stems]
-        optional = [[p if os.path.exists(p) else None for p in driver[2:]] for driver in drivers]
-        _refuse_auto_calibration(args, [profile for profile, _ in optional])
-        _check_paths(args, [path for driver in drivers for path in driver])
-        if args.json and args.json.endswith(suffix) and _same_file(
-            os.path.dirname(os.path.abspath(args.json)), args.input
-        ):
-            raise ConfigError(f"--json names a frame stream in the --input directory: {args.json}")
+    drivers = _drivers(args)
+    # Scoring pauses the collector. Per minute of stream a driver is tens of thousands of
+    # container objects, enough for dozens of collections that find nothing: none is in a
+    # reference cycle, and reference counting frees them when _score_driver returns.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
         reports = []
-        for stem, (frames, labels, _, _), (profile, external) in zip(stems, drivers, optional):
+        for stem, *paths in drivers:
             try:
-                reports.append(_compare_one(frames, labels, profile, external, configs))
+                reports.append(_score_driver(*paths, configs))
             except (DrowsyError, OSError) as exc:
+                if stem is None:
+                    raise
                 # name the driver; a calibration failure keeps its exit code
                 kind = CalibrationError if isinstance(exc, CalibrationError) else DrowsyError
                 raise kind(f"{stem}: {exc}") from None
-        agg = aggregate(reports, stems)
-        sys.stdout.write(render_population(agg))
-        doc = population_doc(agg)
-    else:
-        if args.labels is None or args.profile is None:
-            raise ConfigError("single-stream compare requires --labels and --profile")
-        _refuse_auto_calibration(args, [args.profile])
-        _check_paths(args)
-        report = _compare_one(args.input, args.labels, args.profile, args.external, configs)
-        sys.stdout.write(render_report(report))
-        doc = report_doc(report)
-    if args.json:
-        _write_doc(args.json, doc)
+    finally:
+        if enabled:
+            gc.enable()
+    if drivers[0][0] is None:  # a single stream
+        _write_report(args, render_report(reports[0]), report_doc(reports[0]))
+        return 0
+    agg = aggregate(reports, [stem for stem, *_ in drivers])
+    _write_report(args, render_population(agg), population_doc(agg))
     return 0
 
 

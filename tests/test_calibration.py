@@ -116,7 +116,8 @@ class TestCalibrate:
         assert calibrate(samples, CalibrationConfig(**{factor: 1.4e308})).personalized
 
     def test_coverage_counts_trailing_hold(self):
-        # 150 frames at 30 fps: last frame at 4.967 s + one 33 ms hold = 5.0 s
+        # 150 frames at 30 fps on the millisecond grid: the last frame at 4.967 s
+        # holds for one repeat of its 34 ms gap, so the recording covers 5.001 s
         samples = [
             MetricSample(
                 t=round(i * 1000.0 / 30.0) / 1000.0,
@@ -129,7 +130,7 @@ class TestCalibrate:
         ]
         profile = calibrate(samples)
         assert profile.frames_used == 150
-        assert profile.duration_s >= 5.0
+        assert profile.duration_s == 5.001
 
 
 @given(scale=st.floats(min_value=0.1, max_value=10.0))

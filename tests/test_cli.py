@@ -271,17 +271,17 @@ class TestWorkflow:
         rc = cli.main(["compare", "--input", str(pop), "--json", str(json_out)])
         assert rc == 1
         captured = capsys.readouterr()
-        two = ["generalized", "personalized"]
-        three = two + ["external"]
-        first, second = (three, two) if external_stem == "driver00" else (two, three)
-        assert captured.err == (
-            f"drowsy: reports score different methods: driver00 has {first}, "
-            f"driver01 has {second}\n"
+        differs = (
+            "no external stream, driver00 has one" if external_stem == "driver00"
+            else "an external stream, driver00 has none"
         )
+        assert captured.err == f"drowsy: driver01 has {differs}\n"
         assert captured.out == ""
         assert not json_out.exists()
 
-    @pytest.mark.parametrize("case", ["scored", "bad_second_driver", "caller_disabled"])
+    @pytest.mark.parametrize(
+        "case", ["scored", "bad_second_driver", "caller_disabled", "single_stream"]
+    )
     def test_compare_restores_collector_state(self, tmp_path, capsys, monkeypatch, case):
         pop = tmp_path / "population"
         pop.mkdir()
@@ -293,9 +293,16 @@ class TestWorkflow:
                  "--out", str(pop / f"{stem}.frames.jsonl"),
                  "--labels", str(pop / f"{stem}.labels.jsonl")]
             ) == 0
+        argv = ["compare", "--input", str(pop)]
         if case == "bad_second_driver":
             with open(pop / "driver01.frames.jsonl", "a") as sink:
                 sink.write("{not json\n")
+        elif case == "single_stream":
+            profile = tmp_path / "profile.json"
+            frames = str(pop / "driver00.frames.jsonl")
+            assert cli.main(["calibrate", "--input", frames, "--out", str(profile)]) == 0
+            argv = ["compare", "--input", frames, "--labels", str(pop / "driver00.labels.jsonl"),
+                    "--profile", str(profile)]
         capsys.readouterr()
         during = []
 
@@ -309,7 +316,7 @@ class TestWorkflow:
         if case == "caller_disabled":
             gc.disable()
         try:
-            rc = cli.main(["compare", "--input", str(pop)])
+            rc = cli.main(argv)
             after = gc.isenabled()
         finally:
             if was_enabled:
@@ -321,7 +328,7 @@ class TestWorkflow:
             assert during == [False]  # the first driver was scored, the second failed to parse
         else:
             assert rc == 0
-            assert during == [False, False]
+            assert during == ([False] if case == "single_stream" else [False, False])
 
     def test_bell_rings_once_per_alert_and_changes_no_output(self, workspace, tmp_path, capsys):
         _, paths = workspace
@@ -412,6 +419,53 @@ class TestExitCodes:
         capsys.readouterr()
         assert cli.main(["compare", "--input", str(pop)]) == rc
         assert capsys.readouterr() == ("", f"drowsy: {message.format(dir=pop)}\n")
+
+    @pytest.mark.parametrize("fault", ["missing-labels", "mixed-external"])
+    def test_compare_directory_listing_faults_stop_before_scoring(
+        self, workspace, capsys, monkeypatch, fault
+    ):
+        root, paths = workspace
+        pop = root / "pop"
+        pop.mkdir()
+        for stem in ("a", "b", "c"):
+            shutil.copy(paths["frames"], pop / f"{stem}.frames.jsonl")
+            shutil.copy(paths["labels"], pop / f"{stem}.labels.jsonl")
+        if fault == "missing-labels":
+            (pop / "c.labels.jsonl").unlink()
+            message = f"c: [Errno 2] No such file or directory: '{pop}/c.labels.jsonl'"
+        else:
+            shutil.copy(paths["labels"], pop / "c.external.jsonl")
+            message = "c has an external stream, a has none"
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return compare(*args, **kwargs)
+
+        compare = cli.compare
+        monkeypatch.setattr(cli, "compare", spy)
+        capsys.readouterr()
+        assert cli.main(["compare", "--input", str(pop)]) == 1
+        assert capsys.readouterr() == ("", f"drowsy: {message}\n")
+        assert calls == []
+
+    @pytest.mark.parametrize("suffix", ["profile.json", "external.jsonl"])
+    def test_compare_dangling_driver_link_fails_as_a_missing_file(
+        self, workspace, capsys, suffix
+    ):
+        # read as absent, the link would quietly auto-calibrate the driver or
+        # drop its external column
+        root, paths = workspace
+        pop = root / "pop"
+        pop.mkdir()
+        shutil.copy(paths["frames"], pop / "a.frames.jsonl")
+        shutil.copy(paths["labels"], pop / "a.labels.jsonl")
+        (pop / f"a.{suffix}").symlink_to(root / "gone")
+        capsys.readouterr()
+        assert cli.main(["compare", "--input", str(pop)]) == 1
+        assert capsys.readouterr() == (
+            "", f"drowsy: a: [Errno 2] No such file or directory: '{pop}/a.{suffix}'\n"
+        )
 
     def test_duplicate_external_state_names_its_line(self, tmp_path, capsys):
         # a 360-line label file written twice repeats t=0.000 at line 361
@@ -779,6 +833,38 @@ def write_syscalls() -> int:
 
 
 class TestOutputHygiene:
+    @pytest.mark.parametrize("target", ["missing-directory", "existing-directory"])
+    @pytest.mark.parametrize("command", ["eval", "compare", "compare-directory"])
+    def test_json_that_cannot_be_created_leaves_stdout_empty(
+        self, workspace, capsys, command, target
+    ):
+        root, paths = workspace
+        pop = root / "pop"
+        pop.mkdir()
+        shutil.copy(paths["frames"], pop / "d.frames.jsonl")
+        shutil.copy(paths["labels"], pop / "d.labels.jsonl")
+        out = root / "out"
+        out.mkdir()
+        if target == "missing-directory":
+            report = out / "missing" / "r.json"
+        else:
+            report = out / "r.json"
+            report.mkdir()
+        argv = {
+            "eval": ["eval", "--pred", str(paths["labels"]), "--labels", str(paths["labels"]),
+                     "--channel", "eye"],
+            "compare": ["compare", "--input", str(paths["frames"]),
+                        "--labels", str(paths["labels"]), "--profile", str(paths["profile"])],
+            "compare-directory": ["compare", "--input", str(pop)],
+        }[command]
+        capsys.readouterr()
+        assert cli.main([*argv, "--json", str(report)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("drowsy: [Errno ") and str(report) in captured.err
+        assert list(out.rglob("*")) == ([] if target == "missing-directory" else [report])
+        assert not list(root.rglob(".drowsy-*"))
+
     def test_record_stream_takes_few_write_calls(self, workspace, long_frames, capsys):
         # about 95 write calls with a 4 KiB buffer, one per ~53 records
         tmp_path, paths = workspace
