@@ -9,8 +9,10 @@ yawn, talking), and writes each driver's <stem>.frames.jsonl and
 calibrates each driver from their own neutral lead-in and scores the same
 pipeline per frame against ground truth under fixed population thresholds
 and under the personalized thresholds. The comparison goes to stdout and to
-OUTDIR/report.txt, its JSON form to OUTDIR/report.json; the exit code is
-compare's. Compare scores every driver in OUTDIR, so start from an empty one.
+OUTDIR/report.txt, byte for byte, its JSON form to OUTDIR/report.json; the
+exit code is compare's. A bad argument exits 1 with a `drowsy:` message
+before any stream is written. Compare scores every driver in OUTDIR, so
+start from an empty one.
 """
 
 import argparse
@@ -22,7 +24,7 @@ import sys
 from drowsy import cli
 from drowsy import io as dio
 from drowsy.calibration import CalibrationConfig
-from drowsy.errors import ConfigError
+from drowsy.errors import DrowsyError
 from drowsy.synth import ScriptEvent, generate_population
 
 FRAME = 1.0 / 30.0
@@ -54,34 +56,34 @@ def main() -> int:
     try:
         # compare's own check of --calib-duration, made before any stream is written
         CalibrationConfig(duration_s=args.calib_window)
-    except ConfigError as exc:
+        os.makedirs(args.outdir, exist_ok=True)
+        template = tuple(
+            ev for ev in SESSION_TEMPLATE if ev.start_t + ev.length_s <= args.duration
+        )
+        population = generate_population(
+            args.drivers,
+            tuple(args.ear_range),
+            tuple(args.mar_range),
+            template,
+            seed=args.seed,
+            duration_s=args.duration,
+            noise_sigma=args.noise_sigma,
+        )
+        # the generator checks its arguments and each driver's script before it yields
+        for i, (script, frames, truth) in enumerate(population):
+            stem = os.path.join(args.outdir, f"driver{i:02d}")
+            with open(stem + ".frames.jsonl", "w") as sink:
+                dio.write_frames(sink, frames)
+            with open(stem + ".labels.jsonl", "w") as sink:
+                dio.write_labels(sink, truth.labels)
+            print(
+                f"driver {i:02d}: baseline ear={script.driver.baseline_ear:.3f} "
+                f"mar={script.driver.baseline_mar:.3f}",
+                file=sys.stderr,
+            )
+    except DrowsyError as exc:
         print(f"drowsy: {exc}", file=sys.stderr)
         return 1
-
-    os.makedirs(args.outdir, exist_ok=True)
-    template = tuple(
-        ev for ev in SESSION_TEMPLATE if ev.start_t + ev.length_s <= args.duration
-    )
-    population = generate_population(
-        args.drivers,
-        tuple(args.ear_range),
-        tuple(args.mar_range),
-        template,
-        seed=args.seed,
-        duration_s=args.duration,
-        noise_sigma=args.noise_sigma,
-    )
-    for i, (script, frames, truth) in enumerate(population):
-        stem = os.path.join(args.outdir, f"driver{i:02d}")
-        with open(stem + ".frames.jsonl", "w") as sink:
-            dio.write_frames(sink, frames)
-        with open(stem + ".labels.jsonl", "w") as sink:
-            dio.write_labels(sink, truth.labels)
-        print(
-            f"driver {i:02d}: baseline ear={script.driver.baseline_ear:.3f} "
-            f"mar={script.driver.baseline_mar:.3f}",
-            file=sys.stderr,
-        )
 
     report = io.StringIO()
     with contextlib.redirect_stdout(report):
@@ -94,7 +96,7 @@ def main() -> int:
     text = report.getvalue()
     with open(os.path.join(args.outdir, "report.txt"), "w") as sink:
         sink.write(text)
-    print(text)
+    sys.stdout.write(text)
     return 0
 
 

@@ -242,12 +242,15 @@ class Pipeline:
     def step(self, frame: LandmarkFrame) -> tuple[FrameRecord, tuple[AlertEvent, ...]]:
         """Feed one frame; returns its record and the alerts it fired.
 
-        The order check, the raw metrics and, with external states, the
-        frame's state lookup run in that order before any state changes, so
-        a frame they refuse leaves the pipeline as it was. One fault comes
-        later and is not atomic: a smoothing mean that overflows (the raw
-        values are already buffered). A frame that both lacks its external
-        state and would overflow the mean reports the missing state.
+        Refusals first: the order check, then a face frame's raw metrics
+        and, with external states, its state lookup, all before any state
+        changes, so a refused frame leaves the pipeline as it was. Then the
+        commit; then a face frame smooths, decides and advances the eye,
+        mouth and head channels (a faceless frame leaves them frozen); then
+        every frame feeds the PERCLOS window and the presence and PERCLOS
+        channels. A smoothing mean that overflows is refused after the
+        commit, with the raw values already buffered; a frame that also
+        lacks its external state reports the missing state.
 
         The frame's int millisecond key, quantize_ms(frame.t), is taken once:
         the order check, the external state lookup, the PERCLOS window and
@@ -260,50 +263,44 @@ class Pipeline:
                 f"frame at t={t:.3f} does not advance past t={self._last_t_ms / 1000.0:.3f}"
             )
         face = frame.face_present
+        events: list[AlertEvent] = []
         if face:
-            sp = to_semantic(frame)
             try:
+                sp = to_semantic(frame)
                 ear = compute_binocular_ear(sp)
                 mar = compute_mar(sp.mouth)
                 head = compute_head_drop(sp)
-            except GeometryError as exc:
-                raise GeometryError(f"frame at t={t:.3f}: {exc}") from None
-            if self.external is not None:
-                eye_closed, mouth_yawn = external_state(self.external, t_ms, t)
-        self._last_t_ms = t_ms
-        profile = self.profile
-        events: list[AlertEvent] = []
-
-        if face:
-            self._ear_buf.push(ear)
-            self._mar_buf.push(mar)
-            self._head_buf.push(head)
-            try:
+                if self.external is not None:
+                    eye_closed, mouth_yawn = external_state(self.external, t_ms, t)
+                self._last_t_ms = t_ms
+                self._ear_buf.push(ear)
+                self._mar_buf.push(mar)
+                self._head_buf.push(head)
                 s_ear = self._ear_buf.smoothed()
                 s_mar = self._mar_buf.smoothed()
                 s_head = self._head_buf.smoothed()
             except GeometryError as exc:
                 raise GeometryError(f"frame at t={t:.3f}: {exc}") from None
+            profile = self.profile
             if self.external is None:
                 eye_closed, mouth_yawn = threshold_states(profile, s_ear, s_mar)
             head_down = s_head > profile.head_drop_limit
-        else:
-            s_ear = s_mar = s_head = None
-            eye_closed = mouth_yawn = head_down = None
-
-        self._window.append(t_ms, bool(eye_closed) if face else False, face)
-        try:
-            perclos_value = self._window.perclos()
-        except PerclosUndefinedError:
-            perclos_value = None
-
-        if face:
             if self._channels["eyes_closed"].advance(eye_closed, t_ms):
                 events.append(self._emit("eyes_closed", t_ms, s_ear, profile.ear_threshold))
             if self._channels["yawning"].advance(mouth_yawn, t_ms):
                 events.append(self._emit("yawning", t_ms, s_mar, profile.mar_threshold))
             if self._channels["head_down"].advance(head_down, t_ms):
                 events.append(self._emit("head_down", t_ms, s_head, profile.head_drop_limit))
+        else:
+            self._last_t_ms = t_ms
+            s_ear = s_mar = s_head = None
+            eye_closed = mouth_yawn = head_down = None
+
+        self._window.append(t_ms, face and eye_closed, face)
+        try:
+            perclos_value = self._window.perclos()
+        except PerclosUndefinedError:
+            perclos_value = None
 
         presence = self._channels["driver_missing"]
         if presence.advance(not face, t_ms):

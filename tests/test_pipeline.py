@@ -714,9 +714,10 @@ FACE_STEP_CALLS = [
     *["pipeline.SmoothingBuffer.push"] * 3,
     *["pipeline.SmoothingBuffer.smoothed"] * 3,
     "pipeline.threshold_states",
+    *["pipeline.ChannelState.advance"] * 3,  # eyes, mouth, head: advanced where decided
     "metrics.PerclosWindow.append",
     "metrics.PerclosWindow.perclos",
-    *["pipeline.ChannelState.advance"] * 5,
+    *["pipeline.ChannelState.advance"] * 2,  # presence, PERCLOS: every frame
 ]
 
 # The same step with external states: one state lookup on the frame's key
@@ -734,9 +735,20 @@ EXTERNAL_FACE_STEP_CALLS = [
     "pipeline.external_state",
     *["pipeline.SmoothingBuffer.push"] * 3,
     *["pipeline.SmoothingBuffer.smoothed"] * 3,
+    *["pipeline.ChannelState.advance"] * 3,
     "metrics.PerclosWindow.append",
     "metrics.PerclosWindow.perclos",
-    *["pipeline.ChannelState.advance"] * 5,
+    *["pipeline.ChannelState.advance"] * 2,
+]
+
+# A faceless step freezes the eye, mouth and head channels: it only keys the
+# frame, feeds the PERCLOS window and advances the presence and PERCLOS channels.
+FACELESS_STEP_CALLS = [
+    "pipeline.Pipeline.step",
+    "landmarks.quantize_ms",
+    "metrics.PerclosWindow.append",
+    "metrics.PerclosWindow.perclos",
+    *["pipeline.ChannelState.advance"] * 2,
 ]
 
 METRIC_SAMPLE_CALLS = [
@@ -762,6 +774,13 @@ def test_external_face_step_makes_only_the_calls_that_hold_a_rule():
     pipe = Pipeline(profile(), external={0: (False, False), 33: (False, False)})
     pipe.step(semantic_frame(t=0.0))
     assert python_calls(pipe.step, semantic_frame(t=0.033)) == EXTERNAL_FACE_STEP_CALLS
+
+
+def test_faceless_step_makes_only_the_calls_that_hold_a_rule():
+    pipe = Pipeline(profile())
+    pipe.step(semantic_frame(t=0.0))  # a monitored sample, so PERCLOS is defined
+    faceless = LandmarkFrame(t=0.033, scheme=SEMANTIC, points=(), face_present=False)
+    assert python_calls(pipe.step, faceless) == FACELESS_STEP_CALLS
 
 
 def test_metric_sample_makes_only_the_calls_that_hold_a_rule():
