@@ -14,8 +14,10 @@ Line formats (field order as written):
   records  labels plus "ear", "mar", "head_drop", "perclos" (null when absent)
   events   {"kind": "...", "onset_t": 1.2, "emitted_t": 2.2, "value": 0.1, "threshold": 0.2}
 
-A face frame's points are written with one "%" operation, from a table
-holding one format string per scheme (built from POINT_COUNTS).
+A face frame's points, and a whole record line, are each written with one
+"%" operation: the points from a table holding one format string per
+scheme (built from POINT_COUNTS), a record from a table holding one per
+state tail (see below) and pattern of null values.
 
 Documents are single JSON objects, and write_document is their one
 writer: it adds FORMAT_VERSION as "format_version", then writes sorted
@@ -52,13 +54,13 @@ import re
 import time as _time
 from contextlib import contextmanager
 from dataclasses import asdict, fields
-from itertools import chain, starmap
+from itertools import chain, product, starmap
 from typing import IO, Iterable, Iterator
 
 from .calibration import CalibrationProfile
 from .errors import ConfigError, ParseError, StreamOrderError, VersionError
 from .landmarks import POINT_COUNTS, LandmarkFrame, Point, check_timestamp, quantize_ms
-from .pipeline import ALL_EVENT_KINDS, AlertEvent
+from .pipeline import ALL_EVENT_KINDS, AlertEvent, FrameRecord
 from .synth import DriverParams, FrameLabel, ScriptEvent, SessionScript
 
 FORMAT_VERSION = 1
@@ -210,7 +212,8 @@ def read_frames(source: Iterable[str]) -> Iterator[LandmarkFrame]:
             if type(t) is not float:
                 t = _number(obj, "t")
             scheme = obj["scheme"]
-            if scheme not in POINT_COUNTS:
+            # an array or object is no scheme, and unhashable
+            if type(scheme) is not str or scheme not in POINT_COUNTS:
                 raise ValueError(f"unknown scheme {scheme!r}")
             face = obj["face"]
             if type(face) is not bool:
@@ -256,7 +259,8 @@ def write_frames(sink: IO[str], frames: Iterable[LandmarkFrame]) -> None:
 
 def _parse_state(obj: dict, key: str, table: dict[str, bool]) -> bool:
     value = obj[key]
-    if value not in table:
+    # an array or object is no state, and unhashable
+    if type(value) is not str or value not in table:
         raise ValueError(f"field {key!r} must be one of {sorted(table)}, got {value!r}")
     return table[value]
 
@@ -344,10 +348,6 @@ def load_external_states(source: Iterable[str]) -> dict[int, tuple[bool, bool]]:
     return states
 
 
-def _opt6(value: float | None) -> str:
-    return "null" if value is None else f"{value:.6f}"
-
-
 def _tail(rec) -> str:
     """The written text of rec's states; a face-present rec needs eye and mouth states."""
     if rec.face_present:
@@ -361,16 +361,40 @@ def write_labels(sink: IO[str], labels: Iterable) -> None:
         sink.write(f'{{"t": {lab.t:.3f}{_tail(lab)}}}\n')
 
 
-def write_records(sink: IO[str], records: Iterable) -> None:
-    """Write per-frame pipeline records (a superset of the label format)."""
-    for rec in records:
-        metrics = ""
-        if rec.face_present:
-            metrics = (
-                f', "ear": {_opt6(rec.ear)}, "mar": {_opt6(rec.mar)}, '
-                f'"head_drop": {_opt6(rec.head_drop)}'
-            )
-        sink.write(f'{{"t": {rec.t:.3f}{_tail(rec)}{metrics}, "perclos": {_opt6(rec.perclos)}}}\n')
+# A written value: "%.6f" (the text of f"{v:.6f}" for float, int and bool),
+# or for None "null%.0s", which writes null and consumes the argument.
+_VALUE_FORMATS = {False: "%.6f", True: "null%.0s"}
+
+
+def _record_format(tail: str, absent: tuple[bool, ...]) -> str:
+    """The line of a record with this tail, absent saying which of its four values are None."""
+    ear, mar, head_drop, perclos = (_VALUE_FORMATS[a] for a in absent)
+    metrics = "%.0s%.0s%.0s"  # a faceless line consumes its metrics unwritten
+    if tail != _FACELESS_TAIL:
+        metrics = f', "ear": {ear}, "mar": {mar}, "head_drop": {head_drop}'
+    return f'{{"t": %.3f{tail}{metrics}, "perclos": {perclos}}}\n'
+
+
+# Every record line, one "%" away from (t, ear, mar, head_drop, perclos),
+# keyed by the states (False when faceless) and which of the four are None.
+_RECORD_FORMATS = {
+    (states, *absent): _record_format(tail, absent)
+    for states, tail in [*_STATE_TAILS.items(), (False, _FACELESS_TAIL)]
+    for absent in product((False, True), repeat=4)
+}
+
+
+def write_records(sink: IO[str], records: Iterable[FrameRecord]) -> None:
+    """Write per-frame pipeline records (a superset of the label format).
+
+    A face-present record needs eye and mouth states; a faceless one
+    writes only its t and perclos.
+    """
+    for t, face, ear, mar, head_drop, eye, mouth, head, perclos in records:
+        line = _RECORD_FORMATS[
+            face and (eye, mouth, head), ear is None, mar is None, head_drop is None, perclos is None
+        ]
+        sink.write(line % (t, ear, mar, head_drop, perclos))
 
 
 # --- event logs ---------------------------------------------------------------

@@ -69,7 +69,7 @@ class LandmarkFrame:
     face_present: bool
 
     def __post_init__(self):
-        if self.scheme not in POINT_COUNTS:
+        if not isinstance(self.scheme, str) or self.scheme not in POINT_COUNTS:
             raise ValueError(f"unknown landmark scheme {self.scheme!r}")
         check_timestamp(self.t)
         if self.face_present:

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 from drowsy import cli
 from drowsy import io as dio
-from drowsy.calibration import CalibrationConfig, generalized_profile
+from drowsy.calibration import CalibrationConfig, CalibrationProfile, generalized_profile
 from drowsy.landmarks import DLIB68_MAP, MESH468_MAP, SEMANTIC_MAP
 from drowsy.pipeline import PipelineConfig
 from drowsy.synth import DriverParams, ScriptEvent, SessionScript
@@ -383,6 +383,17 @@ class TestExitCodes:
         assert rc == 2
         assert "recording covers 0.000 s" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "calibrate"])
+    def test_array_scheme_is_an_unknown_scheme(self, tmp_path, capsys, command):
+        frames = tmp_path / "f.jsonl"
+        frames.write_text('{"t": 0.100, "scheme": ["semantic"], "face": false, "points": []}\n')
+        profile = tmp_path / "p.json"
+        with open(profile, "w") as fp:
+            dio.write_profile(fp, generalized_profile())
+        args = {"run": ["--profile", str(profile)], "calibrate": ["--out", str(tmp_path / "o.json")]}
+        assert cli.main([command, "--input", str(frames), *args[command]]) == 1
+        assert capsys.readouterr() == ("", "drowsy: line 1: unknown scheme ['semantic']\n")
 
     def test_compare_directory_without_frame_streams(self, tmp_path, capsys):
         (tmp_path / "d.labels.jsonl").write_text("")
@@ -1356,6 +1367,52 @@ def test_every_file_argument_is_marked():
     assert unmarked_string_flags(parsers) == [("run", ["--stats"])]
 
 
+# one script with every event kind, overlapping events and noise
+GOLDEN_SCRIPT = SessionScript(
+    fps=30.0,
+    duration_s=12.0,
+    driver=DriverParams(0.31, 0.42, 0.55, 190.0),
+    events=(
+        ScriptEvent("talk", 1.0, 3.0, 0.8),
+        ScriptEvent("blink", 2.0, 0.1, 1.0),
+        ScriptEvent("yawn", 2.5, 2.0, 0.9),
+        ScriptEvent("sustained_closure", 5.0, 2.0, 0.7),
+        ScriptEvent("blink", 5.5, 0.2, 0.5),
+        ScriptEvent("head_nod", 6.0, 2.0, 1.0),
+        ScriptEvent("dropout", 8.0, 1.0, 1.0),
+    ),
+    noise_sigma=0.5,
+    seed=2026,
+)
+
+# GOLDEN_SCRIPT's driver baselines with the default threshold factors
+GOLDEN_PROFILE = CalibrationProfile(
+    baseline_ear=0.31,
+    baseline_mar=0.42,
+    baseline_head_drop=0.55,
+    ear_threshold=0.2325,
+    mar_threshold=0.588,
+    head_drop_limit=0.6875,
+    ear_factor=0.75,
+    mar_factor=1.40,
+    head_factor=1.25,
+    frames_used=150,
+    duration_s=5.0,
+)
+
+
+def synth_golden(tmp_path):
+    """GOLDEN_SCRIPT's frame and label streams, written by `drowsy synth`."""
+    script_path = tmp_path / "golden.script.json"
+    with open(script_path, "w") as fp:
+        dio.write_script(fp, GOLDEN_SCRIPT)
+    frames = tmp_path / "golden.frames.jsonl"
+    labels = tmp_path / "golden.labels.jsonl"
+    assert cli.main(["synth", "--script", str(script_path), "--out", str(frames),
+                     "--labels", str(labels)]) == 0
+    return frames, labels
+
+
 class TestDeterminism:
     def test_synth_reproducible(self, tmp_path):
         script_path = tmp_path / "s.json"
@@ -1371,35 +1428,36 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
     def test_synth_output_matches_golden_digest(self, tmp_path):
-        # one script with every event kind, overlapping events and noise; the
-        # digests pin the exact bytes that `drowsy synth` writes for it
-        script_path = tmp_path / "golden.script.json"
-        with open(script_path, "w") as fp:
-            dio.write_script(fp, SessionScript(
-                fps=30.0,
-                duration_s=12.0,
-                driver=DriverParams(0.31, 0.42, 0.55, 190.0),
-                events=(
-                    ScriptEvent("talk", 1.0, 3.0, 0.8),
-                    ScriptEvent("blink", 2.0, 0.1, 1.0),
-                    ScriptEvent("yawn", 2.5, 2.0, 0.9),
-                    ScriptEvent("sustained_closure", 5.0, 2.0, 0.7),
-                    ScriptEvent("blink", 5.5, 0.2, 0.5),
-                    ScriptEvent("head_nod", 6.0, 2.0, 1.0),
-                    ScriptEvent("dropout", 8.0, 1.0, 1.0),
-                ),
-                noise_sigma=0.5,
-                seed=2026,
-            ))
-        frames = tmp_path / "golden.frames.jsonl"
-        labels = tmp_path / "golden.labels.jsonl"
-        assert cli.main(["synth", "--script", str(script_path), "--out", str(frames),
-                         "--labels", str(labels)]) == 0
+        # the digests pin the exact bytes that `drowsy synth` writes for GOLDEN_SCRIPT
+        frames, labels = synth_golden(tmp_path)
         assert hashlib.sha256(frames.read_bytes()).hexdigest() == (
             "0e1816d320206a69100578ae6fd1a7d3d6572bf05c5f1216bc389c669af916cb"
         )
         assert hashlib.sha256(labels.read_bytes()).hexdigest() == (
             "bfe7860104a4b1634787d33b243136876cbee9daf5ff93a6830184ed35d000b1"
+        )
+
+    def test_run_outputs_match_golden_digest(self, tmp_path):
+        # GOLDEN_SCRIPT's stream through `drowsy run` with GOLDEN_PROFILE: a 1 s
+        # dropout, null PERCLOS on the first record and four alerts; the digests
+        # pin the exact bytes of the record and event writers
+        frames, _ = synth_golden(tmp_path)
+        profile = tmp_path / "golden.profile.json"
+        with open(profile, "w") as fp:
+            dio.write_profile(fp, GOLDEN_PROFILE)
+        records = tmp_path / "golden.records.jsonl"
+        events = tmp_path / "golden.events.jsonl"
+        assert cli.main(["run", "--input", str(frames), "--profile", str(profile),
+                         "--records", str(records), "--out", str(events)]) == 0
+        lines = records.read_text().splitlines()
+        assert len(lines) == 360 and json.loads(lines[0])["perclos"] is None
+        assert sum('"face": false' in line for line in lines) == 30
+        assert len(events.read_text().splitlines()) == 4
+        assert hashlib.sha256(records.read_bytes()).hexdigest() == (
+            "c56a1f123d1a7a74b5b45ef03ebca27aa9bd1c8dabe15c6b192eb113e6278e17"
+        )
+        assert hashlib.sha256(events.read_bytes()).hexdigest() == (
+            "a795a45a72e34d6c65c3aab7ba1ae043a134e63cb67642e90b2d8ccbb990d108"
         )
 
     def test_seed_override_changes_noise(self, tmp_path):

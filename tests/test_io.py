@@ -1,5 +1,6 @@
 import dataclasses
 import io as stdio
+import itertools
 import json
 import math
 import random
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from drowsy import io as dio
 from drowsy.calibration import CalibrationProfile, calibrate, generalized_profile
 from drowsy.errors import MissingLabelError, ParseError, StreamOrderError, VersionError
-from drowsy.landmarks import POINT_COUNTS, LandmarkFrame
+from drowsy.landmarks import MAX_SECONDS, POINT_COUNTS, LandmarkFrame
 from drowsy.metrics import MetricSample
 from drowsy.pipeline import AlertEvent, FrameRecord, run_session
 from drowsy.synth import DriverParams, FrameLabel, ScriptEvent, SessionScript, generate
@@ -596,7 +597,8 @@ def reference_read_frames(source):
                 raise ValueError("frame line must be a JSON object")
             t = _reference_number(obj, "t")
             scheme = obj["scheme"]
-            if scheme not in POINT_COUNTS:
+            # an array or object is refused like any unknown scheme
+            if isinstance(scheme, (list, dict)) or scheme not in POINT_COUNTS:
                 raise ValueError(f"unknown scheme {scheme!r}")
             face = _reference_boolean(obj, "face")
             raw_points = obj["points"]
@@ -626,7 +628,8 @@ def reference_read_frames(source):
 
 def _reference_state(obj, key, table):
     value = obj[key]
-    if value not in table:
+    # an array or object is refused like any unknown state
+    if isinstance(value, (list, dict)) or value not in table:
         raise ValueError(f"field {key!r} must be one of {sorted(table)}, got {value!r}")
     return table[value]
 
@@ -942,6 +945,140 @@ def test_face_present_state_without_eye_or_mouth_is_not_written(writer, eye, mou
     with pytest.raises(KeyError):
         writer(sink, [rec])
     assert sink.getvalue() == ""
+
+
+# --- the record writer ---------------------------------------------------------
+# write_records writes each line with one "%" from dio._RECORD_FORMATS; the
+# reference is the f-string writer it replaced.
+
+def _reference_opt6(value):
+    return "null" if value is None else f"{value:.6f}"
+
+
+def reference_write_records(sink, records):
+    for rec in records:
+        metrics = ""
+        if rec.face_present:
+            metrics = (
+                f', "ear": {_reference_opt6(rec.ear)}, "mar": {_reference_opt6(rec.mar)}, '
+                f'"head_drop": {_reference_opt6(rec.head_drop)}'
+            )
+        perclos = _reference_opt6(rec.perclos)
+        sink.write(f'{{"t": {rec.t:.3f}{dio._tail(rec)}{metrics}, "perclos": {perclos}}}\n')
+
+
+def _writes(writer, records):
+    """The text writer writes for records, or the type and text of what it raises."""
+    sink = stdio.StringIO()
+    try:
+        writer(sink, records)
+    except Exception as exc:  # the two writers must fail alike
+        return type(exc).__name__, str(exc)
+    return sink.getvalue()
+
+
+FACE_STATES = [(lab.eye_closed, lab.mouth_yawn, lab.head_down) for lab in STATE_LABELS[1:]]
+RECORD_VALUES = st.one_of(
+    st.none(),
+    st.floats(),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+    st.integers(-(10**20), 10**20),
+    st.sampled_from([-0.0, math.inf, -math.inf, math.nan, 1e308, -1e308, 5e-324, 10**400, True]),
+)
+RECORD_TIMES = st.one_of(
+    st.floats(min_value=0.0, max_value=1e9),
+    st.integers(0, 10**9),
+    st.sampled_from([-0.0, 5e-324, 1e300, MAX_SECONDS]),
+)
+
+
+@st.composite
+def pipeline_records(draw):
+    face = draw(st.booleans())
+    if face:
+        eye, mouth, head = draw(st.sampled_from(FACE_STATES))
+    else:  # a faceless record's states and metrics are not written
+        eye, mouth, head = draw(st.tuples(*[st.sampled_from([None, False, True])] * 3))
+    ear, mar, head_drop, perclos = draw(st.tuples(*[RECORD_VALUES] * 4))
+    return FrameRecord(draw(RECORD_TIMES), face, ear, mar, head_drop, eye, mouth, head, perclos)
+
+
+def _finite_or_none(value):
+    # a written value: an int beyond float range makes both writers raise
+    return value is None or math.isfinite(value)
+
+
+def _assert_record_line_reads_back(rec, line):
+    """A line of finite or null values decodes as JSON and reads back as rec's label."""
+    t = float(f"{rec.t:.3f}")
+    obj = json.loads(line)
+    names = ["ear", "mar", "head_drop", "perclos"] if rec.face_present else ["perclos"]
+    for name in names:
+        value = getattr(rec, name)
+        assert obj.pop(name) == (None if value is None else float(f"{value:.6f}"))
+    if rec.face_present:
+        label = FrameLabel(t, True, rec.eye_closed, rec.mouth_yawn, rec.head_down)
+    else:
+        label = FrameLabel(t, False, None, None, None)
+    assert list(dio.read_states([line])) == [label]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(pipeline_records(), min_size=1, max_size=3))
+def test_write_records_equals_reference_writer(records):
+    written = _writes(dio.write_records, records)
+    assert written == _writes(reference_write_records, records)
+    if isinstance(written, str):
+        lines = written.splitlines(keepends=True)
+        assert len(lines) == len(records)
+        for rec, line in zip(records, lines):
+            values = (rec.ear, rec.mar, rec.head_drop) if rec.face_present else ()
+            if all(map(_finite_or_none, (*values, rec.perclos))):
+                _assert_record_line_reads_back(rec, line)
+
+
+def test_every_record_format_equals_reference_writer():
+    # each face state (and faceless) with each pattern of absent values: the whole table
+    states = [(True, *s) for s in FACE_STATES] + [(False, True, None, False)]
+    records = [
+        FrameRecord(12.3456, face, *[None if a else v for a, v in zip(absent, (0.25, 1, -0.0))],
+                    eye, mouth, head, None if absent[3] else 33.3333335)
+        for face, eye, mouth, head in states
+        for absent in itertools.product((False, True), repeat=4)
+    ]
+    assert len(records) == len(dio._RECORD_FORMATS) == 13 * 16
+    written = _writes(dio.write_records, records)
+    assert written == _writes(reference_write_records, records)
+    for rec, line in zip(records, written.splitlines(keepends=True)):
+        _assert_record_line_reads_back(rec, line)
+
+
+# --- arrays and objects where a string is expected -------------------------------
+
+FRAME_LINE = '{"t": 0.100, "scheme": %s, "face": false, "points": []}'
+STATE_LINE = '{"t": 0.100, "face": true, "eye": %s, "mouth": %s}'
+
+
+@pytest.mark.parametrize(
+    "reader, line, message",
+    [
+        (dio.read_frames, FRAME_LINE % '["semantic"]', "line 1: unknown scheme ['semantic']"),
+        (dio.read_frames, FRAME_LINE % '{"semantic": 19}', "line 1: unknown scheme {'semantic': 19}"),
+        *[
+            (reader, STATE_LINE % pair, message)
+            for reader in (dio.read_states, dio.load_external_states)
+            for pair, message in [
+                (('["open"]', '"normal"'),
+                 "line 1: field 'eye' must be one of ['closed', 'open'], got ['open']"),
+                (('"open"', "{}"), "line 1: field 'mouth' must be one of ['normal', 'yawn'], got {}"),
+            ]
+        ],
+    ],
+    ids=["frames-array", "frames-object", "states-array", "states-object", "external-array",
+         "external-object"],
+)
+def test_array_or_object_is_refused_like_an_unknown_string(reader, line, message):
+    assert _outcome(reader, [line]) == ("ParseError", message, 1)
 
 
 LONG_DIGITS = "1" * 4301

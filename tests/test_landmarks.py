@@ -61,6 +61,12 @@ class TestLandmarkFrame:
         with pytest.raises(ValueError):
             LandmarkFrame(t=-1.0, scheme=SEMANTIC, points=(), face_present=False)
 
+    @pytest.mark.parametrize("scheme", [["semantic"], {"semantic": 19}], ids=["list", "dict"])
+    def test_unhashable_scheme_is_an_unknown_scheme(self, scheme):
+        with pytest.raises(ValueError) as err:
+            LandmarkFrame(0.1, scheme, (), False)
+        assert str(err.value) == f"unknown landmark scheme {scheme!r}"
+
     def test_timestamp_bound_is_the_largest_with_a_millisecond_key(self):
         assert quantize_ms(MAX_SECONDS) == round(MAX_SECONDS * 1000.0)
         assert check_timestamp(MAX_SECONDS) == MAX_SECONDS
