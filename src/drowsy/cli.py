@@ -352,12 +352,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.seed is not None:
         script = replace(script, seed=args.seed)
     with _open_out(args.out) as frames_out, _open_out(args.labels) as labels_out:
-        n = 0
         for frame, label in iter_session(script):
             dio.write_frames(frames_out, [frame])
             dio.write_labels(labels_out, [label])
-            n += 1
-    print(f"generated {n} frames at {script.fps:g} fps (seed {script.seed})", file=sys.stderr)
+    print(
+        f"generated {script.frame_count} frames at {script.fps:g} fps (seed {script.seed})",
+        file=sys.stderr,
+    )
     return 0
 
 

@@ -152,48 +152,35 @@ class GroundTruth:
     labels: list[FrameLabel]
 
 
+def _hexagon(x1: float, xa: float, xb: float, x4: float, y: float, v: float) -> tuple[Point, ...]:
+    """p1..p6 of the ratio hexagon: corners x1, x4 on y, pairs at xa, xb v above and below."""
+    return ((x1, y), (xa, y - v), (xb, y - v), (x4, y), (xb, y + v), (xa, y + v))
+
+
 def _semantic_points(
     ear: float, mar: float, head_drop: float, inter_ocular: float
 ) -> tuple[Point, ...]:
     """Canonical semantic-scheme face realizing the requested metric values."""
     d = inter_ocular
     eye_w = _EYE_SPAN * d
-    left_x = _FACE_CX - d / 2.0
-    right_x = _FACE_CX + d / 2.0
     ey = _EYE_Y
     v = ear * eye_w / 2.0
-
-    def eye(x0: float) -> tuple[Point, ...]:
-        xa = x0 + eye_w / 3.0
-        xb = x0 + 2.0 * eye_w / 3.0
-        return (
-            (x0, ey),
-            (xa, ey - v),
-            (xb, ey - v),
-            (x0 + eye_w, ey),
-            (xb, ey + v),
-            (xa, ey + v),
-        )
-
-    left_eye = eye(left_x)
-    right_eye = eye(right_x - eye_w)
-
+    left = _FACE_CX - d / 2.0
+    right = _FACE_CX + d / 2.0 - eye_w
     mouth_w = _MOUTH_SPAN * d
-    my = ey + _MOUTH_DROP * d
-    vm = mar * mouth_w / 2.0
-    xma = _FACE_CX - mouth_w / 6.0
-    xmb = _FACE_CX + mouth_w / 6.0
-    mouth = (
-        (_FACE_CX - mouth_w / 2.0, my),
-        (xma, my - vm),
-        (xmb, my - vm),
-        (_FACE_CX + mouth_w / 2.0, my),
-        (xmb, my + vm),
-        (xma, my + vm),
+    return (
+        _hexagon(left, left + eye_w / 3.0, left + 2.0 * eye_w / 3.0, left + eye_w, ey, v)
+        + _hexagon(right, right + eye_w / 3.0, right + 2.0 * eye_w / 3.0, right + eye_w, ey, v)
+        + _hexagon(
+            _FACE_CX - mouth_w / 2.0,
+            _FACE_CX - mouth_w / 6.0,
+            _FACE_CX + mouth_w / 6.0,
+            _FACE_CX + mouth_w / 2.0,
+            ey + _MOUTH_DROP * d,
+            mar * mouth_w / 2.0,
+        )
+        + ((_FACE_CX, ey + head_drop * d),)
     )
-
-    nose = (_FACE_CX, ey + head_drop * d)
-    return left_eye + right_eye + mouth + (nose,)
 
 
 _TWOPI = 2.0 * math.pi
@@ -258,34 +245,23 @@ def iter_session(script: SessionScript) -> Iterator[tuple[LandmarkFrame, FrameLa
             else:  # dropout
                 face = False
 
-        if not face:
-            frame = LandmarkFrame(t=t, scheme=SEMANTIC, points=(), face_present=False)
-            label = FrameLabel(
-                t=t, face_present=False, eye_closed=None, mouth_yawn=None, head_down=None
+        if face:
+            points = _semantic_points(
+                ear=driver.baseline_ear * eye_mult,
+                mar=driver.baseline_mar * mouth_mult,
+                head_drop=driver.baseline_head_drop * head_mult,
+                inter_ocular=driver.inter_ocular_px,
             )
-            yield frame, label
-            continue
-
-        points = _semantic_points(
-            ear=driver.baseline_ear * eye_mult,
-            mar=driver.baseline_mar * mouth_mult,
-            head_drop=driver.baseline_head_drop * head_mult,
-            inter_ocular=driver.inter_ocular_px,
-        )
-        if sigma > 0.0:
-            points = _add_noise(points, rand, sigma)
+            if sigma > 0.0:
+                points = _add_noise(points, rand, sigma)
+        else:
+            points = ()
+            eye_closed = mouth_yawn = head_down = None
         try:
-            frame = LandmarkFrame(t=t, scheme=SEMANTIC, points=points, face_present=True)
+            frame = LandmarkFrame(t=t, scheme=SEMANTIC, points=points, face_present=face)
         except ValueError as exc:
             raise ScriptError(f"frame at t={t:.3f}: {exc}") from None
-        label = FrameLabel(
-            t=t,
-            face_present=True,
-            eye_closed=eye_closed,
-            mouth_yawn=mouth_yawn,
-            head_down=head_down,
-        )
-        yield frame, label
+        yield frame, FrameLabel(t, face, eye_closed, mouth_yawn, head_down)
 
 
 def generate(script: SessionScript) -> tuple[list[LandmarkFrame], GroundTruth]:

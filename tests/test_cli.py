@@ -969,6 +969,33 @@ class TestOutputHygiene:
         assert out_dir.is_dir() and not list(out_dir.iterdir())
         assert not list(tmp_path.glob(".drowsy-*"))
 
+    def test_temp_file_that_cannot_be_removed_keeps_the_failure(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        _, paths = workspace
+        truncated = tmp_path / "truncated.jsonl"
+        lines = paths["frames"].read_text().splitlines(keepends=True)
+        truncated.write_text("".join(lines[:50]) + '{"t": broken\n')
+        out = tmp_path / "events.out.jsonl"
+        unlink = os.unlink
+
+        def refuse_temp(path, *args, **kwargs):
+            if os.path.basename(path).startswith(".drowsy-"):
+                raise PermissionError(13, "Permission denied", path)
+            return unlink(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "unlink", refuse_temp)
+        capsys.readouterr()
+        rc = cli.main(["run", "--input", str(truncated),
+                       "--profile", str(paths["profile"]), "--out", str(out)])
+        # the bad line is reported, not the failed removal, and the temp file stays behind
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "drowsy: line 51: Expecting value: line 1 column 7 (char 6)\n"
+        )
+        assert not out.exists()
+        assert len(list(tmp_path.glob(".drowsy-*"))) == 1
+
     def test_output_in_a_missing_directory_is_named_as_given(self, tmp_path, capsys):
         script = tmp_path / "s.script.json"
         write_script_file(script, duration=1.0)

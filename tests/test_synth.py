@@ -246,8 +246,51 @@ def test_noise_equals_successive_gauss_draws(seed, sigma, points):
     assert rng.getstate() == expected_rng.getstate()
 
 
+def reference_semantic_points(ear, mar, head_drop, inter_ocular):
+    """The face builder as it wrote out each eye and the mouth point by point."""
+    d = inter_ocular
+    eye_w = synth._EYE_SPAN * d
+    left_x = synth._FACE_CX - d / 2.0
+    right_x = synth._FACE_CX + d / 2.0
+    ey = synth._EYE_Y
+    v = ear * eye_w / 2.0
+
+    def eye(x0):
+        xa = x0 + eye_w / 3.0
+        xb = x0 + 2.0 * eye_w / 3.0
+        return (
+            (x0, ey),
+            (xa, ey - v),
+            (xb, ey - v),
+            (x0 + eye_w, ey),
+            (xb, ey + v),
+            (xa, ey + v),
+        )
+
+    left_eye = eye(left_x)
+    right_eye = eye(right_x - eye_w)
+
+    mouth_w = synth._MOUTH_SPAN * d
+    my = ey + synth._MOUTH_DROP * d
+    vm = mar * mouth_w / 2.0
+    xma = synth._FACE_CX - mouth_w / 6.0
+    xmb = synth._FACE_CX + mouth_w / 6.0
+    mouth = (
+        (synth._FACE_CX - mouth_w / 2.0, my),
+        (xma, my - vm),
+        (xmb, my - vm),
+        (synth._FACE_CX + mouth_w / 2.0, my),
+        (xmb, my + vm),
+        (xma, my + vm),
+    )
+
+    nose = (synth._FACE_CX, ey + head_drop * d)
+    return left_eye + right_eye + mouth + (nose,)
+
+
 def reference_iter_session(s):
-    """The generator as it tested every event on every frame and drew noise from gauss."""
+    """The generator as it tested every event on every frame, drew noise from gauss
+    and built each face with reference_semantic_points."""
     rng = random.Random(s.seed)
     gauss = rng.gauss
     sigma = s.noise_sigma
@@ -283,7 +326,7 @@ def reference_iter_session(s):
                 FrameLabel(t, False, None, None, None),
             )
             continue
-        points = synth._semantic_points(
+        points = reference_semantic_points(
             ear=driver.baseline_ear * eye_mult,
             mar=driver.baseline_mar * mouth_mult,
             head_drop=driver.baseline_head_drop * head_mult,
@@ -299,7 +342,8 @@ def reference_iter_session(s):
 
 @st.composite
 def event_scripts(draw):
-    """Scripts whose unsorted events overlap, share starts and touch ends and frame times."""
+    """Scripts whose unsorted events overlap, share starts and touch ends and frame times,
+    for drivers whose baselines and inter-ocular distance run from 5e-324 to 1e100."""
     fps = draw(st.one_of(st.sampled_from([1.0, 30.0, 1000.0]), st.floats(1.0, 1000.0)))
     frames = draw(st.integers(1, 150))
     duration = frames / fps
@@ -320,7 +364,15 @@ def event_scripts(draw):
         anchors += [start, end]
     sigma = draw(st.one_of(st.just(0.0), st.floats(1e-3, 5.0)))
     seed = draw(st.integers(0, 2**32 - 1))
-    return script(duration=duration, events=events, noise=sigma, seed=seed, fps=fps)
+    # up to 1e100 each, no coordinate passes about 1e200, so every face is finite
+    positive = st.floats(0.0, 1e100, exclude_min=True)
+    driver = DriverParams(
+        baseline_ear=draw(positive),
+        baseline_mar=draw(positive),
+        baseline_head_drop=draw(st.floats(0.0, 1e100)),
+        inter_ocular_px=draw(positive),
+    )
+    return script(duration=duration, events=events, noise=sigma, seed=seed, fps=fps, driver=driver)
 
 
 @settings(max_examples=150, deadline=None)
