@@ -20,6 +20,11 @@ counts the gap toward its sustain time.
 
 A pipeline holds decision state only; run_session derives the session
 totals. Serialize step() calls; separate instances are fully independent.
+
+With alarms=False a pipeline keeps only its per-frame decisions: it still
+refuses every frame the full run refuses, smooths and decides, but it
+skips the alarm stage, that is the five channels, the PERCLOS window and
+every alert. Its records then carry perclos=None and it fires no events.
 """
 
 from __future__ import annotations
@@ -213,6 +218,11 @@ class Pipeline:
     the channels, the last timestamp), no totals. With `external` states,
     eye/mouth decisions come from external_state() instead of
     threshold_states(); all other logic is the same either way.
+
+    With alarms=False, step() skips the alarm stage: it advances no
+    channel, feeds no PERCLOS window and builds no event. Each record
+    equals the full run's except that perclos is None, and each step
+    returns no events. Refusals are unchanged.
     """
 
     def __init__(
@@ -220,10 +230,12 @@ class Pipeline:
         profile: CalibrationProfile,
         config: PipelineConfig | None = None,
         external: Mapping[int, tuple[bool, bool]] | None = None,
+        alarms: bool = True,
     ):
         self.profile = profile
         self.config = config or PipelineConfig()
         self.external = external
+        self.alarms = alarms
         cap = self.config.buffer_capacity
         self._ear_buf = SmoothingBuffer(cap)
         self._mar_buf = SmoothingBuffer(cap)
@@ -255,6 +267,10 @@ class Pipeline:
         The frame's int millisecond key, quantize_ms(frame.t), is taken once:
         the order check, the external state lookup, the PERCLOS window and
         every channel run on it.
+
+        With alarms off, the refusals, the commit, the smoothing and the
+        decisions are the same; the five channel advances, the PERCLOS
+        window and every event are skipped, and the record's perclos is None.
         """
         t = frame.t
         t_ms = quantize_ms(t)
@@ -263,6 +279,7 @@ class Pipeline:
                 f"frame at t={t:.3f} does not advance past t={self._last_t_ms / 1000.0:.3f}"
             )
         face = frame.face_present
+        alarms = self.alarms
         events: list[AlertEvent] = []
         if face:
             try:
@@ -285,36 +302,40 @@ class Pipeline:
             if self.external is None:
                 eye_closed, mouth_yawn = threshold_states(profile, s_ear, s_mar)
             head_down = s_head > profile.head_drop_limit
-            if self._channels["eyes_closed"].advance(eye_closed, t_ms):
-                events.append(self._emit("eyes_closed", t_ms, s_ear, profile.ear_threshold))
-            if self._channels["yawning"].advance(mouth_yawn, t_ms):
-                events.append(self._emit("yawning", t_ms, s_mar, profile.mar_threshold))
-            if self._channels["head_down"].advance(head_down, t_ms):
-                events.append(self._emit("head_down", t_ms, s_head, profile.head_drop_limit))
+            if alarms:
+                if self._channels["eyes_closed"].advance(eye_closed, t_ms):
+                    events.append(self._emit("eyes_closed", t_ms, s_ear, profile.ear_threshold))
+                if self._channels["yawning"].advance(mouth_yawn, t_ms):
+                    events.append(self._emit("yawning", t_ms, s_mar, profile.mar_threshold))
+                if self._channels["head_down"].advance(head_down, t_ms):
+                    events.append(self._emit("head_down", t_ms, s_head, profile.head_drop_limit))
         else:
             self._last_t_ms = t_ms
             s_ear = s_mar = s_head = None
             eye_closed = mouth_yawn = head_down = None
 
-        self._window.append(t_ms, face and eye_closed, face)
-        try:
-            perclos_value = self._window.perclos()
-        except PerclosUndefinedError:
+        if alarms:
+            self._window.append(t_ms, face and eye_closed, face)
+            try:
+                perclos_value = self._window.perclos()
+            except PerclosUndefinedError:
+                perclos_value = None
+
+            presence = self._channels["driver_missing"]
+            if presence.advance(not face, t_ms):
+                absent_s = (t_ms - presence.onset_ms) / 1000.0
+                # the alert reports its sustain time as its threshold
+                events.append(
+                    self._emit("driver_missing", t_ms, absent_s, self.config.sustain_presence_s)
+                )
+
+            perclos_high = perclos_value is not None and perclos_value > self.config.perclos_limit
+            if self._channels["perclos_high"].advance(perclos_high, t_ms):
+                events.append(
+                    self._emit("perclos_high", t_ms, perclos_value, self.config.perclos_limit)
+                )
+        else:
             perclos_value = None
-
-        presence = self._channels["driver_missing"]
-        if presence.advance(not face, t_ms):
-            absent_s = (t_ms - presence.onset_ms) / 1000.0
-            # the alert reports its sustain time as its threshold
-            events.append(
-                self._emit("driver_missing", t_ms, absent_s, self.config.sustain_presence_s)
-            )
-
-        perclos_high = perclos_value is not None and perclos_value > self.config.perclos_limit
-        if self._channels["perclos_high"].advance(perclos_high, t_ms):
-            events.append(
-                self._emit("perclos_high", t_ms, perclos_value, self.config.perclos_limit)
-            )
 
         record = tuple.__new__(
             FrameRecord,
@@ -346,6 +367,7 @@ def run_session(
     on_event: Callable[[AlertEvent], None] | None = None,
     on_record: Callable[[FrameRecord], None] | None = None,
     collect: bool = True,
+    alarms: bool = True,
 ) -> SessionResult:
     """Fold step() over a frame stream; the summary counts what step() returns.
 
@@ -355,9 +377,12 @@ def run_session(
     summary. The summary holds no timing; a caller that wants throughput
     times the call itself. With collect=False nothing is accumulated (pass
     sinks instead), so memory stays bounded by the smoothing buffers and
-    the PERCLOS window regardless of stream length.
+    the PERCLOS window regardless of stream length. With alarms=False the
+    pipeline skips its alarm stage (see Pipeline): every record's perclos
+    is None, no event is fired, the summary counts 0 alerts of each kind
+    and its final_perclos is None.
     """
-    pipe = Pipeline(profile, config, external)
+    pipe = Pipeline(profile, config, external, alarms)
     events: list[AlertEvent] = []
     records: list[FrameRecord] = []
     alerts = dict.fromkeys(ALL_EVENT_KINDS, 0)

@@ -26,8 +26,8 @@ from drowsy.eval import (
 )
 from drowsy import io as dio
 from drowsy.io import quantize_ms
-from drowsy.metrics import samples_from_frames
-from drowsy.pipeline import PipelineConfig, run_session
+from drowsy.metrics import PerclosWindow, samples_from_frames
+from drowsy.pipeline import ChannelState, PipelineConfig, run_session
 from drowsy.synth import DriverParams, FrameLabel, ScriptEvent, SessionScript, generate
 
 
@@ -314,14 +314,32 @@ def test_compare_calls_run_session_once_with_every_frame(monkeypatch):
     calls = []
 
     def spy(*args, **kwargs):
-        calls.append(args)
+        calls.append((args, kwargs))
         return run_session(*args, **kwargs)
 
     monkeypatch.setattr(drowsy.eval, "run_session", spy)
     states = flipped_states(truth.labels, 2)
     compare(frames, truth.labels, personalized, generalized_profile(), states)
     assert len(calls) == 1
-    assert calls[0][0] is frames
+    assert calls[0][0][0] is frames
+    assert calls[0][1]["alarms"] is False
+
+
+def test_compare_advances_no_channel_and_feeds_no_perclos_window(monkeypatch):
+    frames, truth = driver_session(baseline_ear=0.27, seed=6, noise=0.8)
+    personalized = personalized_for(frames)
+    states = flipped_states(truth.labels, 6)
+    args = (frames, truth.labels, personalized, generalized_profile(), states)
+    expected = compare(*args)
+
+    def alarm_stage(*args, **kwargs):
+        raise AssertionError("compare reached the alarm stage")
+
+    monkeypatch.setattr(ChannelState, "advance", alarm_stage)
+    monkeypatch.setattr(PerclosWindow, "append", alarm_stage)
+    with pytest.raises(AssertionError, match="alarm stage"):
+        run_session(frames, personalized)  # the patches do reach a run with alarms
+    assert compare(*args) == expected
 
 
 class TestAggregate:

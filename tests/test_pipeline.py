@@ -751,6 +751,44 @@ FACELESS_STEP_CALLS = [
     *["pipeline.ChannelState.advance"] * 2,
 ]
 
+# With alarms off a face step keeps its refusals, smoothing and decisions and
+# skips the alarm stage: no channel advances, no PERCLOS window is fed.
+ALARM_FREE_FACE_STEP_CALLS = [
+    "pipeline.Pipeline.step",
+    "landmarks.quantize_ms",
+    "landmarks.to_semantic",
+    "metrics.compute_binocular_ear",
+    "metrics._aspect_ratio",
+    "metrics._aspect_ratio",
+    "metrics.compute_mar",
+    "metrics._aspect_ratio",
+    "metrics.compute_head_drop",
+    *["pipeline.SmoothingBuffer.push"] * 3,
+    *["pipeline.SmoothingBuffer.smoothed"] * 3,
+    "pipeline.threshold_states",
+]
+
+ALARM_FREE_EXTERNAL_FACE_STEP_CALLS = [
+    "pipeline.Pipeline.step",
+    "landmarks.quantize_ms",
+    "landmarks.to_semantic",
+    "metrics.compute_binocular_ear",
+    "metrics._aspect_ratio",
+    "metrics._aspect_ratio",
+    "metrics.compute_mar",
+    "metrics._aspect_ratio",
+    "metrics.compute_head_drop",
+    "pipeline.external_state",
+    *["pipeline.SmoothingBuffer.push"] * 3,
+    *["pipeline.SmoothingBuffer.smoothed"] * 3,
+]
+
+# An alarm-free faceless step only keys the frame for its order check.
+ALARM_FREE_FACELESS_STEP_CALLS = [
+    "pipeline.Pipeline.step",
+    "landmarks.quantize_ms",
+]
+
 METRIC_SAMPLE_CALLS = [
     "metrics.metric_sample",
     "landmarks.to_semantic",
@@ -781,6 +819,25 @@ def test_faceless_step_makes_only_the_calls_that_hold_a_rule():
     pipe.step(semantic_frame(t=0.0))  # a monitored sample, so PERCLOS is defined
     faceless = LandmarkFrame(t=0.033, scheme=SEMANTIC, points=(), face_present=False)
     assert python_calls(pipe.step, faceless) == FACELESS_STEP_CALLS
+
+
+def test_alarm_free_face_step_skips_the_alarm_stage():
+    pipe = Pipeline(profile(), alarms=False)
+    pipe.step(semantic_frame(t=0.0))
+    assert python_calls(pipe.step, semantic_frame(t=0.033)) == ALARM_FREE_FACE_STEP_CALLS
+
+
+def test_alarm_free_external_face_step_skips_the_alarm_stage():
+    pipe = Pipeline(profile(), external={0: (False, False), 33: (False, False)}, alarms=False)
+    pipe.step(semantic_frame(t=0.0))
+    assert python_calls(pipe.step, semantic_frame(t=0.033)) == ALARM_FREE_EXTERNAL_FACE_STEP_CALLS
+
+
+def test_alarm_free_faceless_step_skips_the_alarm_stage():
+    pipe = Pipeline(profile(), alarms=False)
+    pipe.step(semantic_frame(t=0.0))
+    faceless = LandmarkFrame(t=0.033, scheme=SEMANTIC, points=(), face_present=False)
+    assert python_calls(pipe.step, faceless) == ALARM_FREE_FACELESS_STEP_CALLS
 
 
 def test_metric_sample_makes_only_the_calls_that_hold_a_rule():
