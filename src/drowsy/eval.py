@@ -11,9 +11,7 @@ The comparison harness runs the pipeline once and decides its smoothed
 metrics once per method: fixed population thresholds, personalized
 thresholds, and optionally an externally supplied classifier stream. No
 profile changes the smoothed metrics, so this equals one run per method.
-That run has its alarms off (run_session's alarms=False): no alarm
-channel advances, no PERCLOS window is fed and no alert is built, so each
-record's perclos is None; the report reads none of them.
+That run skips the alarm stage, which the report never reads (see pipeline.Pipeline).
 It checks the alignment of records and labels once, then tallies each
 method's eye and mouth decisions directly, one tally per method and
 channel. confusion() and compare() share that alignment check and that
@@ -177,10 +175,7 @@ def compare(
     # benchmark's population-compare latency probe wraps its frames argument,
     # so streaming parsed frames into it would time their parsing, and not
     # calling it would leave the probe's intervals empty. The report reads
-    # only the smoothed metrics and the eye/mouth decisions, so the run skips
-    # the alarm stage: no channel advances, no PERCLOS window is fed, no
-    # alert is built, and each record's perclos is None. Every frame the
-    # full run refuses is still refused, at the same frame.
+    # no alarm output, so the run skips the alarm stage (see pipeline.Pipeline).
     records = run_session(frames, personalized, config, alarms=False).records
     _check_aligned(records, labels)
     truths = [[getattr(lab, _CHANNEL_ATTR[ch]) for lab in labels] for ch in CHANNELS]

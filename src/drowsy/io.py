@@ -11,13 +11,14 @@ Line formats (field order as written):
   frames   {"t": 1.234, "scheme": "semantic", "face": true, "points": [[x, y], ...]}
   labels   {"t": 1.234, "face": true, "eye": "open|closed", "mouth": "yawn|normal", "head": "up|down"}
            ("head" is optional and left out when unknown)
-  records  labels plus "ear", "mar", "head_drop", "perclos" (null when absent)
+  records  face labels plus "ear", "mar", "head_drop", "perclos", faceless ones
+           plus "perclos" only (null: a face record's missing metric, or a
+           PERCLOS that the window cannot give yet)
   events   {"kind": "...", "onset_t": 1.2, "emitted_t": 2.2, "value": 0.1, "threshold": 0.2}
 
-A face frame's points, and a whole record line, are each written with one
-"%" operation: the points from a table holding one format string per
-scheme (built from POINT_COUNTS), a record from a table holding one per
-state tail (see below) and pattern of null values.
+Every frame, label and record line is one "%" from a table of format
+strings, keyed by the shape of the line: a frame's scheme and face, a
+label's state tail (see below), a record's state tail and null values.
 
 Documents are single JSON objects, and write_document is their one
 writer: it adds FORMAT_VERSION as "format_version", then writes sorted
@@ -31,10 +32,10 @@ never emitted on write, and a missing one reads "missing field 'name'". A
 third coordinate in frame points (mesh depth) is accepted on read and
 dropped.
 
-A state line's text after its timestamp is one of 13 tails: one per
-face-present (eye, mouth, head) combination, plus the faceless one. One
-table, built from EYE_STATES, MOUTH_STATES and HEAD_STATES, holds them;
-the label and record writers write from it, and the state readers look a
+A state line's text after its timestamp is one of 13 tails: the faceless
+one, keyed False, and one per face-present (eye, mouth, head). One table,
+built from EYE_STATES, MOUTH_STATES and HEAD_STATES, holds them; the
+label and record tables are built from it, and the state readers look a
 line of the written shape {"t": <fraction><tail>} up in its inverse, so a
 line written as write_labels writes it skips the decoder and converts only
 its timestamp. Every other line, records included, takes the full decode.
@@ -233,26 +234,22 @@ def read_frames(source: Iterable[str]) -> Iterator[LandmarkFrame]:
         yield frame
 
 
-# The written points of a face frame under each scheme, one "%" away from
-# the frame's coordinates flattened x, y, x, y, ... (a LandmarkFrame holds
-# exactly its scheme's point count); "%.6f" writes the same text as
-# f"{v:.6f}" for float, int and bool coordinates.
-_POINT_FORMATS = {
-    scheme: ", ".join(["[%.6f, %.6f]"] * count) for scheme, count in POINT_COUNTS.items()
+# Every frame line, one "%" away from (t, x, y, x, y, ...), keyed by scheme
+# and face (a LandmarkFrame holds exactly its scheme's point count, and a
+# faceless one none); "%.6f" writes the same text as f"{v:.6f}" for float,
+# int and bool coordinates.
+_FRAME_FORMATS = {
+    (scheme, face): f'{{"t": %.3f, "scheme": "{scheme}", "face": {"true" if face else "false"}, '
+    f'"points": [{", ".join(["[%.6f, %.6f]"] * (count if face else 0))}]}}\n'
+    for scheme, count in POINT_COUNTS.items()
+    for face in (False, True)
 }
 
 
 def write_frames(sink: IO[str], frames: Iterable[LandmarkFrame]) -> None:
     for frame in frames:
-        if frame.face_present:
-            pts = _POINT_FORMATS[frame.scheme] % tuple(chain.from_iterable(frame.points))
-            face = "true"
-        else:
-            pts = ""
-            face = "false"
-        sink.write(
-            f'{{"t": {frame.t:.3f}, "scheme": "{frame.scheme}", "face": {face}, "points": [{pts}]}}\n'
-        )
+        line = _FRAME_FORMATS[frame.scheme, frame.face_present]
+        sink.write(line % (frame.t, *chain.from_iterable(frame.points)))
 
 
 # --- label / external-state / record streams --------------------------------
@@ -278,21 +275,21 @@ def _state_fields(obj: dict) -> tuple:
     return True, eye, mouth, head
 
 
-# The written text of each face-present (eye, mouth, head) between the
-# timestamp and the closing brace ("head" is left out when unknown), and
-# of a faceless line.
+# The written text of each state line between the timestamp and the closing brace
+# ("head" left out when unknown), keyed face and (eye, mouth, head): False if faceless.
 _HEAD_TEXTS = {None: "", **{flag: f', "head": "{name}"' for name, flag in HEAD_STATES.items()}}
 _STATE_TAILS = {
     (eye, mouth, head): f', "face": true, "eye": "{eye_name}", "mouth": "{mouth_name}"{head_text}'
     for eye_name, eye in EYE_STATES.items()
     for mouth_name, mouth in MOUTH_STATES.items()
     for head, head_text in _HEAD_TEXTS.items()
-}
-_FACELESS_TAIL = ', "face": false'
+} | {False: ', "face": false'}
 
 # The inverse, closing brace included: written tail -> fields after the timestamp.
-_TAIL_FIELDS = {tail + "}": (True, *states) for states, tail in _STATE_TAILS.items()}
-_TAIL_FIELDS[_FACELESS_TAIL + "}"] = (False, None, None, None)
+_TAIL_FIELDS = {
+    tail + "}": (True, *states) if states else (False, None, None, None)
+    for states, tail in _STATE_TAILS.items()
+}
 
 # The written head of a state line: a JSON number with a fraction and no
 # exponent (float() reads it exactly as the decoder does), then the rest.
@@ -348,17 +345,16 @@ def load_external_states(source: Iterable[str]) -> dict[int, tuple[bool, bool]]:
     return states
 
 
-def _tail(rec) -> str:
-    """The written text of rec's states; a face-present rec needs eye and mouth states."""
-    if rec.face_present:
-        return _STATE_TAILS[rec.eye_closed, rec.mouth_yawn, rec.head_down]
-    return _FACELESS_TAIL
+# Every label line, one "%" away from its t, keyed as _STATE_TAILS is (so a
+# face-present label without an eye or mouth state has no line).
+_LABEL_FORMATS = {states: f'{{"t": %.3f{tail}}}\n' for states, tail in _STATE_TAILS.items()}
 
 
 def write_labels(sink: IO[str], labels: Iterable) -> None:
     """Write per-frame labels; accepts any objects with the state attributes."""
     for lab in labels:
-        sink.write(f'{{"t": {lab.t:.3f}{_tail(lab)}}}\n')
+        line = _LABEL_FORMATS[lab.face_present and (lab.eye_closed, lab.mouth_yawn, lab.head_down)]
+        sink.write(line % lab.t)
 
 
 # A written value: "%.6f" (the text of f"{v:.6f}" for float, int and bool),
@@ -366,20 +362,20 @@ def write_labels(sink: IO[str], labels: Iterable) -> None:
 _VALUE_FORMATS = {False: "%.6f", True: "null%.0s"}
 
 
-def _record_format(tail: str, absent: tuple[bool, ...]) -> str:
-    """The line of a record with this tail, absent saying which of its four values are None."""
+def _record_format(states, absent: tuple[bool, ...]) -> str:
+    """The line of a record with these states; absent says which of its four values are None."""
     ear, mar, head_drop, perclos = (_VALUE_FORMATS[a] for a in absent)
     metrics = "%.0s%.0s%.0s"  # a faceless line consumes its metrics unwritten
-    if tail != _FACELESS_TAIL:
+    if states:
         metrics = f', "ear": {ear}, "mar": {mar}, "head_drop": {head_drop}'
-    return f'{{"t": %.3f{tail}{metrics}, "perclos": {perclos}}}\n'
+    return f'{{"t": %.3f{_STATE_TAILS[states]}{metrics}, "perclos": {perclos}}}\n'
 
 
 # Every record line, one "%" away from (t, ear, mar, head_drop, perclos),
-# keyed by the states (False when faceless) and which of the four are None.
+# keyed as _STATE_TAILS is and by which of the four are None.
 _RECORD_FORMATS = {
-    (states, *absent): _record_format(tail, absent)
-    for states, tail in [*_STATE_TAILS.items(), (False, _FACELESS_TAIL)]
+    (states, *absent): _record_format(states, absent)
+    for states in _STATE_TAILS
     for absent in product((False, True), repeat=4)
 }
 

@@ -20,11 +20,7 @@ counts the gap toward its sustain time.
 
 A pipeline holds decision state only; run_session derives the session
 totals. Serialize step() calls; separate instances are fully independent.
-
-With alarms=False a pipeline keeps only its per-frame decisions: it still
-refuses every frame the full run refuses, smooths and decides, but it
-skips the alarm stage, that is the five channels, the PERCLOS window and
-every alert. Its records then carry perclos=None and it fires no events.
+With alarms=False a pipeline skips its alarm stage (see Pipeline).
 """
 
 from __future__ import annotations
@@ -220,9 +216,10 @@ class Pipeline:
     threshold_states(); all other logic is the same either way.
 
     With alarms=False, step() skips the alarm stage: it advances no
-    channel, feeds no PERCLOS window and builds no event. Each record
+    channel, feeds no PERCLOS window and builds no event. It still refuses
+    every frame the full run refuses, smooths and decides; each record
     equals the full run's except that perclos is None, and each step
-    returns no events. Refusals are unchanged.
+    returns no events.
     """
 
     def __init__(
@@ -266,11 +263,7 @@ class Pipeline:
 
         The frame's int millisecond key, quantize_ms(frame.t), is taken once:
         the order check, the external state lookup, the PERCLOS window and
-        every channel run on it.
-
-        With alarms off, the refusals, the commit, the smoothing and the
-        decisions are the same; the five channel advances, the PERCLOS
-        window and every event are skipped, and the record's perclos is None.
+        every channel run on it. With alarms off the alarm stage is skipped (see Pipeline).
         """
         t = frame.t
         t_ms = quantize_ms(t)
@@ -377,10 +370,9 @@ def run_session(
     summary. The summary holds no timing; a caller that wants throughput
     times the call itself. With collect=False nothing is accumulated (pass
     sinks instead), so memory stays bounded by the smoothing buffers and
-    the PERCLOS window regardless of stream length. With alarms=False the
-    pipeline skips its alarm stage (see Pipeline): every record's perclos
-    is None, no event is fired, the summary counts 0 alerts of each kind
-    and its final_perclos is None.
+    the PERCLOS window regardless of stream length. With alarms=False (see
+    Pipeline) the summary counts 0 alerts of each kind and its
+    final_perclos is None.
     """
     pipe = Pipeline(profile, config, external, alarms)
     events: list[AlertEvent] = []

@@ -898,6 +898,38 @@ STATE_LABELS = [FrameLabel(0.5, False, None, None, None)] + [
 ]
 
 
+# The text of each state between the timestamp and the closing brace, as
+# written: a copy kept apart from io's table, so a changed table shows.
+REFERENCE_FACELESS_TAIL = ', "face": false'
+REFERENCE_TAILS = {
+    (False, False, None): ', "face": true, "eye": "open", "mouth": "normal"',
+    (False, False, False): ', "face": true, "eye": "open", "mouth": "normal", "head": "up"',
+    (False, False, True): ', "face": true, "eye": "open", "mouth": "normal", "head": "down"',
+    (False, True, None): ', "face": true, "eye": "open", "mouth": "yawn"',
+    (False, True, False): ', "face": true, "eye": "open", "mouth": "yawn", "head": "up"',
+    (False, True, True): ', "face": true, "eye": "open", "mouth": "yawn", "head": "down"',
+    (True, False, None): ', "face": true, "eye": "closed", "mouth": "normal"',
+    (True, False, False): ', "face": true, "eye": "closed", "mouth": "normal", "head": "up"',
+    (True, False, True): ', "face": true, "eye": "closed", "mouth": "normal", "head": "down"',
+    (True, True, None): ', "face": true, "eye": "closed", "mouth": "yawn"',
+    (True, True, False): ', "face": true, "eye": "closed", "mouth": "yawn", "head": "up"',
+    (True, True, True): ', "face": true, "eye": "closed", "mouth": "yawn", "head": "down"',
+}
+
+
+def _reference_tail(rec):
+    """The written text of rec's states; a face-present rec needs eye and mouth states."""
+    if rec.face_present:
+        return REFERENCE_TAILS[rec.eye_closed, rec.mouth_yawn, rec.head_down]
+    return REFERENCE_FACELESS_TAIL
+
+
+def reference_write_labels(sink, labels):
+    """The label writer as one f-string per line; write_labels must equal it."""
+    for lab in labels:
+        sink.write(f'{{"t": {lab.t:.3f}{_reference_tail(lab)}}}\n')
+
+
 def _written(writer, items):
     sink = stdio.StringIO()
     writer(sink, items)
@@ -908,6 +940,7 @@ def test_table_holds_one_tail_per_written_state():
     lines = _written(dio.write_labels, STATE_LABELS)
     tails = {line.removeprefix('{"t": 0.500').rstrip("\n") for line in lines}
     assert set(dio._TAIL_FIELDS) == tails and len(tails) == 13
+    assert tails == {tail + "}" for tail in [REFERENCE_FACELESS_TAIL, *REFERENCE_TAILS.values()]}
 
 
 def _no_decode(line):
@@ -947,9 +980,10 @@ def test_face_present_state_without_eye_or_mouth_is_not_written(writer, eye, mou
     assert sink.getvalue() == ""
 
 
-# --- the record writer ---------------------------------------------------------
-# write_records writes each line with one "%" from dio._RECORD_FORMATS; the
-# reference is the f-string writer it replaced.
+# --- the record and label writers -----------------------------------------------
+# write_records and write_labels write each line with one "%" from a table in
+# io; the references are the f-string writers they replaced, with their own
+# copy of the state texts.
 
 def _reference_opt6(value):
     return "null" if value is None else f"{value:.6f}"
@@ -964,14 +998,14 @@ def reference_write_records(sink, records):
                 f'"head_drop": {_reference_opt6(rec.head_drop)}'
             )
         perclos = _reference_opt6(rec.perclos)
-        sink.write(f'{{"t": {rec.t:.3f}{dio._tail(rec)}{metrics}, "perclos": {perclos}}}\n')
+        sink.write(f'{{"t": {rec.t:.3f}{_reference_tail(rec)}{metrics}, "perclos": {perclos}}}\n')
 
 
-def _writes(writer, records):
-    """The text writer writes for records, or the type and text of what it raises."""
+def _writes(writer, items):
+    """The text writer writes for items, or the type and text of what it raises."""
     sink = stdio.StringIO()
     try:
-        writer(sink, records)
+        writer(sink, items)
     except Exception as exc:  # the two writers must fail alike
         return type(exc).__name__, str(exc)
     return sink.getvalue()
@@ -1051,6 +1085,18 @@ def test_every_record_format_equals_reference_writer():
     assert written == _writes(reference_write_records, records)
     for rec, line in zip(records, written.splitlines(keepends=True)):
         _assert_record_line_reads_back(rec, line)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(STATE_LABELS), RECORD_TIMES), min_size=1, max_size=4))
+def test_write_labels_equals_reference_writer(timed_labels):
+    labels = [dataclasses.replace(lab, t=t) for lab, t in timed_labels]
+    written = _writes(dio.write_labels, labels)
+    assert written == _writes(reference_write_labels, labels)
+    lines = written.splitlines(keepends=True)
+    assert len(lines) == len(labels)
+    for lab, line in zip(labels, lines):
+        assert list(dio.read_states([line])) == [dataclasses.replace(lab, t=float(f"{lab.t:.3f}"))]
 
 
 # --- arrays and objects where a string is expected -------------------------------
