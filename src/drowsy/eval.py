@@ -12,10 +12,14 @@ metrics once per method: fixed population thresholds, personalized
 thresholds, and optionally an externally supplied classifier stream. No
 profile changes the smoothed metrics, so this equals one run per method.
 That run skips the alarm stage, which the report never reads (see pipeline.Pipeline).
-It checks the alignment of records and labels once, then tallies each
-method's eye and mouth decisions directly, one tally per method and
-channel. confusion() and compare() share that alignment check and that
-tally, so the confusion-matrix summary has one definition.
+It checks the alignment of records and labels once, and keys a record's
+and a label's time only when the two floats differ. Then, one method at a
+time in method order, it decides the face records in one comprehension
+over threshold_states or external_state (the personalized decisions are
+the run's own) and tallies that method's eye and mouth decisions, one
+tally per channel. The external lookup is the only per-frame millisecond
+key taken after the run. confusion() and compare() share that alignment
+check and that tally, so the confusion-matrix summary has one definition.
 """
 
 from __future__ import annotations
@@ -35,13 +39,16 @@ CHANNEL_EYE = "eye"
 CHANNEL_MOUTH = "mouth"
 CHANNELS = (CHANNEL_EYE, CHANNEL_MOUTH)
 
-_CHANNEL_ATTR = {CHANNEL_EYE: "eye_closed", CHANNEL_MOUTH: "mouth_yawn"}
+#: each channel's state on a record or a label, in CHANNELS order
+_CHANNEL_STATE = {CHANNEL_EYE: attrgetter("eye_closed"), CHANNEL_MOUTH: attrgetter("mouth_yawn")}
 _STATES = {CHANNEL_EYE: EYE_STATES, CHANNEL_MOUTH: MOUTH_STATES}
 
 METHOD_GENERALIZED = "generalized"
 METHOD_PERSONALIZED = "personalized"
 METHOD_EXTERNAL = "external"
 
+#: a decision is an (eye closed?, yawning?) pair, read per channel in CHANNELS order
+_PAIR_STATES = (itemgetter(0), itemgetter(1))
 _UNDECIDED = (None, None)
 
 _APPROACH = {
@@ -81,7 +88,8 @@ def _check_aligned(predictions: Sequence, labels: Sequence) -> None:
             f"stream length mismatch: {len(predictions)} predictions vs {len(labels)} labels"
         )
     for pred, lab in zip(predictions, labels):
-        if quantize_ms(pred.t) != quantize_ms(lab.t):
+        # equal floats have equal keys, so only unequal times are keyed
+        if pred.t != lab.t and quantize_ms(pred.t) != quantize_ms(lab.t):
             raise EvalError(f"timestamp mismatch: prediction t={pred.t:.3f} vs label t={lab.t:.3f}")
 
 
@@ -115,10 +123,10 @@ def confusion(
     Streams must be equal length with millisecond-aligned timestamps.
     Excluded frames are those without a labeled (or predicted) face state.
     """
-    if channel not in _CHANNEL_ATTR:
+    if channel not in _CHANNEL_STATE:
         raise EvalError(f"unknown channel {channel!r}")
     _check_aligned(predictions, labels)
-    state = attrgetter(_CHANNEL_ATTR[channel])
+    state = _CHANNEL_STATE[channel]
     return _tally(map(state, predictions), map(state, labels))
 
 
@@ -149,6 +157,16 @@ def evaluate_channel(predictions: Sequence, labels: Sequence, channel: str) -> C
     return _channel_eval(*confusion(predictions, labels, channel))
 
 
+def _method_evals(
+    decisions: Sequence, states: Iterable, truths: Sequence[list]
+) -> dict[str, ChannelEval]:
+    """One method's ChannelEval per channel: states[i] reads channel i from a decision."""
+    return {
+        ch: _channel_eval(*_tally(map(state, decisions), truth))
+        for ch, state, truth in zip(CHANNELS, states, truths)
+    }
+
+
 @dataclass(frozen=True, slots=True)
 class ComparisonReport:
     """One stream's scores: method -> channel -> ChannelEval, as in PopulationAggregate.pooled."""
@@ -168,8 +186,9 @@ def compare(
     """Score every method per channel over one pipeline run of the frames.
 
     Errors are those of one run per method, in method order: metric errors,
-    misaligned labels, then MissingLabelError for the first frame without
-    an external state.
+    misaligned labels, then method by method an empty matrix (EvalError)
+    or, for external states, MissingLabelError for the first frame without
+    one.
     """
     # Keep this one run_session call over the materialized frame list: the
     # benchmark's population-compare latency probe wraps its frames argument,
@@ -178,23 +197,27 @@ def compare(
     # no alarm output, so the run skips the alarm stage (see pipeline.Pipeline).
     records = run_session(frames, personalized, config, alarms=False).records
     _check_aligned(records, labels)
-    truths = [[getattr(lab, _CHANNEL_ATTR[ch]) for lab in labels] for ch in CHANNELS]
-    deciders = {
-        METHOD_GENERALIZED: lambda r: threshold_states(generalized, r.ear, r.mar),
-        METHOD_PERSONALIZED: attrgetter("eye_closed", "mouth_yawn"),  # the run's own decisions
+    truths = [list(map(state, labels)) for state in _CHANNEL_STATE.values()]
+    # Each method is decided and then tallied before the next is decided, so
+    # an earlier method's empty matrix is raised before a later method's
+    # missing external state. Faceless frames stay undecided.
+    methods = {
+        METHOD_GENERALIZED: _method_evals(
+            [threshold_states(generalized, r.ear, r.mar) if r.face_present else _UNDECIDED
+             for r in records],
+            _PAIR_STATES,
+            truths,
+        ),
+        # the run's own decisions, None on faceless records
+        METHOD_PERSONALIZED: _method_evals(records, _CHANNEL_STATE.values(), truths),
     }
     if external_states is not None:
-        deciders[METHOD_EXTERNAL] = lambda r: external_state(
-            external_states, quantize_ms(r.t), r.t
+        methods[METHOD_EXTERNAL] = _method_evals(
+            [external_state(external_states, quantize_ms(r.t), r.t) if r.face_present
+             else _UNDECIDED for r in records],
+            _PAIR_STATES,
+            truths,
         )
-    methods: dict[str, dict[str, ChannelEval]] = {}
-    for method, decide in deciders.items():
-        # (eye closed?, yawning?) per frame; faceless frames stay undecided
-        decisions = [decide(r) if r.face_present else _UNDECIDED for r in records]
-        methods[method] = {
-            ch: _channel_eval(*_tally(map(itemgetter(i), decisions), truth))
-            for i, (ch, truth) in enumerate(zip(CHANNELS, truths))
-        }
     return ComparisonReport(methods=methods, frames=len(frames))
 
 

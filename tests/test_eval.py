@@ -1,6 +1,7 @@
 import io as stdio
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -282,13 +283,16 @@ class TestCompareErrorPrecedence:
         return frames, list(truth.labels), personalized_for(frames), states
 
     def test_misaligned_labels_before_missing_state(self):
-        frames, labels, personalized, states = self.inputs()
-        labels[700] = lab(labels[700].t + 0.5)
-        with pytest.raises(EvalError) as err:
-            compare(frames, labels, personalized, generalized_profile(), states)
-        assert str(err.value) == (
-            f"timestamp mismatch: prediction t={frames[700].t:.3f} vs label t={labels[700].t:.3f}"
-        )
+        # half a second apart is a different key; so is one millisecond
+        for offset in (0.5, 0.001):
+            frames, labels, personalized, states = self.inputs()
+            labels[700] = lab(labels[700].t + offset)
+            with pytest.raises(EvalError) as err:
+                compare(frames, labels, personalized, generalized_profile(), states)
+            assert str(err.value) == (
+                f"timestamp mismatch: prediction t={frames[700].t:.3f} "
+                f"vs label t={labels[700].t:.3f}"
+            )
 
     def test_length_mismatch_before_missing_state(self):
         frames, labels, personalized, states = self.inputs()
@@ -297,6 +301,26 @@ class TestCompareErrorPrecedence:
         assert str(err.value) == (
             f"stream length mismatch: {len(frames)} predictions vs {len(frames) - 1} labels"
         )
+
+    def test_empty_matrix_before_missing_state(self):
+        # every label faceless: the generalized method, scored first, has an
+        # empty matrix before the external method looks up its first state
+        frames, labels, personalized, states = self.inputs()
+        labels = [lab(l.t, face=False) for l in labels]
+        with pytest.raises(EvalError) as err:
+            compare(frames, labels, personalized, generalized_profile(), states)
+        assert str(err.value) == "accuracy undefined for an empty matrix"
+
+    def test_label_time_within_the_same_millisecond_aligns(self):
+        frames, labels, personalized, _ = self.inputs()
+        states = flipped_states(labels, 6)
+        shifted = list(labels)
+        for i in (0, 400, 700, len(labels) - 1):
+            shifted[i] = replace(labels[i], t=labels[i].t + 0.0002)
+            assert shifted[i].t != frames[i].t
+            assert quantize_ms(shifted[i].t) == quantize_ms(frames[i].t)
+        args = (personalized, generalized_profile(), states)
+        assert compare(frames, shifted, *args) == compare(frames, labels, *args)
 
     def test_missing_state_alone(self):
         frames, labels, personalized, states = self.inputs()
