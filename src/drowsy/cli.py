@@ -34,13 +34,14 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from errno import ENOENT
-from itertools import takewhile
+from itertools import islice, takewhile
 
 from . import io as dio
 from .calibration import CalibrationConfig, calibrate, generalized_profile
 from .errors import CalibrationError, ConfigError, DrowsyError, ParseError
 from .eval import (
     CHANNELS,
+    FrameBatches,
     aggregate,
     channel_eval_doc,
     compare,
@@ -145,14 +146,24 @@ def _build(config, args: argparse.Namespace):
 
 
 @contextmanager
+def _decoding(path: str):
+    """Report a UnicodeDecodeError raised in the block as an input error naming path."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+
+
+@contextmanager
 def _open_in(path: str):
     """Read an input as UTF-8 text; other bytes are an input error naming the input.
 
     The error is raised while a reader iterates the lines, outside its
-    per-line handling. The text layer decodes in chunks, so the message
-    gives no byte offset.
+    per-line handling, and is named by the innermost input open: a block
+    that reads another input inside this one reads it under _decoding. The
+    text layer decodes in chunks, so the message gives no byte offset.
     """
-    try:
+    with _decoding(path):
         if path == "-":
             # the interpreter's stdin may decode leniently (surrogateescape in
             # UTF-8 mode), which would let any byte through
@@ -162,8 +173,6 @@ def _open_in(path: str):
         else:
             with open(path, encoding="utf-8") as fp:
                 yield fp
-    except UnicodeDecodeError:
-        raise ParseError(f"{path}: not UTF-8 text") from None
 
 
 # A frame that waits on a write system call sets a record stream's p99
@@ -390,27 +399,70 @@ def _write_report(args: argparse.Namespace, text: str, doc: dict) -> None:
             dio.write_document(sink, doc)
 
 
+# Frames compare parses at a time: a batch is about 1.1 MB of 19-point frames
+# and 27 MB of 468-point mesh frames (52.6 KB each).
+_BATCH_FRAMES = 512
+
+
 def _score_driver(frames_path, labels_path, profile_path, external_path, configs):
-    """Score one driver; without a profile path, calibrate from the leading frames."""
-    pipeline_config, calibration_config, generalized = configs
+    """Score one driver in one streaming pass; without a profile, calibrate from the leading frames.
+
+    Frames are parsed _BATCH_FRAMES at a time, the first batch read on
+    until it holds the lead-in, and compare scores each batch's records
+    against the next labels as it reads the following batch, so no frame,
+    record or label outlives its batch. The fault reported is the one that
+    reading the profile, the frames, the labels and the external states
+    whole, in that order, then calibrating and comparing would report
+    first: after a later fault the label reader and then the frame reader
+    are read to their end, and a fault of theirs outranks it.
+    """
     profile = None
     if profile_path:
         with _open_in(profile_path) as src:
             profile = dio.read_profile(src)
-    with _open_in(frames_path) as src:
-        frames = list(dio.read_frames(src))
-    with _open_in(labels_path) as src:
-        labels = list(dio.read_states(src))
+    with _open_in(frames_path) as frames_src:
+        frames = dio.read_frames(frames_src)
+        fault = None  # the frame reader's, which outranks every other
+
+        def read() -> list:
+            nonlocal fault
+            try:
+                with _decoding(frames_path):
+                    return list(islice(frames, _BATCH_FRAMES))
+            except (DrowsyError, OSError) as exc:
+                fault = exc
+                raise
+
+        try:
+            with _open_in(labels_path) as labels_src:
+                labels = dio.read_states(labels_src)
+                try:
+                    return _score_stream(read, labels, profile, external_path, configs)
+                except (DrowsyError, OSError, UnicodeDecodeError) as exc:
+                    if exc is not fault:
+                        for _ in labels:  # a label fault is named as it leaves this block
+                            pass
+                    raise
+        except (DrowsyError, OSError) as exc:
+            if exc is not fault:
+                while read():
+                    pass
+            raise
+
+
+def _score_stream(read, labels, profile, external_path, configs):
+    """_score_driver's pass once the frames and labels are open: read() gives the next frames."""
+    pipeline_config, calibration_config, generalized = configs
     external = None
     if external_path:
         with _open_in(external_path) as src:
             external = dio.load_external_states(src)
     if profile is None:
-        # the lead-in is every frame within the calibration duration of the
-        # first, on millisecond keys; read_frames keeps time order, so it is a prefix
-        end = quantize_ms(frames[0].t) + quantize_ms(calibration_config.duration_s) if frames else 0
-        head = takewhile(lambda f: quantize_ms(f.t) <= end, frames)
-        profile = calibrate(samples_from_frames(head), calibration_config)
+        first, profile = _lead_in(read, calibration_config)
+    else:
+        first = read()
+    frames = FrameBatches(first, read)
+    del first  # the first batch is let go once the run has stepped it
     return compare(
         frames,
         labels,
@@ -419,6 +471,20 @@ def _score_driver(frames_path, labels_path, profile_path, external_path, configs
         external_states=external,
         config=pipeline_config,
     )
+
+
+def _lead_in(read, config: CalibrationConfig):
+    """The first batch, read on until it holds the lead-in, and the profile calibrated from it.
+
+    The lead-in is every frame within the calibration duration of the
+    first, on millisecond keys; read_frames keeps time order, so it is a prefix.
+    """
+    first = read()
+    end = quantize_ms(first[0].t) + quantize_ms(config.duration_s) if first else 0
+    while first and quantize_ms(first[-1].t) <= end and (more := read()):
+        first += more
+    head = takewhile(lambda f: quantize_ms(f.t) <= end, first)
+    return first, calibrate(samples_from_frames(head), config)
 
 
 def _drivers(args: argparse.Namespace) -> list:
@@ -481,9 +547,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
         _build(generalized_profile, args),
     )
     drivers = _drivers(args)
-    # Scoring pauses the collector. Per minute of stream a driver is tens of thousands of
-    # container objects, enough for dozens of collections that find nothing: none is in a
-    # reference cycle, and reference counting frees them when _score_driver returns.
+    # Scoring pauses the collector. A batch in flight is about ten thousand container
+    # objects (frames, points, records, labels), enough for collections that find
+    # nothing: none is in a reference cycle, and reference counting frees each batch.
     enabled = gc.isenabled()
     gc.disable()
     try:

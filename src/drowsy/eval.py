@@ -11,28 +11,35 @@ The comparison harness runs the pipeline once and decides its smoothed
 metrics once per method: fixed population thresholds, personalized
 thresholds, and optionally an externally supplied classifier stream. No
 profile changes the smoothed metrics, so this equals one run per method.
-That run skips the alarm stage, which the report never reads (see pipeline.Pipeline).
-It checks the alignment of records and labels once, and keys a record's
-and a label's time only when the two floats differ. Then, one method at a
-time in method order, it decides the face records in one comprehension
-over threshold_states or external_state (the personalized decisions are
-the run's own) and tallies that method's eye and mouth decisions, one
-tally per channel. The external lookup is the only per-frame millisecond
-key taken after the run. confusion() and compare() share that alignment
-check and that tally, so the confusion-matrix summary has one definition.
+That run skips the alarm stage, which the report never reads (see
+pipeline.Pipeline), and keeps no records. compare() makes it over a
+FrameBatches, as `drowsy compare` passes it, or over any iterable of
+frames. At each batch boundary of a FrameBatches, and once after the run,
+it scores the records gathered so far against the next labels: it checks
+their alignment, keying a record's and a label's time only when the two
+floats differ, then, one method at a time in method order, decides the
+face records in one comprehension over threshold_states or external_state
+(the personalized decisions are the run's own) and adds that method's eye
+and mouth decisions to its pair counts, one per channel. So the run holds
+one batch of frames, records and labels, and reading a batch and scoring
+the one before fall on one frame per batch. The external lookup is the
+only per-frame millisecond key taken after the run. confusion() and
+compare() share the alignment check and the summary of pair counts, so
+the confusion-matrix summary has one definition.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import islice
 from operator import attrgetter, itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .calibration import CalibrationProfile
-from .errors import EvalError
+from .errors import EvalError, MissingLabelError
 from .io import EYE_STATES, MOUTH_STATES
-from .landmarks import quantize_ms
+from .landmarks import MAX_SECONDS, quantize_ms
 from .pipeline import PipelineConfig, external_state, run_session, threshold_states
 
 CHANNEL_EYE = "eye"
@@ -42,6 +49,7 @@ CHANNELS = (CHANNEL_EYE, CHANNEL_MOUTH)
 #: each channel's state on a record or a label, in CHANNELS order
 _CHANNEL_STATE = {CHANNEL_EYE: attrgetter("eye_closed"), CHANNEL_MOUTH: attrgetter("mouth_yawn")}
 _STATES = {CHANNEL_EYE: EYE_STATES, CHANNEL_MOUTH: MOUTH_STATES}
+_TIME = attrgetter("t")
 
 METHOD_GENERALIZED = "generalized"
 METHOD_PERSONALIZED = "personalized"
@@ -81,26 +89,41 @@ def accuracy(matrix: ConfusionMatrix) -> float:
     return 100.0 * (matrix.tp + matrix.tn) / matrix.total
 
 
-def _check_aligned(predictions: Sequence, labels: Sequence) -> None:
-    """Streams must be equal length with millisecond-aligned timestamps."""
-    if len(predictions) != len(labels):
-        raise EvalError(
-            f"stream length mismatch: {len(predictions)} predictions vs {len(labels)} labels"
-        )
-    for pred, lab in zip(predictions, labels):
-        # equal floats have equal keys, so only unequal times are keyed
-        if pred.t != lab.t and quantize_ms(pred.t) != quantize_ms(lab.t):
-            raise EvalError(f"timestamp mismatch: prediction t={pred.t:.3f} vs label t={lab.t:.3f}")
+def _length_fault(predictions: int, labels: int) -> EvalError:
+    return EvalError(f"stream length mismatch: {predictions} predictions vs {labels} labels")
 
 
-def _tally(guesses: Iterable, truths: Iterable) -> tuple[ConfusionMatrix, int]:
-    """Count paired (guess, truth) states of one channel; returns (matrix, excluded).
+def _has_key(t: float) -> bool:
+    """Whether t has a millisecond key: at most MAX_SECONDS in magnitude, so not nan or infinite."""
+    return -MAX_SECONDS <= t <= MAX_SECONDS
+
+
+def _alignment_fault(pred_times: list, label_times: list) -> EvalError | None:
+    """The first fault of two equal-length time lists, or None when every pair aligns.
+
+    A pair aligns when both times have a millisecond key and the keys are
+    equal. Equal lists of keyed times align without a key taken; otherwise
+    only unequal times are keyed, since equal floats have equal keys.
+    """
+    if pred_times == label_times and all(map(_has_key, pred_times)):
+        return None
+    for pred, lab in zip(pred_times, label_times):
+        for side, t in (("prediction", pred), ("label", lab)):
+            if not _has_key(t):
+                return EvalError(f"{side} t={t!r} has no millisecond key")
+        if pred != lab and quantize_ms(pred) != quantize_ms(lab):
+            return EvalError(f"timestamp mismatch: prediction t={pred:.3f} vs label t={lab:.3f}")
+    return None
+
+
+def _summary(pairs: Counter) -> tuple[ConfusionMatrix, int]:
+    """The matrix and the excluded count of one channel's (guess, truth) pair counts.
 
     A pair with None on either side has no face state and is excluded;
     otherwise a truthy state is the positive class.
     """
     tp = tn = fp = fn = excluded = 0
-    for (guess, truth), n in Counter(zip(guesses, truths)).items():
+    for (guess, truth), n in pairs.items():
         if guess is None or truth is None:
             excluded += n
         elif guess:
@@ -125,9 +148,13 @@ def confusion(
     """
     if channel not in _CHANNEL_STATE:
         raise EvalError(f"unknown channel {channel!r}")
-    _check_aligned(predictions, labels)
+    if len(predictions) != len(labels):
+        raise _length_fault(len(predictions), len(labels))
+    fault = _alignment_fault(list(map(_TIME, predictions)), list(map(_TIME, labels)))
+    if fault is not None:
+        raise fault
     state = _CHANNEL_STATE[channel]
-    return _tally(map(state, predictions), map(state, labels))
+    return _summary(Counter(zip(map(state, predictions), map(state, labels))))
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,16 +184,6 @@ def evaluate_channel(predictions: Sequence, labels: Sequence, channel: str) -> C
     return _channel_eval(*confusion(predictions, labels, channel))
 
 
-def _method_evals(
-    decisions: Sequence, states: Iterable, truths: Sequence[list]
-) -> dict[str, ChannelEval]:
-    """One method's ChannelEval per channel: states[i] reads channel i from a decision."""
-    return {
-        ch: _channel_eval(*_tally(map(state, decisions), truth))
-        for ch, state, truth in zip(CHANNELS, states, truths)
-    }
-
-
 @dataclass(frozen=True, slots=True)
 class ComparisonReport:
     """One stream's scores: method -> channel -> ChannelEval, as in PopulationAggregate.pooled."""
@@ -175,9 +192,114 @@ class ComparisonReport:
     frames: int
 
 
+class FrameBatches:
+    """Frames read in batches, for a compare run that scores each batch as it goes.
+
+    Iterating yields the frames of `first`, then those of each list read()
+    returns, up to the first empty one. After the last frame of a batch has
+    been stepped, it calls on_batch (compare sets it to score the records
+    of the frames handed out so far), lets the batch go and calls read(),
+    so scoring one batch and reading the next land on the same frame of
+    the run.
+    """
+
+    def __init__(self, first: list, read: Callable[[], list]):
+        self._first = first
+        self._read = read
+        self.on_batch: Callable[[], None] = lambda: None
+
+    def __iter__(self) -> Iterator:
+        batch, self._first = self._first, []
+        while True:
+            yield from batch
+            self.on_batch()
+            del batch
+            batch = self._read()
+            if not batch:
+                return
+
+
+class _Scores:
+    """compare's running tallies: (guess, truth) pair counts per method and channel.
+
+    flush() scores the records gathered so far against as many of the next
+    labels and lets both go. After the first shortfall of labels or the
+    first misaligned pair, a flush only counts. report() counts the labels
+    left over and raises what a run per method over whole streams raises.
+    """
+
+    def __init__(self, labels: Iterable, generalized: CalibrationProfile, external_states):
+        self.labels = iter(labels)
+        self.generalized = generalized
+        self.external_states = external_states
+        methods = [METHOD_GENERALIZED, METHOD_PERSONALIZED]
+        if external_states is not None:
+            methods.append(METHOD_EXTERNAL)
+        self.counts = {method: tuple(Counter() for _ in CHANNELS) for method in methods}
+        self.records: list = []
+        self.frames = self.labelled = 0
+        self.misaligned: EvalError | None = None
+        self.missing: MissingLabelError | None = None
+
+    def flush(self) -> None:
+        records = self.records
+        labels = list(islice(self.labels, len(records)))
+        self.frames += len(records)
+        self.labelled += len(labels)
+        if self.misaligned is None and self.labelled == self.frames:
+            self.misaligned = _alignment_fault(list(map(_TIME, records)), list(map(_TIME, labels)))
+            if self.misaligned is None:
+                self._score(records, labels)
+        records.clear()
+
+    def _add(self, method: str, decisions: Sequence, states: Iterable, truths: list) -> None:
+        """Count one method's decisions: states[i] reads channel i from a decision."""
+        for counts, state, truth in zip(self.counts[method], states, truths):
+            counts.update(zip(map(state, decisions), truth))
+
+    def _score(self, records: list, labels: list) -> None:
+        truths = [list(map(state, labels)) for state in _CHANNEL_STATE.values()]
+        # Faceless records stay undecided.
+        generalized = self.generalized
+        self._add(
+            METHOD_GENERALIZED,
+            [threshold_states(generalized, r.ear, r.mar) if r.face_present else _UNDECIDED
+             for r in records],
+            _PAIR_STATES,
+            truths,
+        )
+        # the run's own decisions, None on faceless records
+        self._add(METHOD_PERSONALIZED, records, _CHANNEL_STATE.values(), truths)
+        states = self.external_states
+        if states is None or self.missing is not None:
+            return
+        try:
+            decisions = [external_state(states, quantize_ms(r.t), r.t) if r.face_present
+                         else _UNDECIDED for r in records]
+        except MissingLabelError as exc:
+            self.missing = exc
+            return
+        self._add(METHOD_EXTERNAL, decisions, _PAIR_STATES, truths)
+
+    def report(self) -> ComparisonReport:
+        self.labelled += sum(1 for _ in self.labels)
+        if self.labelled != self.frames:
+            raise _length_fault(self.frames, self.labelled)
+        if self.misaligned is not None:
+            raise self.misaligned
+        # Method by method, so an earlier method's empty matrix is raised
+        # before a later method's missing external state.
+        methods = {}
+        for method, counts in self.counts.items():
+            if method == METHOD_EXTERNAL and self.missing is not None:
+                raise self.missing
+            methods[method] = {ch: _channel_eval(*_summary(c)) for ch, c in zip(CHANNELS, counts)}
+        return ComparisonReport(methods=methods, frames=self.frames)
+
+
 def compare(
-    frames: Sequence,
-    labels: Sequence,
+    frames: Iterable,
+    labels: Iterable,
     personalized: CalibrationProfile,
     generalized: CalibrationProfile,
     external_states: Mapping[int, tuple[bool, bool]] | None = None,
@@ -185,40 +307,27 @@ def compare(
 ) -> ComparisonReport:
     """Score every method per channel over one pipeline run of the frames.
 
-    Errors are those of one run per method, in method order: metric errors,
-    misaligned labels, then method by method an empty matrix (EvalError)
-    or, for external states, MissingLabelError for the first frame without
-    one.
+    The records of a FrameBatches are scored at each of its batch
+    boundaries, those of any other iterable after the run; labels are read
+    as records are scored. Errors are those of one run per method over the
+    whole streams, in this order: the run's refusals, a length mismatch,
+    the first misaligned pair, then method by method an empty matrix
+    (EvalError) or, for external states, MissingLabelError for the first
+    frame without one.
     """
-    # Keep this one run_session call over the materialized frame list: the
-    # benchmark's population-compare latency probe wraps its frames argument,
-    # so streaming parsed frames into it would time their parsing, and not
-    # calling it would leave the probe's intervals empty. The report reads
-    # no alarm output, so the run skips the alarm stage (see pipeline.Pipeline).
-    records = run_session(frames, personalized, config, alarms=False).records
-    _check_aligned(records, labels)
-    truths = [list(map(state, labels)) for state in _CHANNEL_STATE.values()]
-    # Each method is decided and then tallied before the next is decided, so
-    # an earlier method's empty matrix is raised before a later method's
-    # missing external state. Faceless frames stay undecided.
-    methods = {
-        METHOD_GENERALIZED: _method_evals(
-            [threshold_states(generalized, r.ear, r.mar) if r.face_present else _UNDECIDED
-             for r in records],
-            _PAIR_STATES,
-            truths,
-        ),
-        # the run's own decisions, None on faceless records
-        METHOD_PERSONALIZED: _method_evals(records, _CHANNEL_STATE.values(), truths),
-    }
-    if external_states is not None:
-        methods[METHOD_EXTERNAL] = _method_evals(
-            [external_state(external_states, quantize_ms(r.t), r.t) if r.face_present
-             else _UNDECIDED for r in records],
-            _PAIR_STATES,
-            truths,
-        )
-    return ComparisonReport(methods=methods, frames=len(frames))
+    scores = _Scores(labels, generalized, external_states)
+    if isinstance(frames, FrameBatches):
+        frames.on_batch = scores.flush
+    # Keep this one run_session call over the frames argument itself: the
+    # benchmark's population-compare latency probe wraps that argument, so
+    # each interval times a frame's step, and a FrameBatches' reading and
+    # scoring fall on one frame per batch. The report reads no alarm output,
+    # so the run skips the alarm stage (see pipeline.Pipeline).
+    run_session(
+        frames, personalized, config, on_record=scores.records.append, collect=False, alarms=False
+    )
+    scores.flush()
+    return scores.report()
 
 
 # --- population aggregation ---------------------------------------------------

@@ -1,5 +1,6 @@
 import io as stdio
 import json
+import math
 import random
 from dataclasses import replace
 
@@ -27,6 +28,7 @@ from drowsy.eval import (
 )
 from drowsy import io as dio
 from drowsy.io import quantize_ms
+from drowsy.landmarks import MAX_SECONDS
 from drowsy.metrics import PerclosWindow, samples_from_frames
 from drowsy.pipeline import ChannelState, PipelineConfig, run_session
 from drowsy.synth import DriverParams, FrameLabel, ScriptEvent, SessionScript, generate
@@ -327,6 +329,38 @@ class TestCompareErrorPrecedence:
         with pytest.raises(MissingLabelError) as err:
             compare(frames, labels, personalized, generalized_profile(), states)
         assert err.value.t == frames[400].t
+
+
+# times with no millisecond key: round(t * 1000) is undefined or overflows
+NO_KEY = [math.nan, math.inf, -math.inf, 2 * MAX_SECONDS, -2 * MAX_SECONDS]
+
+
+@pytest.mark.parametrize("t", NO_KEY, ids=repr)
+@pytest.mark.parametrize("side", ["prediction", "label", "both"])
+def test_confusion_refuses_a_time_without_millisecond_key(t, side):
+    good, bad = [lab(0.0), lab(0.1)], [lab(0.0), lab(t)]
+    preds = bad if side in ("prediction", "both") else good
+    labels = bad if side in ("label", "both") else good
+    with pytest.raises(EvalError) as err:
+        confusion(preds, labels, CHANNEL_EYE)
+    # with the same time on both sides, the prediction is named
+    named = "label" if side == "label" else "prediction"
+    assert str(err.value) == f"{named} t={t!r} has no millisecond key"
+
+
+@pytest.mark.parametrize("t", NO_KEY, ids=repr)
+def test_compare_refuses_a_label_time_without_millisecond_key(t):
+    # A prediction's time is its frame's, which LandmarkFrame and the
+    # pipeline's own key refuse before the run ends; a label's is checked
+    # in the alignment, so the fault ranks with a timestamp mismatch.
+    frames, truth = driver_session()
+    labels = list(truth.labels)
+    labels[700] = replace(labels[700], t=t)
+    with pytest.raises(EvalError) as err:
+        compare(frames, labels, personalized_for(frames), generalized_profile())
+    assert str(err.value) == f"label t={t!r} has no millisecond key"
+    with pytest.raises(EvalError, match="stream length mismatch"):
+        compare(frames, labels[:-1], personalized_for(frames), generalized_profile())
 
 
 def test_compare_calls_run_session_once_with_every_frame(monkeypatch):
