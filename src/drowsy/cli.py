@@ -34,14 +34,13 @@ import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from errno import ENOENT
-from itertools import islice, takewhile
+from itertools import chain, islice, takewhile
 
 from . import io as dio
 from .calibration import CalibrationConfig, calibrate, generalized_profile
 from .errors import CalibrationError, ConfigError, DrowsyError, ParseError
 from .eval import (
     CHANNELS,
-    FrameBatches,
     aggregate,
     channel_eval_doc,
     compare,
@@ -399,45 +398,55 @@ def _write_report(args: argparse.Namespace, text: str, doc: dict) -> None:
             dio.write_document(sink, doc)
 
 
-# Frames compare parses at a time: a batch is about 1.1 MB of 19-point frames
-# and 27 MB of 468-point mesh frames (52.6 KB each).
-_BATCH_FRAMES = 512
-
-
 def _score_driver(frames_path, labels_path, profile_path, external_path, configs):
     """Score one driver in one streaming pass; without a profile, calibrate from the leading frames.
 
-    Frames are parsed _BATCH_FRAMES at a time, the first batch read on
-    until it holds the lead-in, and compare scores each batch's records
-    against the next labels as it reads the following batch, so no frame,
-    record or label outlives its batch. The fault reported is the one that
-    reading the profile, the frames, the labels and the external states
-    whole, in that order, then calibrating and comparing would report
-    first: after a later fault the label reader and then the frame reader
-    are read to their end, and a fault of theirs outranks it.
+    compare reads the frames file as it steps the frames (without a
+    profile, those up to the end of the lead-in are read first, to
+    calibrate) and the labels file as it scores their records, so no
+    frame, record or label outlives its batch. The fault reported is the
+    one that reading the profile, the frames, the labels and the external
+    states whole, in that order, then calibrating and comparing would
+    report first: after a later fault the label reader and then the frame
+    reader are read to their end, and a fault of theirs outranks it.
     """
+    pipeline_config, calibration_config, generalized = configs
     profile = None
     if profile_path:
         with _open_in(profile_path) as src:
             profile = dio.read_profile(src)
     with _open_in(frames_path) as frames_src:
-        frames = dio.read_frames(frames_src)
         fault = None  # the frame reader's, which outranks every other
 
-        def read() -> list:
+        def read():
             nonlocal fault
             try:
                 with _decoding(frames_path):
-                    return list(islice(frames, _BATCH_FRAMES))
+                    yield from dio.read_frames(frames_src)
             except (DrowsyError, OSError) as exc:
                 fault = exc
                 raise
 
+        frames = read()
         try:
             with _open_in(labels_path) as labels_src:
                 labels = dio.read_states(labels_src)
                 try:
-                    return _score_stream(read, labels, profile, external_path, configs)
+                    external = None
+                    if external_path:
+                        with _open_in(external_path) as src:
+                            external = dio.load_external_states(src)
+                    head = ()
+                    if profile is None:
+                        head, profile = _lead_in(frames, calibration_config)
+                    return compare(
+                        chain(head, frames),
+                        labels,
+                        personalized=profile,
+                        generalized=generalized,
+                        external_states=external,
+                        config=pipeline_config,
+                    )
                 except (DrowsyError, OSError, UnicodeDecodeError) as exc:
                     if exc is not fault:
                         for _ in labels:  # a label fault is named as it leaves this block
@@ -445,46 +454,27 @@ def _score_driver(frames_path, labels_path, profile_path, external_path, configs
                     raise
         except (DrowsyError, OSError) as exc:
             if exc is not fault:
-                while read():
+                for _ in frames:
                     pass
             raise
 
 
-def _score_stream(read, labels, profile, external_path, configs):
-    """_score_driver's pass once the frames and labels are open: read() gives the next frames."""
-    pipeline_config, calibration_config, generalized = configs
-    external = None
-    if external_path:
-        with _open_in(external_path) as src:
-            external = dio.load_external_states(src)
-    if profile is None:
-        first, profile = _lead_in(read, calibration_config)
-    else:
-        first = read()
-    frames = FrameBatches(first, read)
-    del first  # the first batch is let go once the run has stepped it
-    return compare(
-        frames,
-        labels,
-        personalized=profile,
-        generalized=generalized,
-        external_states=external,
-        config=pipeline_config,
-    )
-
-
-def _lead_in(read, config: CalibrationConfig):
-    """The first batch, read on until it holds the lead-in, and the profile calibrated from it.
+def _lead_in(frames, config: CalibrationConfig):
+    """The frames up to the first past the lead-in, and the profile calibrated from the lead-in.
 
     The lead-in is every frame within the calibration duration of the
-    first, on millisecond keys; read_frames keeps time order, so it is a prefix.
+    first, on millisecond keys; read_frames keeps time order, so it is a
+    prefix. The frames come back as an iterator, which lets them go once
+    it has handed them out.
     """
-    first = read()
-    end = quantize_ms(first[0].t) + quantize_ms(config.duration_s) if first else 0
-    while first and quantize_ms(first[-1].t) <= end and (more := read()):
-        first += more
-    head = takewhile(lambda f: quantize_ms(f.t) <= end, first)
-    return first, calibrate(samples_from_frames(head), config)
+    head = list(islice(frames, 1))
+    end = quantize_ms(head[0].t) + quantize_ms(config.duration_s) if head else 0
+    for frame in frames:
+        head.append(frame)
+        if quantize_ms(frame.t) > end:
+            break
+    lead_in = takewhile(lambda f: quantize_ms(f.t) <= end, head)
+    return iter(head), calibrate(samples_from_frames(lead_in), config)
 
 
 def _drivers(args: argparse.Namespace) -> list:

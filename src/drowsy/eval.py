@@ -12,20 +12,19 @@ metrics once per method: fixed population thresholds, personalized
 thresholds, and optionally an externally supplied classifier stream. No
 profile changes the smoothed metrics, so this equals one run per method.
 That run skips the alarm stage, which the report never reads (see
-pipeline.Pipeline), and keeps no records. compare() makes it over a
-FrameBatches, as `drowsy compare` passes it, or over any iterable of
-frames. At each batch boundary of a FrameBatches, and once after the run,
-it scores the records gathered so far against the next labels: it checks
-their alignment, keying a record's and a label's time only when the two
-floats differ, then, one method at a time in method order, decides the
-face records in one comprehension over threshold_states or external_state
-(the personalized decisions are the run's own) and adds that method's eye
-and mouth decisions to its pair counts, one per channel. So the run holds
-one batch of frames, records and labels, and reading a batch and scoring
-the one before fall on one frame per batch. The external lookup is the
-only per-frame millisecond key taken after the run. confusion() and
-compare() share the alignment check and the summary of pair counts, so
-the confusion-matrix summary has one definition.
+pipeline.Pipeline), and keeps no records. compare() reads whatever frames
+it is given BATCH_FRAMES at a time, and after each batch has been stepped
+it scores the batch's records against the next labels: it checks their
+alignment, keying a record's and a label's time only when the two floats
+differ, then, one method at a time in method order, decides the face
+records in one comprehension over threshold_states or external_state (the
+personalized decisions are the run's own) and adds that method's eye and
+mouth decisions to its pair counts, one per channel. So the run holds one
+batch of frames, records and labels, and reading a batch and scoring the
+one before fall on one frame per batch. The external lookup is the only
+per-frame millisecond key taken after the run. confusion() and compare()
+share the alignment check and the summary of pair counts, so the
+confusion-matrix summary has one definition.
 """
 
 from __future__ import annotations
@@ -192,31 +191,22 @@ class ComparisonReport:
     frames: int
 
 
-class FrameBatches:
-    """Frames read in batches, for a compare run that scores each batch as it goes.
+# Frames compare steps between two scorings: a batch is about 1.1 MB of
+# 19-point frames and 27 MB of 468-point mesh frames (52.6 KB each).
+BATCH_FRAMES = 512
 
-    Iterating yields the frames of `first`, then those of each list read()
-    returns, up to the first empty one. After the last frame of a batch has
-    been stepped, it calls on_batch (compare sets it to score the records
-    of the frames handed out so far), lets the batch go and calls read(),
-    so scoring one batch and reading the next land on the same frame of
-    the run.
+
+def _batches(frames: Iterable, flush: Callable[[], None]) -> Iterator:
+    """The frames, read BATCH_FRAMES at a time; flush() runs once a batch has been stepped.
+
+    Each batch is let go before the next is read, and the flush and that
+    read answer the same request for a frame.
     """
-
-    def __init__(self, first: list, read: Callable[[], list]):
-        self._first = first
-        self._read = read
-        self.on_batch: Callable[[], None] = lambda: None
-
-    def __iter__(self) -> Iterator:
-        batch, self._first = self._first, []
-        while True:
-            yield from batch
-            self.on_batch()
-            del batch
-            batch = self._read()
-            if not batch:
-                return
+    frames = iter(frames)
+    while batch := list(islice(frames, BATCH_FRAMES)):
+        yield from batch
+        del batch
+        flush()
 
 
 class _Scores:
@@ -307,26 +297,23 @@ def compare(
 ) -> ComparisonReport:
     """Score every method per channel over one pipeline run of the frames.
 
-    The records of a FrameBatches are scored at each of its batch
-    boundaries, those of any other iterable after the run; labels are read
-    as records are scored. Errors are those of one run per method over the
-    whole streams, in this order: the run's refusals, a length mismatch,
-    the first misaligned pair, then method by method an empty matrix
-    (EvalError) or, for external states, MissingLabelError for the first
-    frame without one.
+    Frames are read BATCH_FRAMES at a time, and each batch's records are
+    scored once it has been stepped; labels are read as records are
+    scored. Errors are those of one run per method over the whole streams,
+    in this order: the run's refusals, a length mismatch, the first
+    misaligned pair, then method by method an empty matrix (EvalError) or,
+    for external states, MissingLabelError for the first frame without one.
     """
     scores = _Scores(labels, generalized, external_states)
-    if isinstance(frames, FrameBatches):
-        frames.on_batch = scores.flush
-    # Keep this one run_session call over the frames argument itself: the
-    # benchmark's population-compare latency probe wraps that argument, so
-    # each interval times a frame's step, and a FrameBatches' reading and
-    # scoring fall on one frame per batch. The report reads no alarm output,
-    # so the run skips the alarm stage (see pipeline.Pipeline).
+    # Keep this one run_session call: the benchmark's population-compare
+    # latency probe wraps its frames argument, so each interval times a
+    # frame's step, and reading a batch and scoring the one before fall on
+    # one frame per batch. The report reads no alarm output, so the run
+    # skips the alarm stage (see pipeline.Pipeline).
     run_session(
-        frames, personalized, config, on_record=scores.records.append, collect=False, alarms=False
+        _batches(frames, scores.flush), personalized, config,
+        on_record=scores.records.append, collect=False, alarms=False,
     )
-    scores.flush()
     return scores.report()
 
 

@@ -325,7 +325,8 @@ class TestWorkflow:
         if case == "bad_second_driver":
             assert rc == 1
             assert capsys.readouterr().err.startswith("drowsy: driver01: line 301:")
-            assert during == [False]  # the first driver was scored, the second failed to parse
+            # both drivers reached compare; the second's frames failed to parse inside it
+            assert during == [False, False]
         else:
             assert rc == 0
             assert during == ([False] if case == "single_stream" else [False, False])

@@ -1,5 +1,6 @@
 """The streaming `drowsy compare`: its outputs and faults against the materialized
-oracle in reference_compare.py, its file attribution of UTF-8 faults, and its memory."""
+oracle in reference_compare.py, on each side of a batch boundary, its file
+attribution of UTF-8 faults, and its memory, in the command and in the library."""
 
 import contextlib
 import io as stdio
@@ -11,7 +12,9 @@ import pytest
 
 from drowsy import cli
 from drowsy import io as dio
-from drowsy.calibration import CalibrationConfig, generalized_profile
+from drowsy.calibration import CalibrationConfig, calibrate, generalized_profile
+from drowsy.eval import BATCH_FRAMES, compare
+from drowsy.metrics import samples_from_frames
 from drowsy.pipeline import PipelineConfig
 from drowsy.synth import DriverParams, ScriptEvent, SessionScript, iter_session
 
@@ -145,6 +148,53 @@ def test_streamed_compare_equals_the_materialized_oracle(tmp_path, monkeypatch, 
     assert (got[0] == 0) == (not isinstance(want, tuple))
 
 
+# one frame short of one and two batches, each batch full (the last batch read
+# is empty), and one frame over
+BOUNDARY_FRAMES = [BATCH_FRAMES - 1, BATCH_FRAMES, BATCH_FRAMES + 1, 2 * BATCH_FRAMES,
+                   2 * BATCH_FRAMES + 1]
+
+
+def boundary_driver(directory, n):
+    """Driver d's first n frames, labels and external states, and a profile from its first 150."""
+    frames, labels = session_lines()
+    assert n <= len(frames)
+    for name, lines in (("frames", frames), ("labels", labels), ("external", labels)):
+        (directory / f"d.{name}.jsonl").write_text("".join(lines[:n]))
+    profile = calibrate(samples_from_frames(dio.read_frames(frames[:150])))
+    with open(directory / "d.profile.json", "w", encoding="utf-8") as sink:
+        dio.write_profile(sink, profile)
+    return frames[:n], labels[:n], profile
+
+
+@pytest.mark.parametrize("with_profile", [False, True], ids=["lead-in", "profile"])
+@pytest.mark.parametrize("n", BOUNDARY_FRAMES)
+def test_batch_boundaries_equal_the_materialized_oracle(tmp_path, n, with_profile):
+    boundary_driver(tmp_path, n)
+    configs = (PipelineConfig(), CalibrationConfig(), generalized_profile())
+    paths = [str(tmp_path / f"d.{name}") for name in
+             ("frames.jsonl", "labels.jsonl", "profile.json", "external.jsonl")]
+    if not with_profile:
+        paths[2] = None
+    want = reference_compare.score_driver(*paths, configs)
+    assert want.frames == n
+    assert cli._score_driver(*paths, configs) == want
+
+
+@pytest.mark.parametrize("n", BOUNDARY_FRAMES)
+def test_library_compare_over_lists_equals_the_materialized_oracle(tmp_path, n):
+    frame_lines, label_lines, profile = boundary_driver(tmp_path, n)
+    args = (
+        list(dio.read_frames(frame_lines)),
+        list(dio.read_states(label_lines)),
+        profile,
+        generalized_profile(),
+        dio.load_external_states(label_lines),
+    )
+    want = reference_compare.compare(*args)
+    assert want.frames == n
+    assert compare(*args) == want
+
+
 @pytest.mark.parametrize("mode", ["single", "directory"])
 @pytest.mark.parametrize("bad", [("frames",), ("labels",), ("frames", "labels")])
 def test_utf8_fault_names_the_file_that_holds_it(tmp_path, capsys, mode, bad):
@@ -199,3 +249,27 @@ def test_compare_memory_does_not_grow_with_the_stream(tmp_path):
     _, peak_10k, peak_40k = peaks
     assert abs(peak_40k - peak_10k) < 0.5e6, peaks
     assert peak_40k < 4e6, peaks
+
+
+def library_peak(script) -> int:
+    """The tracemalloc peak, in bytes, of library compare over generated frames and labels."""
+    frames = (frame for frame, _ in iter_session(script))
+    labels = (label for _, label in iter_session(script))
+    profile = generalized_profile()
+    tracemalloc.start()
+    try:
+        assert compare(frames, labels, profile, profile).frames == script.frame_count
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_library_compare_memory_does_not_grow_with_the_stream():
+    # compare batches whatever frames it is given, so a generator is read one
+    # batch at a time as a file is, and its records are scored batch by batch
+    peaks = [
+        library_peak(replace(SCRIPT, duration_s=n / SCRIPT.fps)) for n in (1000, 10_000, 40_000)
+    ]
+    # the first run also pays for one-time allocations
+    _, peak_10k, peak_40k = peaks
+    assert abs(peak_40k - peak_10k) < 0.5e6, peaks

@@ -365,22 +365,31 @@ def test_compare_refuses_a_label_time_without_millisecond_key(t):
 
 def test_compare_calls_run_session_once_with_every_frame(monkeypatch):
     # The benchmark's population-compare latency probe wraps the first
-    # argument of drowsy.eval.run_session; splitting or streaming this call
-    # would blank or distort its figures.
+    # argument of drowsy.eval.run_session; splitting this call, or stepping
+    # a frame that does not pass through that argument, would blank or
+    # distort its figures.
     frames, truth = driver_session()
     personalized = personalized_for(frames)
     calls = []
+    seen = []
 
-    def spy(*args, **kwargs):
-        calls.append((args, kwargs))
-        return run_session(*args, **kwargs)
+    def spy(stepped, *args, **kwargs):
+        calls.append(kwargs)
+
+        def through(frames):
+            for frame in frames:
+                seen.append(frame)
+                yield frame
+
+        return run_session(through(stepped), *args, **kwargs)
 
     monkeypatch.setattr(drowsy.eval, "run_session", spy)
     states = flipped_states(truth.labels, 2)
     compare(frames, truth.labels, personalized, generalized_profile(), states)
     assert len(calls) == 1
-    assert calls[0][0][0] is frames
-    assert calls[0][1]["alarms"] is False
+    assert len(seen) == len(frames)
+    assert all(got is given for got, given in zip(seen, frames))
+    assert calls[0]["alarms"] is False
 
 
 def test_compare_advances_no_channel_and_feeds_no_perclos_window(monkeypatch):
