@@ -13,8 +13,10 @@ from its own offset. No output names an input or another output (in a
 directory compare, every driver's four files, present or not, and any new
 <stem>.frames.jsonl there). Inputs are read as UTF-8; outputs are written
 as _open_out says, through one 256 KiB buffer (a write system call per
-~1,700 record lines). eval and compare create --json before they write
-their text report, so a --json that cannot be created leaves stdout empty.
+~1,700 record lines). eval and compare read their streams through
+_stream, which ranks faults as whole reads in turn would, and create
+--json before they write their text report, so a --json that cannot be
+created leaves stdout empty.
 
 Data outputs (stdout and files) are byte-reproducible given identical
 inputs, flags, and seed; diagnostics on stderr may include timing and are
@@ -145,24 +147,15 @@ def _build(config, args: argparse.Namespace):
 
 
 @contextmanager
-def _decoding(path: str):
-    """Report a UnicodeDecodeError raised in the block as an input error naming path."""
-    try:
-        yield
-    except UnicodeDecodeError:
-        raise ParseError(f"{path}: not UTF-8 text") from None
-
-
-@contextmanager
 def _open_in(path: str):
     """Read an input as UTF-8 text; other bytes are an input error naming the input.
 
     The error is raised while a reader iterates the lines, outside its
-    per-line handling, and is named by the innermost input open: a block
-    that reads another input inside this one reads it under _decoding. The
+    per-line handling, and is named by the innermost input open, except
+    that _stream re-raises its reader's faults inside the reader's own. The
     text layer decodes in chunks, so the message gives no byte offset.
     """
-    with _decoding(path):
+    try:
         if path == "-":
             # the interpreter's stdin may decode leniently (surrogateescape in
             # UTF-8 mode), which would let any byte through
@@ -172,6 +165,38 @@ def _open_in(path: str):
         else:
             with open(path, encoding="utf-8") as fp:
                 yield fp
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+
+
+@contextmanager
+def _stream(path: str, parse):
+    """Yield parse(lines of path) lazily, ranking faults as a whole read of path would.
+
+    On a fault of the block, the rest of path is read first, and a fault of
+    the reader's, met then or before, is raised in place of the block's,
+    inside path's _open_in, which names a UTF-8 fault after path. So streams
+    nested in the order of a whole read report the fault that reading each
+    whole, in that order, would report first.
+    """
+    fault = None
+
+    def read(src):
+        nonlocal fault
+        try:
+            yield from parse(src)
+        except (DrowsyError, OSError, UnicodeDecodeError) as exc:
+            fault = exc
+            raise
+
+    with _open_in(path) as src:
+        items = read(src)
+        try:
+            yield items
+        except (DrowsyError, OSError, UnicodeDecodeError) as exc:
+            for _ in items:  # a fault the reader meets here leaves from here
+                pass
+            raise fault or exc
 
 
 # A frame that waits on a write system call sets a record stream's p99
@@ -372,11 +397,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     _check_paths(args)
-    with _open_in(args.pred) as src:
-        predictions = list(dio.read_states(src))
-    with _open_in(args.labels) as src:
-        labels = list(dio.read_states(src))
-    result = evaluate_channel(predictions, labels, args.channel)
+    with (_stream(args.pred, dio.read_states) as predictions,
+          _stream(args.labels, dio.read_states) as labels):
+        result = evaluate_channel(predictions, labels, args.channel)
     m = result.matrix
     text = (
         f"channel: {args.channel}\n"
@@ -404,59 +427,34 @@ def _score_driver(frames_path, labels_path, profile_path, external_path, configs
     compare reads the frames file as it steps the frames (without a
     profile, those up to the end of the lead-in are read first, to
     calibrate) and the labels file as it scores their records, so no
-    frame, record or label outlives its batch. The fault reported is the
-    one that reading the profile, the frames, the labels and the external
-    states whole, in that order, then calibrating and comparing would
-    report first: after a later fault the label reader and then the frame
-    reader are read to their end, and a fault of theirs outranks it.
+    frame, record or label outlives its batch. The profile, the frames, the
+    labels and the external states are opened in that order, the two
+    streams through _stream, so the fault reported is the one that reading
+    them whole in that order, then calibrating and comparing, would report
+    first.
     """
     pipeline_config, calibration_config, generalized = configs
     profile = None
     if profile_path:
         with _open_in(profile_path) as src:
             profile = dio.read_profile(src)
-    with _open_in(frames_path) as frames_src:
-        fault = None  # the frame reader's, which outranks every other
-
-        def read():
-            nonlocal fault
-            try:
-                with _decoding(frames_path):
-                    yield from dio.read_frames(frames_src)
-            except (DrowsyError, OSError) as exc:
-                fault = exc
-                raise
-
-        frames = read()
-        try:
-            with _open_in(labels_path) as labels_src:
-                labels = dio.read_states(labels_src)
-                try:
-                    external = None
-                    if external_path:
-                        with _open_in(external_path) as src:
-                            external = dio.load_external_states(src)
-                    head = ()
-                    if profile is None:
-                        head, profile = _lead_in(frames, calibration_config)
-                    return compare(
-                        chain(head, frames),
-                        labels,
-                        personalized=profile,
-                        generalized=generalized,
-                        external_states=external,
-                        config=pipeline_config,
-                    )
-                except (DrowsyError, OSError, UnicodeDecodeError) as exc:
-                    if exc is not fault:
-                        for _ in labels:  # a label fault is named as it leaves this block
-                            pass
-                    raise
-        except (DrowsyError, OSError) as exc:
-            if exc is not fault:
-                for _ in frames:
-                    pass
-            raise
+    with (_stream(frames_path, dio.read_frames) as frames,
+          _stream(labels_path, dio.read_states) as labels):
+        external = None
+        if external_path:
+            with _open_in(external_path) as src:
+                external = dio.load_external_states(src)
+        head = ()
+        if profile is None:
+            head, profile = _lead_in(frames, calibration_config)
+        return compare(
+            chain(head, frames),
+            labels,
+            personalized=profile,
+            generalized=generalized,
+            external_states=external,
+            config=pipeline_config,
+        )
 
 
 def _lead_in(frames, config: CalibrationConfig):

@@ -16,15 +16,15 @@ pipeline.Pipeline), and keeps no records. compare() reads whatever frames
 it is given BATCH_FRAMES at a time, and after each batch has been stepped
 it scores the batch's records against the next labels: it checks their
 alignment, keying a record's and a label's time only when the two floats
-differ, then, one method at a time in method order, decides the face
-records in one comprehension over threshold_states or external_state (the
-personalized decisions are the run's own) and adds that method's eye and
-mouth decisions to its pair counts, one per channel. So the run holds one
-batch of frames, records and labels, and reading a batch and scoring the
-one before fall on one frame per batch. The external lookup is the only
-per-frame millisecond key taken after the run. confusion() and compare()
-share the alignment check and the summary of pair counts, so the
-confusion-matrix summary has one definition.
+differ, then calls each method's decider once, in method order (one
+comprehension over threshold_states or external_state; the personalized
+decisions are the run's own), and adds its eye and mouth decisions to
+that method's pair counts, one per channel. So the run holds one batch of
+frames, records and labels, and reading a batch and scoring the one
+before fall on one frame per batch. The external lookup is the only
+per-frame millisecond key taken after the run. confusion() streams
+through the same scorer, with the predictions' own states as its one
+decider, so the confusion-matrix summary has one definition.
 """
 
 from __future__ import annotations
@@ -88,10 +88,6 @@ def accuracy(matrix: ConfusionMatrix) -> float:
     return 100.0 * (matrix.tp + matrix.tn) / matrix.total
 
 
-def _length_fault(predictions: int, labels: int) -> EvalError:
-    return EvalError(f"stream length mismatch: {predictions} predictions vs {labels} labels")
-
-
 def _has_key(t: float) -> bool:
     """Whether t has a millisecond key: at most MAX_SECONDS in magnitude, so not nan or infinite."""
     return -MAX_SECONDS <= t <= MAX_SECONDS
@@ -137,25 +133,6 @@ def _summary(pairs: Counter) -> tuple[ConfusionMatrix, int]:
     return ConfusionMatrix(tp=tp, tn=tn, fp=fp, fn=fn), excluded
 
 
-def confusion(
-    predictions: Sequence, labels: Sequence, channel: str
-) -> tuple[ConfusionMatrix, int]:
-    """Count one channel's frame-level agreement; returns (matrix, excluded).
-
-    Streams must be equal length with millisecond-aligned timestamps.
-    Excluded frames are those without a labeled (or predicted) face state.
-    """
-    if channel not in _CHANNEL_STATE:
-        raise EvalError(f"unknown channel {channel!r}")
-    if len(predictions) != len(labels):
-        raise _length_fault(len(predictions), len(labels))
-    fault = _alignment_fault(list(map(_TIME, predictions)), list(map(_TIME, labels)))
-    if fault is not None:
-        raise fault
-    state = _CHANNEL_STATE[channel]
-    return _summary(Counter(zip(map(state, predictions), map(state, labels))))
-
-
 @dataclass(frozen=True, slots=True)
 class ChannelEval:
     """One channel's scores; its fields, the matrix nested, are the channel's report entry."""
@@ -177,10 +154,6 @@ def _channel_eval(matrix: ConfusionMatrix, excluded: int) -> ChannelEval:
         recall_negative=100.0 * matrix.tn / neg if neg else None,
         excluded=excluded,
     )
-
-
-def evaluate_channel(predictions: Sequence, labels: Sequence, channel: str) -> ChannelEval:
-    return _channel_eval(*confusion(predictions, labels, channel))
 
 
 @dataclass(frozen=True, slots=True)
@@ -209,27 +182,49 @@ def _batches(frames: Iterable, flush: Callable[[], None]) -> Iterator:
         flush()
 
 
-class _Scores:
-    """compare's running tallies: (guess, truth) pair counts per method and channel.
+def _own_states(records: list) -> tuple:
+    """The records' own states: the run's decisions, or a prediction stream's, None when faceless."""
+    return records, _CHANNEL_STATE.values()
 
-    flush() scores the records gathered so far against as many of the next
-    labels and lets both go. After the first shortfall of labels or the
-    first misaligned pair, a flush only counts. report() counts the labels
-    left over and raises what a run per method over whole streams raises.
+
+def _thresholds(profile: CalibrationProfile) -> Callable:
+    """The decider of profile's thresholds on each record's smoothed metrics."""
+    def decide(records: list) -> tuple:
+        return [threshold_states(profile, r.ear, r.mar) if r.face_present else _UNDECIDED
+                for r in records], _PAIR_STATES
+    return decide
+
+
+def _external(states: Mapping[int, tuple[bool, bool]]) -> Callable:
+    """The decider of an external classifier's states; MissingLabelError names a face without one."""
+    def decide(records: list) -> tuple:
+        return [external_state(states, quantize_ms(r.t), r.t) if r.face_present else _UNDECIDED
+                for r in records], _PAIR_STATES
+    return decide
+
+
+class _Scores:
+    """Running tallies: (guess, truth) pair counts per method and channel.
+
+    deciders maps each method, in method order, to its decider: called once
+    per batch, it returns the batch's decisions, faceless records undecided,
+    and one state reader per channel. flush() scores the records gathered
+    so far against as many of the next labels and lets both go. After the
+    first shortfall of labels or the first misaligned pair, a flush only
+    counts; after its MissingLabelError, a method is no longer decided.
+    check() counts the labels left over and raises what whole streams
+    raise; report() then adds, method by method, an empty matrix or the
+    method's missing state.
     """
 
-    def __init__(self, labels: Iterable, generalized: CalibrationProfile, external_states):
+    def __init__(self, labels: Iterable, deciders: Mapping[str, Callable]):
         self.labels = iter(labels)
-        self.generalized = generalized
-        self.external_states = external_states
-        methods = [METHOD_GENERALIZED, METHOD_PERSONALIZED]
-        if external_states is not None:
-            methods.append(METHOD_EXTERNAL)
-        self.counts = {method: tuple(Counter() for _ in CHANNELS) for method in methods}
+        self.deciders = deciders
+        self.counts = {method: tuple(Counter() for _ in CHANNELS) for method in deciders}
         self.records: list = []
         self.frames = self.labelled = 0
         self.misaligned: EvalError | None = None
-        self.missing: MissingLabelError | None = None
+        self.missing: dict[str, MissingLabelError] = {}
 
     def flush(self) -> None:
         records = self.records
@@ -242,49 +237,63 @@ class _Scores:
                 self._score(records, labels)
         records.clear()
 
-    def _add(self, method: str, decisions: Sequence, states: Iterable, truths: list) -> None:
-        """Count one method's decisions: states[i] reads channel i from a decision."""
-        for counts, state, truth in zip(self.counts[method], states, truths):
-            counts.update(zip(map(state, decisions), truth))
-
     def _score(self, records: list, labels: list) -> None:
         truths = [list(map(state, labels)) for state in _CHANNEL_STATE.values()]
-        # Faceless records stay undecided.
-        generalized = self.generalized
-        self._add(
-            METHOD_GENERALIZED,
-            [threshold_states(generalized, r.ear, r.mar) if r.face_present else _UNDECIDED
-             for r in records],
-            _PAIR_STATES,
-            truths,
-        )
-        # the run's own decisions, None on faceless records
-        self._add(METHOD_PERSONALIZED, records, _CHANNEL_STATE.values(), truths)
-        states = self.external_states
-        if states is None or self.missing is not None:
-            return
-        try:
-            decisions = [external_state(states, quantize_ms(r.t), r.t) if r.face_present
-                         else _UNDECIDED for r in records]
-        except MissingLabelError as exc:
-            self.missing = exc
-            return
-        self._add(METHOD_EXTERNAL, decisions, _PAIR_STATES, truths)
+        for method, decide in self.deciders.items():
+            if method in self.missing:
+                continue
+            try:
+                decisions, states = decide(records)
+            except MissingLabelError as exc:
+                self.missing[method] = exc
+                continue
+            for counts, state, truth in zip(self.counts[method], states, truths):
+                counts.update(zip(map(state, decisions), truth))
 
-    def report(self) -> ComparisonReport:
+    def check(self) -> None:
         self.labelled += sum(1 for _ in self.labels)
         if self.labelled != self.frames:
-            raise _length_fault(self.frames, self.labelled)
+            raise EvalError(
+                f"stream length mismatch: {self.frames} predictions vs {self.labelled} labels"
+            )
         if self.misaligned is not None:
             raise self.misaligned
+
+    def report(self) -> ComparisonReport:
+        self.check()
         # Method by method, so an earlier method's empty matrix is raised
         # before a later method's missing external state.
         methods = {}
         for method, counts in self.counts.items():
-            if method == METHOD_EXTERNAL and self.missing is not None:
-                raise self.missing
+            if method in self.missing:
+                raise self.missing[method]
             methods[method] = {ch: _channel_eval(*_summary(c)) for ch, c in zip(CHANNELS, counts)}
         return ComparisonReport(methods=methods, frames=self.frames)
+
+
+def confusion(
+    predictions: Iterable, labels: Iterable, channel: str
+) -> tuple[ConfusionMatrix, int]:
+    """Count one channel's frame-level agreement; returns (matrix, excluded).
+
+    Streams must be equal length with millisecond-aligned timestamps. Both
+    are read BATCH_FRAMES at a time through compare's scorer, with the
+    predictions' own states as its one decider. Excluded frames are those
+    without a labeled (or predicted) face state.
+    """
+    if channel not in _CHANNEL_STATE:
+        raise EvalError(f"unknown channel {channel!r}")
+    scores = _Scores(labels, {"predictions": _own_states})
+    append = scores.records.append
+    for prediction in _batches(predictions, scores.flush):
+        append(prediction)
+    scores.check()
+    return _summary(scores.counts["predictions"][CHANNELS.index(channel)])
+
+
+def evaluate_channel(predictions: Iterable, labels: Iterable, channel: str) -> ChannelEval:
+    """One channel's scores of predictions against labels, both read as confusion() reads them."""
+    return _channel_eval(*confusion(predictions, labels, channel))
 
 
 def compare(
@@ -304,7 +313,10 @@ def compare(
     misaligned pair, then method by method an empty matrix (EvalError) or,
     for external states, MissingLabelError for the first frame without one.
     """
-    scores = _Scores(labels, generalized, external_states)
+    deciders = {METHOD_GENERALIZED: _thresholds(generalized), METHOD_PERSONALIZED: _own_states}
+    if external_states is not None:
+        deciders[METHOD_EXTERNAL] = _external(external_states)
+    scores = _Scores(labels, deciders)
     # Keep this one run_session call: the benchmark's population-compare
     # latency probe wraps its frames argument, so each interval times a
     # frame's step, and reading a batch and scoring the one before fall on

@@ -1,13 +1,17 @@
-"""The materialized driver scoring of `drowsy compare`, kept as an oracle.
+"""The materialized scoring of `drowsy compare` and `drowsy eval`, kept as an oracle.
 
 score_driver reads a driver's profile, frames, labels and external states
 whole, calibrates from the leading frames when there is no profile, and
 compares over lists: the order in which it meets the faults is the error
-precedence the streaming cli._score_driver keeps. The functions are copies
-of the materialized cli._score_driver and eval.compare and of the helpers
-they call; nothing is imported from drowsy.cli or from the eval functions
-under test, only the readers, the pipeline, calibration and the report's
-data classes.
+precedence the streaming cli._score_driver keeps. cmd_eval reads its
+predictions and then its labels whole and scores them with confusion's
+whole-list length and alignment checks: the precedence the streaming
+cli.cmd_eval keeps. The functions are copies of the materialized
+cli._score_driver, eval.compare, cli.cmd_eval and eval.confusion and of
+the helpers they call; nothing is imported from the eval functions under
+test, and from drowsy.cli only cmd_eval's path rules and report writer,
+which run before and after its reads. The rest is the readers, the
+pipeline, calibration and the report's data classes and renderers.
 """
 
 import sys
@@ -18,9 +22,17 @@ from operator import attrgetter, itemgetter
 
 from drowsy import io as dio
 from drowsy.calibration import calibrate
+from drowsy.cli import _check_paths, _write_report
 from drowsy.errors import EvalError, ParseError
-from drowsy.eval import ChannelEval, ComparisonReport, ConfusionMatrix, accuracy
-from drowsy.landmarks import quantize_ms
+from drowsy.eval import (
+    ChannelEval,
+    ComparisonReport,
+    ConfusionMatrix,
+    accuracy,
+    channel_eval_doc,
+    format_pct,
+)
+from drowsy.landmarks import MAX_SECONDS, quantize_ms
 from drowsy.metrics import samples_from_frames
 from drowsy.pipeline import external_state, run_session, threshold_states
 
@@ -151,3 +163,65 @@ def compare(frames, labels, personalized, generalized, external_states=None, con
             truths,
         )
     return ComparisonReport(methods=methods, frames=len(frames))
+
+
+# --- eval -----------------------------------------------------------------------
+
+_TIME = attrgetter("t")
+
+
+def cmd_eval(args):
+    _check_paths(args)
+    with _open_in(args.pred) as src:
+        predictions = list(dio.read_states(src))
+    with _open_in(args.labels) as src:
+        labels = list(dio.read_states(src))
+    result = evaluate_channel(predictions, labels, args.channel)
+    m = result.matrix
+    text = (
+        f"channel: {args.channel}\n"
+        f"frames evaluated: {m.total} (excluded {result.excluded})\n"
+        f"accuracy: {result.accuracy:.2f}%\n"
+        f"confusion: tp={m.tp} tn={m.tn} fp={m.fp} fn={m.fn}\n"
+        f"recall positive: {format_pct(result.recall_positive)}\n"
+        f"recall negative: {format_pct(result.recall_negative)}\n"
+    )
+    _write_report(args, text, channel_eval_doc(args.channel, result))
+    return 0
+
+
+def evaluate_channel(predictions, labels, channel):
+    return _channel_eval(*confusion(predictions, labels, channel))
+
+
+def _has_key(t):
+    """Whether t has a millisecond key: at most MAX_SECONDS in magnitude, so not nan or infinite."""
+    return -MAX_SECONDS <= t <= MAX_SECONDS
+
+
+def _alignment_fault(pred_times, label_times):
+    """The first fault of two equal-length time lists, or None when every pair aligns."""
+    if pred_times == label_times and all(map(_has_key, pred_times)):
+        return None
+    for pred, lab in zip(pred_times, label_times):
+        for side, t in (("prediction", pred), ("label", lab)):
+            if not _has_key(t):
+                return EvalError(f"{side} t={t!r} has no millisecond key")
+        if pred != lab and quantize_ms(pred) != quantize_ms(lab):
+            return EvalError(f"timestamp mismatch: prediction t={pred:.3f} vs label t={lab:.3f}")
+    return None
+
+
+def confusion(predictions, labels, channel):
+    """Count one channel's frame-level agreement over two lists; returns (matrix, excluded)."""
+    if channel not in _CHANNEL_STATE:
+        raise EvalError(f"unknown channel {channel!r}")
+    if len(predictions) != len(labels):
+        raise EvalError(
+            f"stream length mismatch: {len(predictions)} predictions vs {len(labels)} labels"
+        )
+    fault = _alignment_fault(list(map(_TIME, predictions)), list(map(_TIME, labels)))
+    if fault is not None:
+        raise fault
+    state = _CHANNEL_STATE[channel]
+    return _tally(map(state, predictions), map(state, labels))

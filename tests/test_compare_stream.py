@@ -1,8 +1,10 @@
-"""The streaming `drowsy compare`: its outputs and faults against the materialized
-oracle in reference_compare.py, on each side of a batch boundary, its file
-attribution of UTF-8 faults, and its memory, in the command and in the library."""
+"""The streaming `drowsy compare` and `drowsy eval`: their outputs and faults against
+the materialized oracle in reference_compare.py, on each side of a batch boundary,
+their file attribution of UTF-8 faults, and their memory, in the command and in the
+library."""
 
 import contextlib
+import functools
 import io as stdio
 import itertools
 import tracemalloc
@@ -13,7 +15,8 @@ import pytest
 from drowsy import cli
 from drowsy import io as dio
 from drowsy.calibration import CalibrationConfig, calibrate, generalized_profile
-from drowsy.eval import BATCH_FRAMES, compare
+from drowsy.errors import EvalError, MissingLabelError
+from drowsy.eval import BATCH_FRAMES, CHANNELS, compare, confusion
 from drowsy.metrics import samples_from_frames
 from drowsy.pipeline import PipelineConfig
 from drowsy.synth import DriverParams, ScriptEvent, SessionScript, iter_session
@@ -148,6 +151,102 @@ def test_streamed_compare_equals_the_materialized_oracle(tmp_path, monkeypatch, 
     assert (got[0] == 0) == (not isinstance(want, tuple))
 
 
+def make_faceless(lines):
+    lines[:] = [f'{{"t": {line[6:line.index(",")]}, "face": false}}\n' for line in lines]
+
+
+# eval fault -> edit of a label line list; "utf8" puts a byte that is not UTF-8 in the
+# file and "missing" writes none. Faults are made in this order, so "faceless"
+# rewrites whole label lines before another fault edits one.
+EVAL_FAULTS = {
+    "faceless": make_faceless,
+    "early": lambda lines: lines.__setitem__(3, "{not json\n"),
+    "late": lambda lines: lines.__setitem__(1070, '{"t": 35.7}\n'),
+    "utf8": "utf8",
+    "missing": "missing",
+    "short": lambda lines: lines.__delitem__(slice(-3, None)),
+    "long": lambda lines: lines.extend(lines[-2:]),
+    "shift": lambda lines: shift_label(lines, 900, 0.5),
+}
+# no fault, each fault in either file, every --pred x --labels pair, and pairs
+# of faults that --pred can hold together
+EVAL_CASES = (
+    [()]
+    + [((name, fault),) for name in ("pred", "labels") for fault in EVAL_FAULTS]
+    + [(("pred", a), ("labels", b)) for a in EVAL_FAULTS for b in EVAL_FAULTS]
+    + [(("pred", a), ("pred", b)) for a, b in
+       itertools.combinations(("faceless", "early", "late", "utf8", "shift"), 2)]
+)
+
+
+@functools.cache
+def label_lines():
+    return tuple(session_lines()[1])
+
+
+def write_eval_inputs(directory, faults):
+    """The --pred and --labels files, each the session's labels with its faults made."""
+    paths = {}
+    for name in ("pred", "labels"):
+        paths[name] = path = directory / f"{name}.jsonl"
+        made = {fault for side, fault in faults if side == name}
+        if "missing" in made:
+            continue
+        lines = list(label_lines())
+        for fault, edit in EVAL_FAULTS.items():
+            if fault in made and callable(edit):
+                edit(lines)
+        data = "".join(lines).encode()
+        if "utf8" in made:
+            at = data.index(b"\n", len(data) * 2 // 3) + 1  # past the text layer's first chunk
+            data = data[:at] + b"\xff" + data[at:]
+        path.write_bytes(data)
+    return paths
+
+
+@pytest.mark.parametrize(
+    "faults", EVAL_CASES, ids=lambda faults: "+".join(map("-".join, faults)) or "none"
+)
+def test_streamed_eval_equals_the_materialized_oracle(tmp_path, monkeypatch, faults):
+    paths = write_eval_inputs(tmp_path, faults)
+    out = tmp_path / "report.json"
+    argv = ["eval", "--pred", str(paths["pred"]), "--labels", str(paths["labels"]),
+            "--channel", "eye", "--json", str(out)]
+    got = main_result(argv, out)
+    monkeypatch.setattr(cli, "cmd_eval", reference_compare.cmd_eval)
+    assert got == main_result(argv, out)
+    if len(faults) < 2:  # the same fault in both files may cancel out
+        assert (got[0] == 0) == (not faults), got
+
+
+@pytest.mark.parametrize("faceless", [BATCH_FRAMES, None], ids=["first-batch", "every-label"])
+def test_a_missing_external_state_is_kept_for_its_method_only(faceless):
+    # An external state missing in the first batch stops only the external
+    # method: with the first batch's labels faceless the other methods' matrices
+    # fill from later batches, and the missing state is raised at the external
+    # method's turn; with every label faceless, the generalized method's empty
+    # matrix is raised first.
+    frame_lines, lines = session_lines()
+    frames = list(dio.read_frames(frame_lines))
+    labels = list(dio.read_states(lines))
+    labels[:faceless] = [replace(label, face_present=False, eye_closed=None, mouth_yawn=None,
+                                 head_down=None) for label in labels[:faceless]]
+    states = dio.load_external_states(lines)
+    del states[sorted(states)[10]]  # the 11th face frame's
+    profile = calibrate(samples_from_frames(frames[:150]))
+    args = (labels, profile, generalized_profile(), states)
+
+    def outcome(compare):
+        try:
+            return compare(frames, *args)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    want = outcome(reference_compare.compare)
+    assert want[0] is (MissingLabelError if faceless else EvalError), want
+    assert outcome(compare) == want
+
+
 # one frame short of one and two batches, each batch full (the last batch read
 # is empty), and one frame over
 BOUNDARY_FRAMES = [BATCH_FRAMES - 1, BATCH_FRAMES, BATCH_FRAMES + 1, 2 * BATCH_FRAMES,
@@ -193,6 +292,42 @@ def test_library_compare_over_lists_equals_the_materialized_oracle(tmp_path, n):
     want = reference_compare.compare(*args)
     assert want.frames == n
     assert compare(*args) == want
+
+
+def boundary_states(n):
+    """The session's first n labels, and predictions from them with every 7th state flipped."""
+    labels = list(dio.read_states(label_lines()[:n]))
+    predictions = [
+        replace(label, eye_closed=not label.eye_closed, mouth_yawn=not label.mouth_yawn)
+        if label.face_present and i % 7 == 0 else label
+        for i, label in enumerate(labels)
+    ]
+    return predictions, labels
+
+
+@pytest.mark.parametrize("channel", CHANNELS)
+@pytest.mark.parametrize("n", BOUNDARY_FRAMES)
+def test_library_confusion_over_iterators_equals_the_list_call(n, channel):
+    predictions, labels = boundary_states(n)
+    want = confusion(predictions, labels, channel)
+    assert want == reference_compare.confusion(predictions, labels, channel)
+    assert want[0].fp + want[0].fn > 0
+    assert confusion(iter(predictions), (label for label in labels), channel) == want
+
+
+@pytest.mark.parametrize("pred_n, label_n", [
+    (BATCH_FRAMES, BATCH_FRAMES + 1), (BATCH_FRAMES + 1, BATCH_FRAMES),
+    (2 * BATCH_FRAMES, 2 * BATCH_FRAMES - 1), (2 * BATCH_FRAMES - 1, 2 * BATCH_FRAMES),
+])
+def test_library_confusion_length_mismatch_on_a_batch_boundary(pred_n, label_n):
+    predictions, _ = boundary_states(pred_n)
+    _, labels = boundary_states(label_n)
+    message = f"stream length mismatch: {pred_n} predictions vs {label_n} labels"
+    with pytest.raises(EvalError, match=message):
+        reference_compare.confusion(predictions, labels, "eye")
+    with pytest.raises(EvalError) as err:
+        confusion(iter(predictions), iter(labels), "eye")
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("mode", ["single", "directory"])
@@ -270,6 +405,31 @@ def test_library_compare_memory_does_not_grow_with_the_stream():
     peaks = [
         library_peak(replace(SCRIPT, duration_s=n / SCRIPT.fps)) for n in (1000, 10_000, 40_000)
     ]
+    # the first run also pays for one-time allocations
+    _, peak_10k, peak_40k = peaks
+    assert abs(peak_40k - peak_10k) < 0.5e6, peaks
+
+
+def eval_peak(labels) -> int:
+    """The tracemalloc peak, in bytes, of one eval of a label file against itself."""
+    with contextlib.redirect_stdout(stdio.StringIO()):
+        tracemalloc.start()
+        try:
+            argv = ["eval", "--pred", str(labels), "--labels", str(labels), "--channel", "eye"]
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_eval_memory_does_not_grow_with_the_stream(tmp_path):
+    # A materialized eval held both streams whole, about 2.4 MB at 10k frames
+    # and 9.1 MB at 40k; streamed, it holds one batch of predictions and labels
+    peaks = []
+    for n in (1000, 10_000, 40_000):
+        labels = tmp_path / f"{n}.labels.jsonl"
+        labels.write_text("".join(session_lines(replace(SCRIPT, duration_s=n / SCRIPT.fps))[1]))
+        peaks.append(eval_peak(labels))
     # the first run also pays for one-time allocations
     _, peak_10k, peak_40k = peaks
     assert abs(peak_40k - peak_10k) < 0.5e6, peaks
