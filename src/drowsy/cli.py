@@ -14,9 +14,10 @@ directory compare, every driver's four files, present or not, and any new
 <stem>.frames.jsonl there). Inputs are read as UTF-8; outputs are written
 as _open_out says, through one 256 KiB buffer (a write system call per
 ~1,700 record lines). eval and compare read their streams through
-_stream, which ranks faults as whole reads in turn would, and create
---json before they write their text report, so a --json that cannot be
-created leaves stdout empty.
+_streams, which ranks faults as whole reads in turn would and reads no
+further once a reader's fault decides the report, and create --json
+before they write their text report, so a --json that cannot be created
+leaves stdout empty.
 
 Data outputs (stdout and files) are byte-reproducible given identical
 inputs, flags, and seed; diagnostics on stderr may include timing and are
@@ -33,7 +34,7 @@ import stat
 import sys
 import tempfile
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import replace
 from errno import ENOENT
 from itertools import chain, islice, takewhile
@@ -151,9 +152,8 @@ def _open_in(path: str):
     """Read an input as UTF-8 text; other bytes are an input error naming the input.
 
     The error is raised while a reader iterates the lines, outside its
-    per-line handling, and is named by the innermost input open, except
-    that _stream re-raises its reader's faults inside the reader's own. The
-    text layer decodes in chunks, so the message gives no byte offset.
+    per-line handling, and is named by the innermost input open. The text
+    layer decodes in chunks, so the message gives no byte offset.
     """
     try:
         if path == "-":
@@ -166,37 +166,49 @@ def _open_in(path: str):
             with open(path, encoding="utf-8") as fp:
                 yield fp
     except UnicodeDecodeError:
-        raise ParseError(f"{path}: not UTF-8 text") from None
+        raise _not_utf8(path) from None
+
+
+def _not_utf8(path: str) -> ParseError:
+    return ParseError(f"{path}: not UTF-8 text")
 
 
 @contextmanager
-def _stream(path: str, parse):
-    """Yield parse(lines of path) lazily, ranking faults as a whole read of path would.
+def _streams(*inputs):
+    """Yield parse(lines of path) lazily for each (path, parse) of inputs, in whole-read order.
 
-    On a fault of the block, the rest of path is read first, and a fault of
-    the reader's, met then or before, is raised in place of the block's,
-    inside path's _open_in, which names a UTF-8 fault after path. So streams
-    nested in the order of a whole read report the fault that reading each
-    whole, in that order, would report first.
+    The inputs are opened in that order. On a fault of the block, a failed
+    open included, they are read on one by one in that order, and the first
+    fault a reader meets, then or before, is raised in place of the
+    block's; no later input is read. So the fault reported is the one
+    that reading each input whole, in order, and then running the block
+    would report first. A reader's UTF-8 fault is named after its input.
     """
-    fault = None
+    faults = {}
 
-    def read(src):
-        nonlocal fault
+    def read(i, path, parse, src):
         try:
             yield from parse(src)
-        except (DrowsyError, OSError, UnicodeDecodeError) as exc:
-            fault = exc
+        except UnicodeDecodeError:
+            faults[i] = _not_utf8(path)
+            raise faults[i] from None
+        except (DrowsyError, OSError) as exc:
+            faults[i] = exc
             raise
 
-    with _open_in(path) as src:
-        items = read(src)
+    with ExitStack() as stack:
+        readers = []
         try:
-            yield items
-        except (DrowsyError, OSError, UnicodeDecodeError) as exc:
-            for _ in items:  # a fault the reader meets here leaves from here
-                pass
-            raise fault or exc
+            for i, (path, parse) in enumerate(inputs):
+                readers.append(read(i, path, parse, stack.enter_context(_open_in(path))))
+            yield readers
+        except (DrowsyError, OSError):
+            for i, reader in enumerate(readers):
+                for _ in reader:  # a fault the reader meets here leaves from here
+                    pass
+                if i in faults:
+                    raise faults[i]
+            raise
 
 
 # A frame that waits on a write system call sets a record stream's p99
@@ -397,9 +409,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     _check_paths(args)
-    with (_stream(args.pred, dio.read_states) as predictions,
-          _stream(args.labels, dio.read_states) as labels):
-        result = evaluate_channel(predictions, labels, args.channel)
+    with _streams((args.pred, dio.read_states), (args.labels, dio.read_states)) as streams:
+        result = evaluate_channel(*streams, args.channel)
     m = result.matrix
     text = (
         f"channel: {args.channel}\n"
@@ -429,7 +440,7 @@ def _score_driver(frames_path, labels_path, profile_path, external_path, configs
     calibrate) and the labels file as it scores their records, so no
     frame, record or label outlives its batch. The profile, the frames, the
     labels and the external states are opened in that order, the two
-    streams through _stream, so the fault reported is the one that reading
+    streams through _streams, so the fault reported is the one that reading
     them whole in that order, then calibrating and comparing, would report
     first.
     """
@@ -438,17 +449,16 @@ def _score_driver(frames_path, labels_path, profile_path, external_path, configs
     if profile_path:
         with _open_in(profile_path) as src:
             profile = dio.read_profile(src)
-    with (_stream(frames_path, dio.read_frames) as frames,
-          _stream(labels_path, dio.read_states) as labels):
+    with _streams((frames_path, dio.read_frames), (labels_path, dio.read_states)) as streams:
+        frames, labels = streams
         external = None
         if external_path:
             with _open_in(external_path) as src:
                 external = dio.load_external_states(src)
-        head = ()
         if profile is None:
-            head, profile = _lead_in(frames, calibration_config)
+            frames, profile = _lead_in(frames, calibration_config)
         return compare(
-            chain(head, frames),
+            frames,
             labels,
             personalized=profile,
             generalized=generalized,
@@ -458,12 +468,12 @@ def _score_driver(frames_path, labels_path, profile_path, external_path, configs
 
 
 def _lead_in(frames, config: CalibrationConfig):
-    """The frames up to the first past the lead-in, and the profile calibrated from the lead-in.
+    """The whole frame stream, and the profile calibrated from its lead-in.
 
     The lead-in is every frame within the calibration duration of the
     first, on millisecond keys; read_frames keeps time order, so it is a
-    prefix. The frames come back as an iterator, which lets them go once
-    it has handed them out.
+    prefix. The stream is read up to the first frame past it, and those
+    frames are held until they are handed out ahead of the rest.
     """
     head = list(islice(frames, 1))
     end = quantize_ms(head[0].t) + quantize_ms(config.duration_s) if head else 0
@@ -472,7 +482,7 @@ def _lead_in(frames, config: CalibrationConfig):
         if quantize_ms(frame.t) > end:
             break
     lead_in = takewhile(lambda f: quantize_ms(f.t) <= end, head)
-    return iter(head), calibrate(samples_from_frames(lead_in), config)
+    return chain(head, frames), calibrate(samples_from_frames(lead_in), config)
 
 
 def _drivers(args: argparse.Namespace) -> list:

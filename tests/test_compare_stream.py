@@ -1,12 +1,14 @@
 """The streaming `drowsy compare` and `drowsy eval`: their outputs and faults against
 the materialized oracle in reference_compare.py, on each side of a batch boundary,
-their file attribution of UTF-8 faults, and their memory, in the command and in the
-library."""
+their file attribution of UTF-8 faults, how far they read their inputs after a fault,
+and their memory, in the command and in the library."""
 
+import collections
 import contextlib
 import functools
 import io as stdio
 import itertools
+import os
 import tracemalloc
 from dataclasses import replace
 
@@ -15,7 +17,7 @@ import pytest
 from drowsy import cli
 from drowsy import io as dio
 from drowsy.calibration import CalibrationConfig, calibrate, generalized_profile
-from drowsy.errors import EvalError, MissingLabelError
+from drowsy.errors import EvalError, MissingLabelError, ParseError
 from drowsy.eval import BATCH_FRAMES, CHANNELS, compare, confusion
 from drowsy.metrics import samples_from_frames
 from drowsy.pipeline import PipelineConfig
@@ -353,6 +355,93 @@ def test_utf8_fault_names_the_file_that_holds_it(tmp_path, capsys, mode, bad):
     capsys.readouterr()
     assert cli.main(argv) == 1
     assert capsys.readouterr() == ("", f"drowsy: {prefix}{named}: not UTF-8 text\n")
+
+
+def counting(monkeypatch):
+    """Patch dio's frame and label readers to count, by file name, the lines each parses."""
+    counts = collections.Counter()
+
+    def counted(parse):
+        def read(src):
+            name = os.path.basename(src.name)
+
+            def lines():
+                for line in src:
+                    counts[name] += 1
+                    yield line
+
+            return parse(lines())
+
+        return read
+
+    for name in ("read_frames", "read_states"):
+        monkeypatch.setattr(dio, name, counted(getattr(dio, name)))
+    return counts
+
+
+def line_counts(directory, **counts):
+    """counts by file name, a count of None being the file's every line."""
+    return {
+        name: len((directory / name).read_text().splitlines()) if n is None else n
+        for name, n in counts.items()
+    }
+
+
+# A reader's fault stops the reading at that reader, so no later input is read;
+# the block's own fault reads every input to its end, since a parse fault further
+# on in any of them would outrank it. None is a whole file.
+@pytest.mark.parametrize("fault, frames, labels", [
+    ("frame-early", 4, 0),
+    ("label-bad", None, 501),
+    ("label-shift", None, None),
+    ("labels-long", None, None),
+])
+def test_compare_reads_no_input_past_a_reader_fault(tmp_path, monkeypatch, fault, frames, labels):
+    write_driver(tmp_path, [fault])
+    counts = counting(monkeypatch)
+    assert main_result(["compare", "--input", str(tmp_path)], tmp_path / "none.json")[0] == 1
+    want = line_counts(tmp_path, **{"d.frames.jsonl": frames, "d.labels.jsonl": labels})
+    assert {**dict.fromkeys(want, 0), **counts} == want
+
+
+@pytest.mark.parametrize("side, edit, pred, labels", [
+    ("pred", lambda lines: lines.__setitem__(0, "{not json\n"), 1, 0),
+    ("labels", EVAL_FAULTS["early"], None, 4),
+    ("labels", EVAL_FAULTS["shift"], None, None),
+    ("pred", EVAL_FAULTS["short"], None, None),
+], ids=["pred-first-line", "labels-early", "labels-shift", "pred-short"])
+def test_eval_reads_no_input_past_a_reader_fault(tmp_path, monkeypatch, side, edit, pred, labels):
+    files = {"pred": list(label_lines()), "labels": list(label_lines())}
+    edit(files[side])
+    for name, lines in files.items():
+        (tmp_path / f"{name}.jsonl").write_text("".join(lines))
+    counts = counting(monkeypatch)
+    argv = ["eval", "--pred", str(tmp_path / "pred.jsonl"),
+            "--labels", str(tmp_path / "labels.jsonl"), "--channel", "eye"]
+    assert main_result(argv, tmp_path / "none.json")[0] == 1
+    want = line_counts(tmp_path, **{"pred.jsonl": pred, "labels.jsonl": labels})
+    assert {**dict.fromkeys(want, 0), **counts} == want
+
+
+@pytest.mark.parametrize("frame_fault", [True, False], ids=["frame-fault", "no-frame-fault"])
+def test_single_stream_compare_opens_its_frames_before_its_labels(tmp_path, capsys, frame_fault):
+    # the frames are opened first, so their fault outranks a labels file that fails to open
+    frames = boundary_driver(tmp_path, 200)[0]
+    if frame_fault:
+        frames[3] = "{not json\n"
+        (tmp_path / "d.frames.jsonl").write_text("".join(frames))
+    missing = tmp_path / "missing.labels.jsonl"
+    argv = ["compare", "--input", str(tmp_path / "d.frames.jsonl"), "--labels", str(missing),
+            "--profile", str(tmp_path / "d.profile.json")]
+    if frame_fault:
+        with pytest.raises(ParseError) as err:
+            list(dio.read_frames(frames))
+        message = str(err.value)
+    else:
+        message = f"[Errno 2] No such file or directory: '{missing}'"
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", f"drowsy: {message}\n")
 
 
 def traced_peak(directory) -> int:
