@@ -173,6 +173,14 @@ def _not_utf8(path: str) -> ParseError:
     return ParseError(f"{path}: not UTF-8 text")
 
 
+def _load(path, read):
+    """read() of the input at path, opened through _open_in, or None when there is no path."""
+    if not path:
+        return None
+    with _open_in(path) as src:
+        return read(src)
+
+
 @contextmanager
 def _streams(*inputs):
     """Yield parse(lines of path) lazily for each (path, parse) of inputs, in whole-read order.
@@ -349,12 +357,8 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     config = _build(PipelineConfig, args)
     _check_paths(args)
-    with _open_in(args.profile) as src:
-        profile = dio.read_profile(src)
-    external = None
-    if args.external:
-        with _open_in(args.external) as src:
-            external = dio.load_external_states(src)
+    profile = _load(args.profile, dio.read_profile)
+    external = _load(args.external, dio.load_external_states)
 
     with _open_in(args.input) as frames_in, _open_out(args.out) as events_out:
         def on_event(event):
@@ -392,8 +396,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_synth(args: argparse.Namespace) -> int:
     _check_paths(args)
-    with _open_in(args.script) as src:
-        script = dio.read_script(src)
+    script = _load(args.script, dio.read_script)
     if args.seed is not None:
         script = replace(script, seed=args.seed)
     with _open_out(args.out) as frames_out, _open_out(args.labels) as labels_out:
@@ -445,16 +448,10 @@ def _score_driver(frames_path, labels_path, profile_path, external_path, configs
     first.
     """
     pipeline_config, calibration_config, generalized = configs
-    profile = None
-    if profile_path:
-        with _open_in(profile_path) as src:
-            profile = dio.read_profile(src)
+    profile = _load(profile_path, dio.read_profile)
     with _streams((frames_path, dio.read_frames), (labels_path, dio.read_states)) as streams:
         frames, labels = streams
-        external = None
-        if external_path:
-            with _open_in(external_path) as src:
-                external = dio.load_external_states(src)
+        external = _load(external_path, dio.load_external_states)
         if profile is None:
             frames, profile = _lead_in(frames, calibration_config)
         return compare(

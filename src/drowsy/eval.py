@@ -16,15 +16,16 @@ pipeline.Pipeline), and keeps no records. compare() reads whatever frames
 it is given BATCH_FRAMES at a time, and after each batch has been stepped
 it scores the batch's records against the next labels: it checks their
 alignment, keying a record's and a label's time only when the two floats
-differ, then calls each method's decider once, in method order (one
-comprehension over threshold_states or external_state; the personalized
-decisions are the run's own), and adds its eye and mouth decisions to
-that method's pair counts, one per channel. So the run holds one batch of
-frames, records and labels, and reading a batch and scoring the one
-before fall on one frame per batch. The external lookup is the only
-per-frame millisecond key taken after the run. confusion() streams
-through the same scorer, with the predictions' own states as its one
-decider, so the confusion-matrix summary has one definition.
+differ, then calls each method's decider once, in method order. A
+decider returns the batch's (eye closed?, yawning?) pairs, faceless
+records undecided, and its method's one tally counts them against the
+labels' pairs; the report reads each channel's matrix out of it. So the
+run holds one batch of frames, records and labels, and reading a batch
+and scoring the one before fall on one frame per batch. The external
+lookup is the only per-frame millisecond key taken after the run.
+confusion() streams through the same scorer, with the predictions' own
+states as its one decider, so the confusion-matrix summary has one
+definition.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import islice
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .calibration import CalibrationProfile
@@ -45,8 +46,8 @@ CHANNEL_EYE = "eye"
 CHANNEL_MOUTH = "mouth"
 CHANNELS = (CHANNEL_EYE, CHANNEL_MOUTH)
 
-#: each channel's state on a record or a label, in CHANNELS order
-_CHANNEL_STATE = {CHANNEL_EYE: attrgetter("eye_closed"), CHANNEL_MOUTH: attrgetter("mouth_yawn")}
+#: the (eye closed?, yawning?) pair of a record or a label, in CHANNELS order
+_PAIR = attrgetter("eye_closed", "mouth_yawn")
 _STATES = {CHANNEL_EYE: EYE_STATES, CHANNEL_MOUTH: MOUTH_STATES}
 _TIME = attrgetter("t")
 
@@ -54,8 +55,6 @@ METHOD_GENERALIZED = "generalized"
 METHOD_PERSONALIZED = "personalized"
 METHOD_EXTERNAL = "external"
 
-#: a decision is an (eye closed?, yawning?) pair, read per channel in CHANNELS order
-_PAIR_STATES = (itemgetter(0), itemgetter(1))
 _UNDECIDED = (None, None)
 
 _APPROACH = {
@@ -111,14 +110,16 @@ def _alignment_fault(pred_times: list, label_times: list) -> EvalError | None:
     return None
 
 
-def _summary(pairs: Counter) -> tuple[ConfusionMatrix, int]:
-    """The matrix and the excluded count of one channel's (guess, truth) pair counts.
+def _summary(pairs: Counter, channel: str) -> tuple[ConfusionMatrix, int]:
+    """The matrix and excluded count of channel over (guess, truth) counts of (eye, mouth) pairs.
 
-    A pair with None on either side has no face state and is excluded;
+    A state of None on either side has no face state and is excluded;
     otherwise a truthy state is the positive class.
     """
+    i = CHANNELS.index(channel)
     tp = tn = fp = fn = excluded = 0
-    for (guess, truth), n in pairs.items():
+    for (guesses, truths), n in pairs.items():
+        guess, truth = guesses[i], truths[i]
         if guess is None or truth is None:
             excluded += n
         elif guess:
@@ -182,45 +183,46 @@ def _batches(frames: Iterable, flush: Callable[[], None]) -> Iterator:
         flush()
 
 
-def _own_states(records: list) -> tuple:
-    """The records' own states: the run's decisions, or a prediction stream's, None when faceless."""
-    return records, _CHANNEL_STATE.values()
+def _own_states(records: list) -> list:
+    """The records' own state pairs: the run's decisions, or a prediction stream's."""
+    return list(map(_PAIR, records))
 
 
 def _thresholds(profile: CalibrationProfile) -> Callable:
     """The decider of profile's thresholds on each record's smoothed metrics."""
-    def decide(records: list) -> tuple:
+    def decide(records: list) -> list:
         return [threshold_states(profile, r.ear, r.mar) if r.face_present else _UNDECIDED
-                for r in records], _PAIR_STATES
+                for r in records]
     return decide
 
 
 def _external(states: Mapping[int, tuple[bool, bool]]) -> Callable:
     """The decider of an external classifier's states; MissingLabelError names a face without one."""
-    def decide(records: list) -> tuple:
+    def decide(records: list) -> list:
         return [external_state(states, quantize_ms(r.t), r.t) if r.face_present else _UNDECIDED
-                for r in records], _PAIR_STATES
+                for r in records]
     return decide
 
 
 class _Scores:
-    """Running tallies: (guess, truth) pair counts per method and channel.
+    """Running tallies: one count of (decision pair, label pair) pairs per method.
 
     deciders maps each method, in method order, to its decider: called once
-    per batch, it returns the batch's decisions, faceless records undecided,
-    and one state reader per channel. flush() scores the records gathered
-    so far against as many of the next labels and lets both go. After the
-    first shortfall of labels or the first misaligned pair, a flush only
-    counts; after its MissingLabelError, a method is no longer decided.
-    check() counts the labels left over and raises what whole streams
-    raise; report() then adds, method by method, an empty matrix or the
-    method's missing state.
+    per batch, it returns the list of the batch's (eye closed?, yawning?)
+    pairs, faceless records undecided, and the method's tally counts them
+    against the labels' pairs in one update. flush() scores the records
+    gathered so far against as many of the next labels and lets both go.
+    After the first shortfall of labels or the first misaligned pair, a
+    flush only counts; after its MissingLabelError, a method is no longer
+    decided. check() counts the labels left over and raises what whole
+    streams raise; report() then adds, method by method, an empty matrix
+    or the method's missing state.
     """
 
     def __init__(self, labels: Iterable, deciders: Mapping[str, Callable]):
         self.labels = iter(labels)
         self.deciders = deciders
-        self.counts = {method: tuple(Counter() for _ in CHANNELS) for method in deciders}
+        self.counts = {method: Counter() for method in deciders}
         self.records: list = []
         self.frames = self.labelled = 0
         self.misaligned: EvalError | None = None
@@ -238,17 +240,14 @@ class _Scores:
         records.clear()
 
     def _score(self, records: list, labels: list) -> None:
-        truths = [list(map(state, labels)) for state in _CHANNEL_STATE.values()]
+        truths = list(map(_PAIR, labels))
         for method, decide in self.deciders.items():
             if method in self.missing:
                 continue
             try:
-                decisions, states = decide(records)
+                self.counts[method].update(zip(decide(records), truths))
             except MissingLabelError as exc:
                 self.missing[method] = exc
-                continue
-            for counts, state, truth in zip(self.counts[method], states, truths):
-                counts.update(zip(map(state, decisions), truth))
 
     def check(self) -> None:
         self.labelled += sum(1 for _ in self.labels)
@@ -267,7 +266,7 @@ class _Scores:
         for method, counts in self.counts.items():
             if method in self.missing:
                 raise self.missing[method]
-            methods[method] = {ch: _channel_eval(*_summary(c)) for ch, c in zip(CHANNELS, counts)}
+            methods[method] = {ch: _channel_eval(*_summary(counts, ch)) for ch in CHANNELS}
         return ComparisonReport(methods=methods, frames=self.frames)
 
 
@@ -281,14 +280,14 @@ def confusion(
     predictions' own states as its one decider. Excluded frames are those
     without a labeled (or predicted) face state.
     """
-    if channel not in _CHANNEL_STATE:
+    if channel not in CHANNELS:
         raise EvalError(f"unknown channel {channel!r}")
     scores = _Scores(labels, {"predictions": _own_states})
     append = scores.records.append
     for prediction in _batches(predictions, scores.flush):
         append(prediction)
     scores.check()
-    return _summary(scores.counts["predictions"][CHANNELS.index(channel)])
+    return _summary(scores.counts["predictions"], channel)
 
 
 def evaluate_channel(predictions: Iterable, labels: Iterable, channel: str) -> ChannelEval:

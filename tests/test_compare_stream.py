@@ -455,24 +455,32 @@ def traced_peak(directory) -> int:
             tracemalloc.stop()
 
 
+# Each memory test runs streams of 2, 4 and 16 batches (2 hold SCRIPT's events):
+# the first run pays for one-time allocations, and the last two must peak alike.
+# A path that holds a whole stream grows with the 12 batches (6,144 frames)
+# between them.
+BATCHES = (2, 4, 16)
+
+
 def test_compare_memory_does_not_grow_with_the_stream(tmp_path):
     # A materialized compare held about 2.2 KB per 19-point frame plus its
-    # record and label, 65 MB more at 40k frames than at 10k. Streamed, a
+    # record and label, 16.6 MB more at 16 batches than at 4. Streamed, a
     # run holds one batch of frames, records and labels whatever the stream
     # length. An external state stream would add its map, about 120 B per
-    # frame (3.6 MB at 40k frames), so these drivers have none.
+    # frame, so these drivers have none.
     peaks = []
-    for seconds in (1000 / 30.0, 10_000 / 30.0, 40_000 / 30.0):
-        driver = tmp_path / f"{round(seconds * 30)}"
+    for batches in BATCHES:
+        driver = tmp_path / f"{batches}"
         driver.mkdir()
-        frames, labels = session_lines(replace(SCRIPT, duration_s=seconds))
+        script = replace(SCRIPT, duration_s=batches * BATCH_FRAMES / SCRIPT.fps)
+        frames, labels = session_lines(script)
         (driver / "d.frames.jsonl").write_text("".join(frames))
         (driver / "d.labels.jsonl").write_text("".join(labels))
         peaks.append(traced_peak(driver))
     # the first run also pays for one-time allocations, such as compiled patterns
-    _, peak_10k, peak_40k = peaks
-    assert abs(peak_40k - peak_10k) < 0.5e6, peaks
-    assert peak_40k < 4e6, peaks
+    _, peak_4, peak_16 = peaks
+    assert abs(peak_16 - peak_4) < 0.5e6, peaks
+    assert peak_16 < 4e6, peaks
 
 
 def library_peak(script) -> int:
@@ -492,11 +500,12 @@ def test_library_compare_memory_does_not_grow_with_the_stream():
     # compare batches whatever frames it is given, so a generator is read one
     # batch at a time as a file is, and its records are scored batch by batch
     peaks = [
-        library_peak(replace(SCRIPT, duration_s=n / SCRIPT.fps)) for n in (1000, 10_000, 40_000)
+        library_peak(replace(SCRIPT, duration_s=batches * BATCH_FRAMES / SCRIPT.fps))
+        for batches in BATCHES
     ]
     # the first run also pays for one-time allocations
-    _, peak_10k, peak_40k = peaks
-    assert abs(peak_40k - peak_10k) < 0.5e6, peaks
+    _, peak_4, peak_16 = peaks
+    assert abs(peak_16 - peak_4) < 0.5e6, peaks
 
 
 def eval_peak(labels) -> int:
@@ -512,13 +521,14 @@ def eval_peak(labels) -> int:
 
 
 def test_eval_memory_does_not_grow_with_the_stream(tmp_path):
-    # A materialized eval held both streams whole, about 2.4 MB at 10k frames
-    # and 9.1 MB at 40k; streamed, it holds one batch of predictions and labels
+    # A materialized eval held both streams whole, 1.4 MB more at 16 batches
+    # than at 4; streamed, it holds one batch of predictions and labels
     peaks = []
-    for n in (1000, 10_000, 40_000):
-        labels = tmp_path / f"{n}.labels.jsonl"
-        labels.write_text("".join(session_lines(replace(SCRIPT, duration_s=n / SCRIPT.fps))[1]))
+    for batches in BATCHES:
+        labels = tmp_path / f"{batches}.labels.jsonl"
+        script = replace(SCRIPT, duration_s=batches * BATCH_FRAMES / SCRIPT.fps)
+        labels.write_text("".join(session_lines(script)[1]))
         peaks.append(eval_peak(labels))
     # the first run also pays for one-time allocations
-    _, peak_10k, peak_40k = peaks
-    assert abs(peak_40k - peak_10k) < 0.5e6, peaks
+    _, peak_4, peak_16 = peaks
+    assert abs(peak_16 - peak_4) < 0.5e6, peaks

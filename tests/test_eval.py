@@ -463,6 +463,15 @@ def test_evaluate_channel_recalls():
     assert ev.recall_negative == 100.0
 
 
+@pytest.mark.parametrize("channel", ["nose", None, ["eye"]], ids=repr)
+@pytest.mark.parametrize("score", [confusion, evaluate_channel])
+def test_an_unknown_channel_is_refused(score, channel):
+    labels = [lab(0.0), lab(0.1)]
+    with pytest.raises(EvalError) as err:
+        score(labels, labels, channel)
+    assert str(err.value) == f"unknown channel {channel!r}"
+
+
 def small_report():
     labels = [lab(i * 0.1, eye=i % 3 == 0, mouth=i % 4 == 0) for i in range(30)]
     preds = [lab(i * 0.1, eye=i % 2 == 0) for i in range(30)]
