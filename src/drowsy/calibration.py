@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Iterable, Mapping
+from itertools import chain, islice
+from typing import Iterable, Iterator, Mapping
 
 from .errors import CalibrationError, ConfigError, DrowsyError, GeometryError
 from .landmarks import MAX_SECONDS, quantize_ms
@@ -115,10 +116,29 @@ def _covered_ms(samples: list[MetricSample]) -> int:
     return (ts[-1] - ts[0]) + (ts[-1] - ts[-2])
 
 
+def lead_in(frames: Iterable, duration_s: float) -> tuple[Iterator, list]:
+    """The whole stream, and its lead-in: every item within duration_s of the first.
+
+    The one rule for the calibration window, on the millisecond key of each
+    item's t, read once. Items come in time order, as read_frames keeps them:
+    the stream is read up to the first item past the lead-in, and the items
+    read are handed out again ahead of the rest.
+    """
+    items = iter(frames)
+    head = list(islice(items, 1))
+    end = quantize_ms(head[0].t) + quantize_ms(duration_s) if head else 0
+    for item in items:
+        if quantize_ms(item.t) > end:
+            return chain(head, (item,), items), head
+        head.append(item)
+    return iter(head), head
+
+
 def calibrate(samples: Iterable[MetricSample], config: CalibrationConfig | None = None) -> CalibrationProfile:
     """Derive a personalized profile from neutral-pose metric samples.
 
     Order-insensitive: permuting the input yields an identical profile.
+    The caller picks the window; lead_in is the rule that picks a stream's.
     Raises CalibrationError when the recording is too short or holds fewer
     face-present samples than config.min_samples.
     """

@@ -37,10 +37,9 @@ import time
 from contextlib import ExitStack, contextmanager, nullcontext
 from dataclasses import replace
 from errno import ENOENT
-from itertools import chain, islice, takewhile
 
 from . import io as dio
-from .calibration import CalibrationConfig, calibrate, generalized_profile
+from .calibration import CalibrationConfig, calibrate, generalized_profile, lead_in
 from .errors import CalibrationError, ConfigError, DrowsyError, ParseError
 from .eval import (
     CHANNELS,
@@ -54,7 +53,6 @@ from .eval import (
     render_report,
     report_doc,
 )
-from .landmarks import quantize_ms
 from .metrics import samples_from_frames
 from .pipeline import PipelineConfig, run_session
 from .synth import iter_session
@@ -339,8 +337,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     dio.default_created_at()  # a malformed SOURCE_DATE_EPOCH fails before any file is opened
     _check_paths(args)
     with _open_in(args.input) as src:
-        samples = list(samples_from_frames(dio.read_frames(src)))
-    profile = calibrate(samples, config)
+        profile = calibrate(samples_from_frames(dio.read_frames(src)), config)
     with _open_out(args.out) as sink:
         dio.write_profile(sink, profile)
     print(
@@ -438,10 +435,10 @@ def _write_report(args: argparse.Namespace, text: str, doc: dict) -> None:
 def _score_driver(frames_path, labels_path, profile_path, external_path, configs):
     """Score one driver in one streaming pass; without a profile, calibrate from the leading frames.
 
-    compare reads the frames file as it steps the frames (without a
-    profile, those up to the end of the lead-in are read first, to
-    calibrate) and the labels file as it scores their records, so no
-    frame, record or label outlives its batch. The profile, the frames, the
+    compare reads the frames file as it steps the frames (without a profile,
+    calibration.lead_in, which owns the window, first reads those up to the
+    end of the lead-in) and the labels file as it scores their records, so
+    no frame, record or label outlives its batch. The profile, the frames, the
     labels and the external states are opened in that order, the two
     streams through _streams, so the fault reported is the one that reading
     them whole in that order, then calibrating and comparing, would report
@@ -453,7 +450,8 @@ def _score_driver(frames_path, labels_path, profile_path, external_path, configs
         frames, labels = streams
         external = _load(external_path, dio.load_external_states)
         if profile is None:
-            frames, profile = _lead_in(frames, calibration_config)
+            frames, head = lead_in(frames, calibration_config.duration_s)
+            profile = calibrate(samples_from_frames(head), calibration_config)
         return compare(
             frames,
             labels,
@@ -462,24 +460,6 @@ def _score_driver(frames_path, labels_path, profile_path, external_path, configs
             external_states=external,
             config=pipeline_config,
         )
-
-
-def _lead_in(frames, config: CalibrationConfig):
-    """The whole frame stream, and the profile calibrated from its lead-in.
-
-    The lead-in is every frame within the calibration duration of the
-    first, on millisecond keys; read_frames keeps time order, so it is a
-    prefix. The stream is read up to the first frame past it, and those
-    frames are held until they are handed out ahead of the rest.
-    """
-    head = list(islice(frames, 1))
-    end = quantize_ms(head[0].t) + quantize_ms(config.duration_s) if head else 0
-    for frame in frames:
-        head.append(frame)
-        if quantize_ms(frame.t) > end:
-            break
-    lead_in = takewhile(lambda f: quantize_ms(f.t) <= end, head)
-    return chain(head, frames), calibrate(samples_from_frames(lead_in), config)
 
 
 def _drivers(args: argparse.Namespace) -> list:

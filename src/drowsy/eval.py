@@ -344,12 +344,15 @@ def aggregate(
 
     Every report must score the same methods; otherwise EvalError names the
     first report and the first one that differs from it, by `names` (one
-    per report, such as the driver stems) or else as "report <index>".
+    per report, such as the driver stems; EvalError if the counts differ)
+    or else as "report <index>".
     """
     if not reports:
         raise EvalError("cannot aggregate zero reports")
     if names is None:
         names = [f"report {i}" for i in range(len(reports))]
+    elif len(names) != len(reports):
+        raise EvalError(f"need one name per report, got {len(names)} for {len(reports)}")
     method_names = list(reports[0].methods)
     for name, report in zip(names, reports):
         if report.methods.keys() != reports[0].methods.keys():

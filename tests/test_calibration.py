@@ -1,5 +1,6 @@
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -9,6 +10,7 @@ from drowsy.calibration import (
     CalibrationConfig,
     calibrate,
     generalized_profile,
+    lead_in,
     trimmed_mean,
 )
 from drowsy.errors import CalibrationError, ConfigError, GeometryError
@@ -166,6 +168,58 @@ def test_trim_bound_property():
         if int(0.10 * len(total)) < n_out:
             continue
         assert trimmed_mean(total) == pytest.approx(value, abs=1e-12)
+
+
+def stamped(*ts):
+    # lead_in reads nothing but t
+    return [SimpleNamespace(t=t) for t in ts]
+
+
+class TestLeadIn:
+    def test_an_item_duration_s_after_the_first_is_in_and_one_ms_later_is_out(self):
+        items = stamped(1.0, 3.0, 6.0, 6.001, 7.0)
+        stream, head = lead_in(iter(items), 5.0)
+        assert head == items[:3]
+        assert list(stream) == items
+
+    def test_the_window_closes_on_millisecond_keys(self):
+        # keys 1, 5001 and 5002: 5.0014 s is 5.0008 s after the first, but its key is in
+        items = stamped(0.0006, 5.0014, 5.0016)
+        stream, head = lead_in(iter(items), 5.0)
+        assert head == items[:2]
+        assert list(stream) == items
+
+    def test_an_empty_stream(self):
+        stream, head = lead_in(iter([]), 5.0)
+        assert head == []
+        assert list(stream) == []
+
+    def test_a_stream_that_ends_inside_the_window(self):
+        items = stamped(0.0, 1.0, 2.5)
+        stream, head = lead_in(iter(items), 5.0)
+        assert head == items
+        assert list(stream) == items
+
+    def test_a_list_splits_as_a_generator_does(self):
+        items = stamped(*(i * 0.5 for i in range(20)))
+        stream, head = lead_in(items, 5.0)
+        from_list = (list(stream), head)
+        stream, head = lead_in((item for item in items), 5.0)
+        assert from_list == (list(stream), head) == (items, items[:11])
+
+    def test_it_reads_one_item_past_the_window(self):
+        items = stamped(*(i * 0.5 for i in range(40)))
+        read = []
+
+        def source():
+            for item in items:
+                read.append(item)
+                yield item
+
+        stream, head = lead_in(source(), 5.0)
+        assert read == items[:12]  # 0.0 .. 5.0 s, then 5.5 s
+        assert head == items[:11]
+        assert list(stream) == items
 
 
 class TestGeneralizedProfile:

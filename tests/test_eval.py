@@ -454,6 +454,19 @@ class TestAggregate:
             f"reports score different methods: report 0 has {first}, report 1 has {second}"
         )
 
+    @pytest.mark.parametrize("names", [["driver00"], ["driver00", "driver01", "driver02"]])
+    @pytest.mark.parametrize("external_first", [True, False])
+    def test_a_name_per_report_or_refused(self, names, external_first):
+        # before the method check: zip would cut the list short and skip later reports
+        labels = [lab(i * 0.1, eye=i % 3 == 0) for i in range(30)]
+        evals = {ch: evaluate_channel(labels, labels, ch) for ch in CHANNELS}
+        two = ComparisonReport(methods={"generalized": evals, "personalized": evals}, frames=30)
+        three = ComparisonReport(methods={**two.methods, "external": evals}, frames=30)
+        reports = [three, two] if external_first else [two, three]
+        with pytest.raises(EvalError) as err:
+            aggregate(reports, names)
+        assert str(err.value) == f"need one name per report, got {len(names)} for 2"
+
 
 def test_evaluate_channel_recalls():
     labels = [lab(i * 0.1, eye=i < 4) for i in range(10)]
